@@ -22,13 +22,18 @@ from .errors import (
 )
 from .knm import (
     KnmParams,
+    break_count,
+    break_orbit_reps,
     break_representative,
     circular_park,
     enumerate_break,
+    enumerate_break_bruteforce,
     enumerate_parking,
+    enumerate_parking_bruteforce,
     enumerate_residue_tuples,
     is_break_mn,
     is_parking_mn,
+    parking_orbit_reps,
     parking_representative,
     shift,
     shift_class,
@@ -57,6 +62,7 @@ from .reptheory import (
     murnaghan_nakayama,
     partitions_of,
     perm_module_h_expansion,
+    permutation_module,
     restrict_character,
     schur_expansion,
     trivial_multiplicity,

@@ -3,7 +3,8 @@
 Subcommands: enumerate, count, character, dt, verify.  JSON is the
 canonical output format; csv and pretty tables are projections of the
 same records.  Exit codes: 0 success, 2 usage/parse error, 3 budget
-exceeded, 4 verification failure.
+exceeded, 4 verification failure, 5 internal invariant violated (a bug;
+one `error:` line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -14,12 +15,18 @@ import json
 import sys
 
 from . import counting, knm, multigraph, reptheory, verify
-from .errors import BudgetExceededError, GraphFormatError, PreconditionError
+from .errors import (
+    BudgetExceededError,
+    GraphFormatError,
+    InternalInvariantError,
+    PreconditionError,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
+EXIT_INTERNAL = 5
 
 
 def _fmt_tuple(t) -> str:
@@ -140,8 +147,8 @@ def cmd_count(args) -> list[dict]:
         "m": m,
         "n": n,
         "genus": p.genus,
-        "breaks": m ** (n - 1) * n ** max(n - 2, 0),
-        "parking": m ** (n - 1) * n ** max(n - 2, 0),
+        "breaks": knm.break_count(p),
+        "parking": knm.break_count(p),
         "residue_tuples": p.N ** (n - 1),
         "orbits_D": counting.orbit_count_D(m, n),
         "dt": counting.dt_invariant(m, n),
@@ -149,14 +156,19 @@ def cmd_count(args) -> list[dict]:
     if p.N ** (n - 1) <= args.budget:
         keys = {knm.sort_orbit_key(x) for x in knm.enumerate_residue_tuples(p)}
         rec["orbits_D_bruteforce"] = len(keys)
-        rec["breaks_bruteforce"] = len(knm.enumerate_break(p))
+        rec["breaks_bruteforce"] = len(knm.enumerate_break_bruteforce(p))
     return [rec]
 
 
 def cmd_character(args) -> list[dict]:
+    """Closed character values against fixed-point counts on the orbits
+    of generated representatives (the `bruteforce` column), then the
+    Frobenius data of Break and Park.  No full set is enumerated."""
     m, n = args.m, args.n
     p = knm.KnmParams(m, n)
-    budget_ok = m ** (n - 1) * n ** max(n - 2, 0) <= args.budget
+    budget_ok = knm.break_count(p) <= args.budget
+    if budget_ok:
+        breaks = reptheory.permutation_module(knm.break_orbit_reps(p), n)
     records = []
     for lam in reptheory.partitions_of(n):
         rec = {
@@ -164,36 +176,15 @@ def cmd_character(args) -> list[dict]:
             "closed": reptheory.character_break_closed(m, n, lam),
         }
         if budget_ok:
-            rec["bruteforce"] = reptheory.character_break_bruteforce(m, n, lam)
+            rec["bruteforce"] = breaks.character[lam]
         records.append(rec)
     if budget_ok:
-        breaks = knm.enumerate_break(p)
-        orbit_reps = sorted({knm.sort_orbit_key(d) for d in breaks})
-        h_break = reptheory.perm_module_h_expansion(orbit_reps)
-        s_break = reptheory.h_to_s(h_break, n)
-        summary = {
-            "cycle_type": "Frob(Break)",
-            "closed": _fmt_expansion(h_break, "h") + " = " + _fmt_expansion(s_break, "s"),
-        }
-        records.append(summary)
+        records.append(_frobenius_record("Frob(Break)", breaks))
         if n >= 2:
-            parks = knm.enumerate_parking(p)
-            park_reps = sorted({knm.sort_orbit_key(a) for a in parks})
-            h_park = reptheory.perm_module_h_expansion(park_reps)
-            s_park = reptheory.h_to_s(h_park, n - 1)
-            records.append(
-                {
-                    "cycle_type": "Frob(Park)",
-                    "closed": _fmt_expansion(h_park, "h")
-                    + " = "
-                    + _fmt_expansion(s_park, "s"),
-                }
-            )
+            parks = reptheory.permutation_module(knm.parking_orbit_reps(p), n - 1)
+            records.append(_frobenius_record("Frob(Park)", parks))
             chi = reptheory.character_break(m, n)
-            verdict = (
-                reptheory.restrict_character(chi)
-                == reptheory.character_parking(m, n)
-            )
+            verdict = reptheory.restrict_character(chi) == parks.character
             records.append(
                 {
                     "cycle_type": "Res = Park",
@@ -201,6 +192,13 @@ def cmd_character(args) -> list[dict]:
                 }
             )
     return records
+
+
+def _frobenius_record(name: str, module: reptheory.PermutationModule) -> dict:
+    return {
+        "cycle_type": name,
+        "closed": _fmt_expansion(module.h, "h") + " = " + _fmt_expansion(module.s, "s"),
+    }
 
 
 def cmd_dt(args) -> list[dict]:
@@ -277,7 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", help="graph file instead of --m/--n")
     common(sp)
 
-    sp = sub.add_parser("character", help="character table and Frobenius data")
+    sp = sub.add_parser(
+        "character",
+        help="character table and Frobenius data; the bruteforce column "
+        "counts fixed points on the generated orbits, independently of the "
+        "closed formula",
+    )
     common(sp)
 
     sp = sub.add_parser("dt", help="DT invariants by two routes")
@@ -327,6 +330,9 @@ def main(argv=None) -> int:
     except (GraphFormatError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalInvariantError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

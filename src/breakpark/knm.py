@@ -7,13 +7,17 @@ congruent to the genus mod mn.  The shift map adds m to every
 coordinate mod mn and partitions the residue tuples into classes of
 size n, each holding exactly one break divisor and exactly one tuple
 projecting to a parking function.
+
+Break and Park are unions of symmetric-group orbits, so both are
+generated from their orbit representatives (weakly decreasing vectors);
+the candidate scans they replaced are kept as `*_bruteforce` oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -44,10 +48,23 @@ class KnmParams:
     def genus(self) -> int:
         return self.m * self.n * (self.n - 1) // 2 - self.n + 1
 
-    @property
+    # cached_property writes the instance __dict__ directly, so it works
+    # on a frozen dataclass.
+    @cached_property
     def delta(self) -> tuple[int, ...]:
         """(m(n-1)-1, m(n-2)-1, ..., m-1, 0); sums to the genus."""
         return tuple(self.m * k - 1 for k in range(self.n - 1, 0, -1)) + (0,)
+
+    @cached_property
+    def delta_prefix(self) -> tuple[int, ...]:
+        """Prefix sums of delta; the last one is the genus."""
+        return tuple(itertools.accumulate(self.delta))
+
+
+def break_count(p: KnmParams) -> int:
+    """|Break_{m,n}| = |Park_{m,n}| = m^(n-1) * n^(n-2), the number of
+    spanning trees of K_n^m."""
+    return p.m ** (p.n - 1) * p.n ** max(p.n - 2, 0)
 
 
 def sort_orbit_key(x: Sequence[int]) -> tuple[int, ...]:
@@ -67,13 +84,10 @@ def is_break_mn(p: KnmParams, d: Sequence[int]) -> bool:
         return False
     if sum(d) != p.genus:
         return False
-    delta = p.delta
-    prefix_d = 0
-    prefix_delta = 0
-    for dv, tv in zip(sorted(d, reverse=True), delta):
-        prefix_d += dv
-        prefix_delta += tv
-        if prefix_d > prefix_delta:
+    prefix = 0
+    for dv, bound in zip(sorted(d, reverse=True), p.delta_prefix):
+        prefix += dv
+        if prefix > bound:
             return False
     return True
 
@@ -96,8 +110,112 @@ def _check_budget(size: int, budget: int, what: str):
         raise BudgetExceededError(f"|{what}| = {size} exceeds budget {budget}")
 
 
-@lru_cache(maxsize=None)
-def _enumerate_break_cached(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+def break_orbit_reps(p: KnmParams) -> list[tuple[int, ...]]:
+    """The S_n-orbit representatives of Break_{m,n}: the weakly
+    decreasing vectors of sum g whose prefix sums stay within those of
+    delta, in lexicographic order.  Their number is DT_n of the
+    (m+1)-loop quiver."""
+    n, g, bounds = p.n, p.genus, p.delta_prefix
+    out = []
+
+    def rec(prefix, total, largest):
+        i = len(prefix)
+        if i == n:
+            out.append(tuple(prefix))
+            return
+        # the entries left are at most v each, so v >= ceil(rest / left)
+        lo = -(-(g - total) // (n - i))
+        for v in range(lo, min(largest, bounds[i] - total) + 1):
+            prefix.append(v)
+            rec(prefix, total + v, v)
+            prefix.pop()
+
+    rec([], 0, g)
+    return out
+
+
+def parking_orbit_reps(p: KnmParams) -> list[tuple[int, ...]]:
+    """The S_{n-1}-orbit representatives of Park_{m,n} in sort_orbit_key
+    form: the weakly increasing a~ with a~_i <= m*i - 1, each reversed,
+    in lexicographic order."""
+    n, m = p.n, p.m
+    out = []
+
+    def rec(prefix, largest):
+        j = len(prefix)
+        if j == n - 1:
+            out.append(tuple(prefix))
+            return
+        # prefix[j] is a~_{n-1-j} of the increasing sort
+        for v in range(min(largest, m * (n - 1 - j) - 1) + 1):
+            prefix.append(v)
+            rec(prefix, v)
+            prefix.pop()
+
+    rec([], m * (n - 1))
+    return out
+
+
+def _distinct_permutations(
+    orbit_reps: Sequence[Sequence[int]],
+) -> list[tuple[int, ...]]:
+    """Every distinct rearrangement of every representative (distinct
+    multisets of one length), in lexicographic order and without a sort.
+
+    A node of the recursion is the tuple of multisets still to lay out
+    after some prefix; it depends only on the prefix as a multiset, so
+    it is memoized.  Nodes at depth 0 and 1 are reached once each, so
+    they are not kept, which saves memory.  The work is linear in the
+    output.
+    """
+    memo: dict[tuple, list[tuple[int, ...]]] = {}
+
+    def lay_out(group, depth):
+        found = memo.get(group)
+        if found is not None:
+            return found
+        if not group[0]:
+            return [()]
+        rests: dict[int, list[tuple[int, ...]]] = {}
+        for ms in group:
+            for i, v in enumerate(ms):
+                if i == 0 or v != ms[i - 1]:
+                    rests.setdefault(v, []).append(ms[:i] + ms[i + 1 :])
+        out = []
+        for v in sorted(rests):
+            head = (v,)
+            out.extend([head + t for t in lay_out(tuple(rests[v]), depth + 1)])
+        if depth >= 2:
+            memo[group] = out
+        return out
+
+    return lay_out(tuple(tuple(sorted(rep)) for rep in orbit_reps), 0)
+
+
+def enumerate_break(
+    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
+) -> list[tuple[int, ...]]:
+    """All of Break_{m,n}, lexicographically sorted: the rearrangements
+    of break_orbit_reps."""
+    _check_budget(break_count(p), budget, "Break")
+    return _distinct_permutations(break_orbit_reps(p))
+
+
+def enumerate_parking(
+    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
+) -> list[tuple[int, ...]]:
+    """All of Park_{m,n}, lexicographically sorted: the rearrangements
+    of parking_orbit_reps."""
+    _check_budget(break_count(p), budget, "Park")
+    return _distinct_permutations(parking_orbit_reps(p))
+
+
+# The candidate scans below are the oracles for the two enumerations
+# above.  Each keeps the last (m, n) it built and hands back that tuple.
+
+
+@lru_cache(maxsize=1)
+def _scan_break(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     p = KnmParams(m, n)
     bound = p.delta[0] if n > 1 else 0
     out = []
@@ -121,28 +239,35 @@ def _enumerate_break_cached(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def enumerate_break(
-    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
-) -> list[tuple[int, ...]]:
-    """All of Break_{m,n}, lexicographically sorted."""
-    _check_budget(p.m ** (p.n - 1) * p.n ** max(p.n - 2, 0), budget, "Break")
-    return list(_enumerate_break_cached(p.m, p.n))
-
-
-def enumerate_parking(
-    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
-) -> list[tuple[int, ...]]:
-    """All of Park_{m,n}, lexicographically sorted."""
-    _check_budget(p.m ** (p.n - 1) * p.n ** max(p.n - 2, 0), budget, "Park")
-    if p.n == 1:
-        return [()]
-    bound = p.m * (p.n - 1) - 1
-    out = [
+@lru_cache(maxsize=1)
+def _scan_parking(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    p = KnmParams(m, n)
+    if n == 1:
+        return ((),)
+    bound = m * (n - 1) - 1
+    return tuple(
         a
-        for a in itertools.product(range(bound + 1), repeat=p.n - 1)
+        for a in itertools.product(range(bound + 1), repeat=n - 1)
         if is_parking_mn(p, a)
-    ]
-    return out
+    )
+
+
+def enumerate_break_bruteforce(
+    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
+) -> tuple[tuple[int, ...], ...]:
+    """Break_{m,n} by testing every composition of g into n parts of at
+    most m(n-1)-1 with is_break_mn; sorted."""
+    _check_budget(break_count(p), budget, "Break")
+    return _scan_break(p.m, p.n)
+
+
+def enumerate_parking_bruteforce(
+    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
+) -> tuple[tuple[int, ...], ...]:
+    """Park_{m,n} by testing every tuple in [0, m(n-1)-1]^(n-1) with
+    is_parking_mn; sorted."""
+    _check_budget(break_count(p), budget, "Park")
+    return _scan_parking(p.m, p.n)
 
 
 def enumerate_residue_tuples(

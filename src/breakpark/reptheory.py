@@ -4,6 +4,12 @@ Characters are stored as class functions: dicts from cycle types
 (partitions of n) to integers.  The single irreducible-character engine
 is the Murnaghan-Nakayama border-strip recursion; h-to-s conversion
 goes through character inner products against it.
+
+An S_n-invariant set of vectors is a permutation module, and all of its
+Frobenius data comes from its orbit representatives
+(`permutation_module`).  The per-tuple fixed-point scans
+(`character_*_bruteforce`) read the candidate-scan oracles of `knm`, so
+they stay independent of both the closed formula and the orbit route.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
 
 from . import knm
 from .errors import InternalInvariantError, PreconditionError
@@ -126,18 +133,18 @@ def permutation_of_type(lam: Partition) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _fixed_count(tuples: Iterable[Sequence[int]], perm: Sequence[int]) -> int:
-    return sum(
-        1
-        for t in tuples
-        if all(t[i] == t[perm[i]] for i in range(len(perm)))
-    )
+def _fixed_count(tuples: Iterable[tuple[int, ...]], perm: Sequence[int]) -> int:
+    """How many t satisfy t[i] == t[perm[i]] for every i."""
+    if len(perm) < 2:  # S_0 and S_1 fix everything
+        return sum(1 for _ in tuples)
+    image = itemgetter(*perm)
+    return sum(1 for t in tuples if image(t) == t)
 
 
 def character_break_bruteforce(m: int, n: int, lam: Partition) -> int:
     """Count break divisors fixed by one permutation of type lam."""
     perm = permutation_of_type(lam)
-    return _fixed_count(knm.enumerate_break(knm.KnmParams(m, n)), perm)
+    return _fixed_count(knm.enumerate_break_bruteforce(knm.KnmParams(m, n)), perm)
 
 
 def character_break(m: int, n: int) -> ClassFunction:
@@ -153,7 +160,7 @@ def character_parking_bruteforce(m: int, n: int, mu: Partition) -> int:
     if sum(mu) != n - 1:
         raise PreconditionError("mu must be a partition of n-1")
     perm = permutation_of_type(mu)
-    return _fixed_count(knm.enumerate_parking(knm.KnmParams(m, n)), perm)
+    return _fixed_count(knm.enumerate_parking_bruteforce(knm.KnmParams(m, n)), perm)
 
 
 def character_parking(m: int, n: int) -> ClassFunction:
@@ -183,10 +190,17 @@ def character_shift_classes_bruteforce(m: int, n: int) -> ClassFunction:
     return values
 
 
+def _degree(chi: ClassFunction) -> int:
+    """The n of a class function of S_n."""
+    if not chi:
+        raise PreconditionError("empty class function")
+    return sum(next(iter(chi)))
+
+
 def restrict_character(chi: ClassFunction) -> ClassFunction:
     """Restriction from S_n to S_{n-1}: append a fixed point to each
     cycle type of S_{n-1} and read off the S_n value."""
-    n = sum(next(iter(chi)))
+    n = _degree(chi)
     if n < 2:
         raise PreconditionError("restriction needs n >= 2")
     out: ClassFunction = {}
@@ -254,7 +268,7 @@ def h_module_character(coeffs: Dict[Partition, int], n: int) -> ClassFunction:
 def schur_expansion(chi: ClassFunction) -> Dict[Partition, int]:
     """Expand a class function in irreducible characters: coefficient of
     s_lam is the inner product (1/n!) sum class_size * chi * chi^lam."""
-    n = sum(next(iter(chi)))
+    n = _degree(chi)
     nfact = math.factorial(n)
     out: Dict[Partition, int] = {}
     for lam in partitions_of(n):
@@ -277,9 +291,27 @@ def h_to_s(coeffs: Dict[Partition, int], n: int) -> Dict[Partition, int]:
     return schur_expansion(h_module_character(coeffs, n))
 
 
+class PermutationModule(NamedTuple):
+    h: Dict[Partition, int]  # one h_mu per orbit, mu its multiplicities
+    character: ClassFunction  # fixed points per cycle type
+    s: Dict[Partition, int]  # irreducible multiplicities
+
+
+def permutation_module(
+    orbit_reps: Iterable[Sequence[int]], n: int
+) -> PermutationModule:
+    """Frobenius data of the S_n-permutation module on the orbits of the
+    given length-n representatives, one per orbit."""
+    h = perm_module_h_expansion(orbit_reps)
+    if any(sum(mu) != n for mu in h):
+        raise PreconditionError(f"orbit representatives must have length {n}")
+    chi = h_module_character(h, n)
+    return PermutationModule(h, chi, schur_expansion(chi))
+
+
 def trivial_multiplicity(chi: ClassFunction) -> int:
     """Multiplicity of the trivial character: (1/n!) sum class_size * chi."""
-    n = sum(next(iter(chi)))
+    n = _degree(chi)
     acc = sum(class_size(mu) * chi[mu] for mu in partitions_of(n))
     coeff = Fraction(acc, math.factorial(n))
     if coeff.denominator != 1:
@@ -290,21 +322,4 @@ def trivial_multiplicity(chi: ClassFunction) -> int:
 def dominated_partition_count(m: int, n: int) -> int:
     """Partitions of the genus with at most n parts dominated by
     (m(n-1)-1, ..., m-1, 0); these index the orbits of break divisors."""
-    p = knm.KnmParams(m, n)
-    delta = p.delta
-    count = 0
-    for lam in partitions_of(p.genus):
-        if len(lam) > n:
-            continue
-        padded = lam + (0,) * (n - len(lam))
-        prefix_l = prefix_d = 0
-        dominated = True
-        for i in range(n):
-            prefix_l += padded[i]
-            prefix_d += delta[i]
-            if prefix_l > prefix_d:
-                dominated = False
-                break
-        if dominated:
-            count += 1
-    return count
+    return len(knm.break_orbit_reps(knm.KnmParams(m, n)))

@@ -122,27 +122,41 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
 
 
 def suite_cardinalities(m_max: int = 3, n_max: int = 5) -> list[Check]:
+    """The closed counts, and the orbit-generated enumerations against
+    the candidate scans, list for list."""
     ok = True
     detail = []
+    scan_ok = True
+    scan_detail = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
             p = knm.KnmParams(m, n)
-            expected = m ** (n - 1) * n ** max(n - 2, 0)
-            if len(knm.enumerate_break(p)) != expected:
+            expected = knm.break_count(p)
+            breaks = knm.enumerate_break(p)
+            parks = knm.enumerate_parking(p)
+            if len(breaks) != expected:
                 ok = False
                 detail.append(f"|Break| off at ({m},{n})")
-            if len(knm.enumerate_parking(p)) != expected:
+            if len(parks) != expected:
                 ok = False
                 detail.append(f"|Park| off at ({m},{n})")
             if len(knm.enumerate_residue_tuples(p)) != p.N ** (n - 1):
                 ok = False
                 detail.append(f"|D| off at ({m},{n})")
+            if breaks != list(knm.enumerate_break_bruteforce(p)):
+                scan_ok = False
+                scan_detail.append(f"Break differs from the scan at ({m},{n})")
+            if parks != list(knm.enumerate_parking_bruteforce(p)):
+                scan_ok = False
+                scan_detail.append(f"Park differs from the scan at ({m},{n})")
+    scope = f"m <= {m_max}, n <= {n_max}"
     return [
+        ("cardinalities", ok, "; ".join(detail) if detail else scope),
         (
-            "cardinalities",
-            ok,
-            "; ".join(detail) if detail else f"m <= {m_max}, n <= {n_max}",
-        )
+            "orbit-enumeration-equals-scan",
+            scan_ok,
+            "; ".join(scan_detail) if scan_detail else scope,
+        ),
     ]
 
 
@@ -193,26 +207,31 @@ def suite_dt_two_routes(m_max: int = 3, n_max: int = 10) -> list[Check]:
 
 
 def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
+    """The closed character formula and the orbit route (the `character`
+    command's bruteforce column) against per-tuple fixed-point scans."""
     closed_ok = True
+    orbit_ok = True
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
+            reps = knm.break_orbit_reps(knm.KnmParams(m, n))
+            orbit_chi = reptheory.permutation_module(reps, n).character
             for lam in reptheory.partitions_of(n):
-                if reptheory.character_break_closed(
-                    m, n, lam
-                ) != reptheory.character_break_bruteforce(m, n, lam):
+                scanned = reptheory.character_break_bruteforce(m, n, lam)
+                if reptheory.character_break_closed(m, n, lam) != scanned:
                     closed_ok = False
+                if orbit_chi[lam] != scanned:
+                    orbit_ok = False
+    scope = f"m <= {m_max}, n <= {n_max}"
     return [
-        (
-            "closed-character-vs-bruteforce",
-            closed_ok,
-            f"m <= {m_max}, n <= {n_max}",
-        )
+        ("closed-character-vs-bruteforce", closed_ok, scope),
+        ("orbit-character-vs-bruteforce", orbit_ok, scope),
     ]
 
 
 def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
-    """Break module == shift-class module; restriction == parking module;
-    trivial multiplicity == DT invariant == dominated-partition count."""
+    """Break module == shift-class module; restriction == parking module,
+    scanned and by its orbits; trivial multiplicity == DT invariant ==
+    orbits of the scanned break divisors == dominated-partition count."""
     iso_ok = True
     res_ok = True
     triv_ok = True
@@ -221,9 +240,14 @@ def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
             chi = reptheory.character_break(m, n)
             if chi != reptheory.character_shift_classes_bruteforce(m, n):
                 iso_ok = False
-            if reptheory.restrict_character(chi) != reptheory.character_parking(m, n):
+            p = knm.KnmParams(m, n)
+            park_chi = reptheory.character_parking(m, n)
+            park_orbit_chi = reptheory.permutation_module(
+                knm.parking_orbit_reps(p), n - 1
+            ).character
+            if not reptheory.restrict_character(chi) == park_chi == park_orbit_chi:
                 res_ok = False
-            breaks = knm.enumerate_break(knm.KnmParams(m, n))
+            breaks = knm.enumerate_break_bruteforce(p)
             orbit_keys = {knm.sort_orbit_key(b) for b in breaks}
             if not (
                 reptheory.trivial_multiplicity(chi)

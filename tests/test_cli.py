@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from breakpark import cli
+from breakpark import cli, knm
+from breakpark.errors import InternalInvariantError
 
 
 def run_cli(args):
@@ -126,6 +127,39 @@ class TestCharacter:
         assert "3 s3 + 4 s21 + 1 s111" in by_type["Frob(Break)"]["closed"]
         assert by_type["Res = Park"]["closed"] == "PASS"
 
+    def test_orbit_route_enumerates_no_full_set(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("character enumerated a full set")
+
+        for name in (
+            "enumerate_break",
+            "enumerate_parking",
+            "enumerate_break_bruteforce",
+            "enumerate_parking_bruteforce",
+        ):
+            monkeypatch.setattr(knm, name, refuse)
+        code, out = run_cli(
+            ["character", "--m", "2", "--n", "7", "--format", "json"]
+        )
+        assert code == 0
+        records = json.loads(out)
+        rows = [r for r in records if r["cycle_type"].startswith("(")]
+        assert len(rows) == 15
+        assert all(r["closed"] == r["bruteforce"] for r in rows)
+        by_type = {r["cycle_type"]: r for r in records}
+        assert by_type["(1,1,1,1,1,1,1)"]["bruteforce"] == 2**6 * 7**5
+        assert by_type["Res = Park"]["closed"] == "PASS"
+
+    def test_over_budget_drops_bruteforce_column(self):
+        code, out = run_cli(
+            ["character", "--m", "2", "--n", "4", "--budget", "10",
+             "--format", "json"]
+        )
+        assert code == 0
+        records = json.loads(out)
+        assert len(records) == 5
+        assert all("bruteforce" not in r for r in records)
+
 
 class TestDt:
     def test_table_24(self):
@@ -173,6 +207,21 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run_cli(["verify", "--only", "nope"])
         assert exc.value.code == 2
+
+
+class TestInternalError:
+    def test_exit_5_one_line(self, monkeypatch, capsys):
+        def broken(args):
+            raise InternalInvariantError("shift class has 2 break members")
+
+        monkeypatch.setattr(cli, "cmd_dt", broken)
+        code, out = run_cli(["dt", "--m", "2", "--n-max", "3"])
+        assert code == cli.EXIT_INTERNAL == 5
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+        assert "shift class has 2 break members" in err
 
 
 class TestDeterminism:

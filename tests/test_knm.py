@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from breakpark import knm
+from breakpark import counting, knm
 from breakpark import multigraph as mg
 from breakpark.errors import BudgetExceededError, PreconditionError
 
@@ -28,6 +28,22 @@ class TestParams:
     def test_rejects_bad_params(self):
         with pytest.raises(PreconditionError):
             knm.KnmParams(0, 3)
+
+    def test_delta_and_prefix_cached(self):
+        p = params(3, 5)
+        assert p.delta is p.delta
+        assert p.delta_prefix is p.delta_prefix
+        assert p.delta_prefix == (11, 19, 24, 26, 26)
+        assert p.delta_prefix[-1] == p.genus
+
+    def test_cache_keeps_equality_and_hash(self):
+        p, q = params(2, 4), params(2, 4)
+        p.delta_prefix
+        assert p == q and hash(p) == hash(q)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 5), (4, 6)])
+    def test_break_count(self, m, n):
+        assert knm.break_count(params(m, n)) == m ** (n - 1) * n ** max(n - 2, 0)
 
 
 class TestBreakMembership:
@@ -99,6 +115,76 @@ class TestEnumerations:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             knm.enumerate_residue_tuples(params(3, 5), budget=100)
+
+
+ORACLE_RANGE = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4, 5)] + [(2, 6)]
+
+
+class TestOrbitGeneration:
+    @pytest.mark.parametrize("m,n", ORACLE_RANGE)
+    def test_break_reps_are_orbit_keys_of_scan(self, m, n):
+        p = params(m, n)
+        scanned = knm.enumerate_break_bruteforce(p)
+        assert knm.break_orbit_reps(p) == sorted(
+            {knm.sort_orbit_key(d) for d in scanned}
+        )
+
+    @pytest.mark.parametrize("m,n", ORACLE_RANGE)
+    def test_parking_reps_are_orbit_keys_of_scan(self, m, n):
+        p = params(m, n)
+        scanned = knm.enumerate_parking_bruteforce(p)
+        assert knm.parking_orbit_reps(p) == sorted(
+            {knm.sort_orbit_key(a) for a in scanned}
+        )
+
+    @pytest.mark.parametrize("m,n", ORACLE_RANGE)
+    def test_enumerations_equal_scans(self, m, n):
+        p = params(m, n)
+        assert knm.enumerate_break(p) == list(knm.enumerate_break_bruteforce(p))
+        assert knm.enumerate_parking(p) == list(knm.enumerate_parking_bruteforce(p))
+
+    def test_orbit_count_is_dt(self):
+        # S_n-orbits of break divisors are counted by DT_n of the
+        # (m+1)-loop quiver, checked past the reach of the scans
+        for m in range(1, 4):
+            for n in range(1, 9):
+                assert len(knm.break_orbit_reps(params(m, n))) == (
+                    counting.dt_invariant(m, n)
+                ), (m, n)
+
+    def test_reps_are_weakly_decreasing(self):
+        p = params(3, 6)
+        for rep in knm.break_orbit_reps(p) + knm.parking_orbit_reps(p):
+            assert list(rep) == sorted(rep, reverse=True)
+
+    def test_break_reps_23(self):
+        assert knm.break_orbit_reps(params(2, 3)) == [(2, 1, 1), (2, 2, 0), (3, 1, 0)]
+
+    def test_parking_reps_23(self):
+        # increasing a~ with a~_1 <= 1, a~_2 <= 3, reversed
+        assert knm.parking_orbit_reps(params(2, 3)) == [
+            (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1),
+        ]
+
+    def test_scans_keep_one_case_without_copying(self):
+        p = params(2, 4)
+        first = knm.enumerate_break_bruteforce(p)
+        assert knm.enumerate_break_bruteforce(p) is first
+        assert knm.enumerate_parking_bruteforce(p) is knm.enumerate_parking_bruteforce(p)
+        knm.enumerate_break_bruteforce(params(2, 3))
+        assert knm._scan_break.cache_info().currsize == 1
+        assert knm._scan_parking.cache_info().maxsize == 1
+
+    def test_budget_checked_before_work(self):
+        p = params(3, 6)
+        for enumerate_set in (
+            knm.enumerate_break,
+            knm.enumerate_parking,
+            knm.enumerate_break_bruteforce,
+            knm.enumerate_parking_bruteforce,
+        ):
+            with pytest.raises(BudgetExceededError):
+                enumerate_set(p, budget=100)
 
 
 class TestShift:

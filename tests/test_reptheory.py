@@ -3,6 +3,7 @@ import math
 import pytest
 
 from breakpark import counting, knm, reptheory as rt
+from breakpark.errors import PreconditionError
 
 
 class TestPartitions:
@@ -128,6 +129,42 @@ class TestHExpansion:
             assert chi[lam] == rt.character_break_bruteforce(m, n, lam)
 
 
+class TestPermutationModule:
+    def test_break_23(self):
+        module = rt.permutation_module(knm.break_orbit_reps(knm.KnmParams(2, 3)), 3)
+        assert module.h == {(1, 1, 1): 1, (2, 1): 2}
+        assert module.character == {(3,): 0, (2, 1): 2, (1, 1, 1): 12}
+        assert module.s == {(3,): 3, (2, 1): 4, (1, 1, 1): 1}
+
+    def test_park_23(self):
+        module = rt.permutation_module(knm.parking_orbit_reps(knm.KnmParams(2, 3)), 2)
+        assert module.h == {(1, 1): 5, (2,): 2}
+        assert module.s == {(2,): 7, (1, 1): 5}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_orbit_route_equals_per_tuple_scans(self, m, n):
+        p = knm.KnmParams(m, n)
+        breaks = rt.permutation_module(knm.break_orbit_reps(p), n).character
+        for lam in rt.partitions_of(n):
+            assert breaks[lam] == rt.character_break_bruteforce(m, n, lam)
+        parks = rt.permutation_module(knm.parking_orbit_reps(p), n - 1).character
+        assert parks == rt.character_parking(m, n)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(PreconditionError):
+            rt.permutation_module([(1, 0)], 3)
+
+
+class TestEmptyClassFunction:
+    @pytest.mark.parametrize(
+        "fn", [rt.restrict_character, rt.schur_expansion, rt.trivial_multiplicity]
+    )
+    def test_precondition_error(self, fn):
+        with pytest.raises(PreconditionError):
+            fn({})
+
+
 class TestSchurExpansion:
     def test_break_23(self):
         chi = rt.character_break(2, 3)
@@ -218,3 +255,20 @@ class TestTrivialMultiplicity:
 class TestDominatedCount:
     def test_24_paper_value(self):
         assert rt.dominated_partition_count(2, 4) == 10
+
+    @pytest.mark.parametrize("m,n", [(1, 5), (2, 5), (3, 4), (2, 6)])
+    def test_matches_partition_scan(self, m, n):
+        # independent count: every partition of the genus, padded to n
+        # parts, whose prefix sums stay within those of delta
+        delta = [m * k - 1 for k in range(n - 1, 0, -1)] + [0]
+        genus = sum(delta)
+        count = 0
+        for lam in rt.partitions_of(genus):
+            if len(lam) > n:
+                continue
+            padded = lam + (0,) * (n - len(lam))
+            if all(
+                sum(padded[: i + 1]) <= sum(delta[: i + 1]) for i in range(n)
+            ):
+                count += 1
+        assert rt.dominated_partition_count(m, n) == count
