@@ -253,13 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="pretty",
         )
         sp.add_argument("--budget", type=int, default=2_000_000)
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="accepted for compatibility; results are identical at any "
-            "thread count",
-        )
         sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("enumerate", help="list break/park/residue/class sets")

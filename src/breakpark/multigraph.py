@@ -2,13 +2,24 @@
 
 A multigraph is stored as a symmetric matrix of edge multiplicities with
 zero diagonal.  Divisors are plain integer tuples indexed by vertex.
-All subset-quantified predicates iterate over bitmasks, so the vertex
-count is capped at 24.
+
+The subset-quantified predicates (orientable, break, and the break
+enumeration) read |E(G[S])| for every bitmask S from a table built once
+per graph in O(2^n) and cached on the instance.  A predicate call is
+then O(2^n) list work that stops at the first failing vertex level, so
+the vertex count is capped at 24.  On K_n (Python 3.11, a 2-core Xeon
+VM) the table build takes 0.09 s and a break test on it 0.08 s at
+n = 20, with 48 MB peak RSS; at n = 22 they take 0.33 s and 0.29 s, with
+108 MB.  G-parking uses Dhar's burning algorithm, in O(n^2), with no
+subset scan and no cap.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
@@ -64,10 +75,47 @@ class Multigraph:
     def __repr__(self):
         return f"Multigraph(n={self.n}, edges={self.edge_count()})"
 
-    def edge_count(self) -> int:
+    # The graph is immutable after construction, so derived data is
+    # cached on the instance and freed with it.
+
+    @functools.cached_property
+    def _edge_count(self) -> int:
         return sum(
             self.mult[i][j] for i in range(self.n) for j in range(i + 1, self.n)
         )
+
+    @functools.cached_property
+    def _connected(self) -> bool:
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            v = queue.popleft()
+            for w in range(self.n):
+                if self.mult[v][w] > 0 and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return len(seen) == self.n
+
+    @functools.cached_property
+    def subset_edges(self) -> list[int]:
+        """|E(G[S])| for every bitmask S of 0-based vertices.
+
+        Built by doubling over vertices: the masks whose top bit is k
+        add the edges from k into the lower mask.  O(2^n) list work;
+        callers check SUBSET_VERTEX_CAP first.
+        """
+        table = [0]
+        for k in range(self.n):
+            row = self.mult[k]
+            into = [0]  # edges from k into each mask of vertices < k
+            for j in range(k):
+                w = row[j]
+                into += [x + w for x in into]
+            table += map(operator.add, table, into)
+        return table
+
+    def edge_count(self) -> int:
+        return self._edge_count
 
     def degree(self, v: int) -> int:
         """Degree of 0-based vertex v, counting multiplicities."""
@@ -81,15 +129,7 @@ class Multigraph:
                     yield (i, j)
 
     def is_connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in range(self.n):
-                if self.mult[v][w] > 0 and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return self._connected
 
 
 def complete_multigraph(m: int, n: int) -> Multigraph:
@@ -186,21 +226,37 @@ def euler_char_subset(graph: Multigraph, subset: Iterable[int]) -> int:
     return mask.bit_count() - _internal_edges(graph, mask)
 
 
+def _subset_sums_pass(graph: Multigraph, d: tuple[int, ...], fails) -> bool:
+    """Whether fails(sum of d_v + 1 over S, |E(G[S])|) is false for every
+    nonempty vertex set S.
+
+    The subset sums are built level by level: at vertex k the masks with
+    top bit k extend the lower masks by d_k + 1.  Only those new masks
+    are compared, and the first failing level returns.
+    """
+    table = graph.subset_edges
+    sums = [0]
+    for k, x in enumerate(d):
+        step = x + 1
+        new = [s + step for s in sums]
+        if any(map(fails, new, table[1 << k : 2 << k])):
+            return False
+        sums += new
+    return True
+
+
 def is_orientable(graph: Multigraph, divisor: Sequence[int]) -> bool:
     """Whether divisor = (indeg_O(v) - 1)_v for some edge orientation O.
 
     Checked via the degree condition deg(D) = |E| - |V| together with
-    deg(D|_S) + chi(S) >= 0 for every nonempty subset S.
+    deg(D|_S) + chi(S) >= 0, i.e. sum over S of (d_v + 1) >= |E(G[S])|,
+    for every nonempty subset S.
     """
     _require_connected(graph)
     d = _as_divisor(graph, divisor)
     if sum(d) != graph.edge_count() - graph.n:
         return False
-    for mask in range(1, 1 << graph.n):
-        deg_s = sum(d[i] for i in range(graph.n) if (mask >> i) & 1)
-        if deg_s + mask.bit_count() - _internal_edges(graph, mask) < 0:
-            return False
-    return True
+    return _subset_sums_pass(graph, d, operator.lt)
 
 
 def orientable_bruteforce(graph: Multigraph, divisor: Sequence[int]) -> bool:
@@ -220,19 +276,16 @@ def orientable_bruteforce(graph: Multigraph, divisor: Sequence[int]) -> bool:
 
 
 def is_break_divisor(graph: Multigraph, divisor: Sequence[int]) -> bool:
-    """Effective, degree = genus, and deg(D|_S) >= |E(G[S])| - |S| + 1
-    for every nonempty subset S."""
+    """Effective, degree = genus, and deg(D|_S) >= |E(G[S])| - |S| + 1,
+    i.e. sum over S of (d_v + 1) > |E(G[S])|, for every nonempty
+    subset S."""
     _require_connected(graph)
     d = _as_divisor(graph, divisor)
     if any(x < 0 for x in d):
         return False
     if sum(d) != graph.edge_count() - graph.n + 1:
         return False
-    for mask in range(1, 1 << graph.n):
-        deg_s = sum(d[i] for i in range(graph.n) if (mask >> i) & 1)
-        if deg_s < _internal_edges(graph, mask) - mask.bit_count() + 1:
-            return False
-    return True
+    return _subset_sums_pass(graph, d, operator.le)
 
 
 def break_via_orientability(graph: Multigraph, divisor: Sequence[int]) -> bool:
@@ -247,22 +300,50 @@ def break_via_orientability(graph: Multigraph, divisor: Sequence[int]) -> bool:
     return True
 
 
-def is_g_parking(graph: Multigraph, q: int, values: Sequence[int]) -> bool:
-    """G-parking predicate for the distinguished vertex q (0-based).
-
-    values lists the divisor on V \\ {q} in increasing vertex order.
-    Every nonempty S avoiding q must contain a vertex whose value is
-    below its out-degree from S.
-    """
-    _require_connected(graph)
+def _parking_values(graph: Multigraph, q: int, values: Sequence[int]) -> dict[int, int]:
+    if not graph.is_connected():
+        raise PreconditionError("graph must be connected")
     if not 0 <= q < graph.n:
         raise PreconditionError(f"vertex {q} out of range")
     others = [v for v in range(graph.n) if v != q]
     if len(values) != len(others):
         raise PreconditionError("values must cover exactly V \\ {q}")
-    val = dict(zip(others, values))
+    return dict(zip(others, values))
+
+
+def is_g_parking(graph: Multigraph, q: int, values: Sequence[int]) -> bool:
+    """G-parking predicate for the distinguished vertex q (0-based).
+
+    values lists the divisor on V \\ {q} in increasing vertex order.
+    Dhar's burning algorithm: a fire starts at q, and a vertex burns once
+    its edges to burnt vertices outnumber its value.  The values are
+    G-parking iff every vertex burns, which is equivalent to the subset
+    condition of `g_parking_bruteforce`.  O(n^2) on the matrix.
+    """
+    val = _parking_values(graph, q, values)
     if any(x < 0 for x in val.values()):
         return False
+    fire = dict.fromkeys(val, 0)  # edges from each unburnt vertex to the fire
+    burning = [q]
+    while burning:
+        row = graph.mult[burning.pop()]
+        for w in list(fire):
+            if row[w]:
+                fire[w] += row[w]
+                if fire[w] > val[w]:
+                    del fire[w]
+                    burning.append(w)
+    return not fire
+
+
+def g_parking_bruteforce(graph: Multigraph, q: int, values: Sequence[int]) -> bool:
+    """Oracle: every nonempty S avoiding q must contain a vertex whose
+    value is below its out-degree from S.  Scans all 2^(n-1) subsets."""
+    _require_connected(graph)
+    val = _parking_values(graph, q, values)
+    if any(x < 0 for x in val.values()):
+        return False
+    others = list(val)
     k = len(others)
     for smask in range(1, 1 << k):
         members = [others[i] for i in range(k) if (smask >> i) & 1]
@@ -302,23 +383,39 @@ def enumerate_break_divisors(
 ) -> list[tuple[int, ...]]:
     """All break divisors, sorted lexicographically.
 
-    Iterates compositions of the genus into n parts; raises if the
-    candidate count would exceed the budget.
+    Raises if the number of compositions of the genus into n parts
+    exceeds the budget.  A depth-first search over vertices 0..n-1 then
+    extends the subset sums of d_v + 1 one vertex at a time, as in
+    `is_break_divisor`: at vertex k the masks with top bit k fix the
+    least admissible d_k, so a failing prefix is never extended and
+    shared prefixes are summed once.
     """
     g = genus(graph)
     n = graph.n
-    import math
-
     candidates = math.comb(g + n - 1, n - 1)
     if candidates > budget:
         raise BudgetExceededError(
             f"{candidates} candidate compositions exceed budget {budget}"
         )
-    out = [
-        d
-        for d in _compositions(g, n, g)
-        if is_break_divisor(graph, d)
-    ]
+    table = graph.subset_edges
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def extend(k: int, sums: list[int], remaining: int):
+        # sum over S of (d_v + 1) > |E(G[S])| for each mask S with top
+        # bit k holds iff d_k >= |E(G[S])| - sums[S without k]
+        least = max(0, max(map(operator.sub, table[1 << k : 2 << k], sums)))
+        if k == n - 1:
+            if least <= remaining:
+                out.append((*prefix, remaining))
+            return
+        for x in range(least, remaining + 1):
+            prefix.append(x)
+            step = x + 1
+            extend(k + 1, sums + [s + step for s in sums], remaining - x)
+            prefix.pop()
+
+    extend(0, [0], g)
     return out
 
 

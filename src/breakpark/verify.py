@@ -8,6 +8,8 @@ same code.
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import random
 from typing import Callable, Iterable, Sequence
 
@@ -173,8 +175,6 @@ def suite_knm_vs_multigraph(m_max: int = 2, n_max: int = 4) -> list[Check]:
                 if knm.is_break_mn(p, d) != multigraph.is_break_divisor(g, d):
                     break_ok = False
             bound = m * (n - 1)
-            import itertools
-
             for a in itertools.product(range(bound + 1), repeat=n - 1):
                 if knm.is_parking_mn(p, a) != multigraph.is_g_parking(g, n - 1, a):
                     park_ok = False
@@ -280,8 +280,6 @@ def run_suites(
 ) -> list[Check]:
     """Run the named suites (all by default), passing each only the
     keyword overrides its signature accepts."""
-    import inspect
-
     names = list(only) if only else list(SUITES)
     results: list[Check] = []
     for name in names:

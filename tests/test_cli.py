@@ -71,6 +71,11 @@ class TestEnumerate:
             run_cli(["enumerate", "--set", "break"])
         assert exc.value.code == 2
 
+    def test_threads_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["count", "--m", "2", "--n", "3", "--threads", "2"])
+        assert exc.value.code == 2
+
     def test_budget_exit_3(self):
         code, _ = run_cli(
             ["enumerate", "--set", "residue", "--m", "3", "--n", "5",

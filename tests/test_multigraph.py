@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from breakpark import multigraph as mg
 from breakpark.errors import (
@@ -43,6 +45,40 @@ class TestConstruction:
         assert not mg.Multigraph(
             [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
         ).is_connected()
+
+
+def random_simple_graph(rng, n, genus):
+    """A connected simple graph on n vertices with the given genus: a
+    random spanning tree plus randomly chosen non-tree pairs."""
+    mult = [[0] * n for _ in range(n)]
+    for v in range(1, n):
+        w = rng.randrange(v)
+        mult[v][w] = mult[w][v] = 1
+    free = [(i, j) for i, j in itertools.combinations(range(n), 2) if not mult[i][j]]
+    for i, j in rng.sample(free, genus):
+        mult[i][j] = mult[j][i] = 1
+    return mg.Multigraph(mult)
+
+
+class TestSubsetTable:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complete_multigraph(self, m, n):
+        g = mg.complete_multigraph(m, n)
+        assert g.subset_edges == [mg._internal_edges(g, s) for s in range(1 << n)]
+
+    def test_random_multigraphs(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            g = random_connected_multigraph(rng, max_vertices=9, max_extra_edges=12)
+            table = g.subset_edges
+            assert len(table) == 1 << g.n
+            assert all(table[s] == mg._internal_edges(g, s) for s in range(1 << g.n))
+
+    def test_cached_per_graph(self):
+        g = k32()
+        assert g.subset_edges is g.subset_edges
+        assert mg.complete_multigraph(2, 3).subset_edges is not g.subset_edges
 
 
 class TestGenus:
@@ -119,6 +155,40 @@ class TestBreakDivisor:
 
 
 class TestGParking:
+    def test_burning_equals_subset_scan(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            g = random_connected_multigraph(rng, max_vertices=6, max_extra_edges=6)
+            for q in range(g.n):
+                for _ in range(15):
+                    a = [rng.randint(-1, 4) for _ in range(g.n - 1)]
+                    assert mg.is_g_parking(g, q, a) == mg.g_parking_bruteforce(g, q, a)
+
+    def test_burning_equals_subset_scan_exhaustive(self):
+        g = mg.Multigraph(
+            [[0, 2, 1, 0], [2, 0, 1, 1], [1, 1, 0, 3], [0, 1, 3, 0]]
+        )
+        for q in range(g.n):
+            for a in itertools.product(range(5), repeat=g.n - 1):
+                assert mg.is_g_parking(g, q, a) == mg.g_parking_bruteforce(g, q, a)
+
+    def test_no_vertex_cap(self):
+        n = mg.SUBSET_VERTEX_CAP + 6
+        path = mg.Multigraph(
+            [[1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+        )
+        assert mg.is_g_parking(path, 0, (0,) * (n - 1))
+        # the far leaf has one edge, so value 1 keeps it from burning
+        assert not mg.is_g_parking(path, 0, (0,) * (n - 2) + (1,))
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(PreconditionError):
+            mg.is_g_parking(triangle(), 3, (0, 0))
+        with pytest.raises(PreconditionError):
+            mg.is_g_parking(triangle(), 0, (0,))
+        with pytest.raises(PreconditionError):
+            mg.is_g_parking(mg.Multigraph([[0, 0], [0, 0]]), 0, (0,))
+
     def test_classical(self):
         assert mg.is_g_parking(triangle(), 2, (0, 1))
 
@@ -176,6 +246,47 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             mg.enumerate_break_divisors(mg.complete_multigraph(3, 6), budget=10)
 
+    def test_budget_checked_before_table(self):
+        g = mg.complete_multigraph(3, 6)
+        with pytest.raises(BudgetExceededError):
+            mg.enumerate_break_divisors(g, budget=10)
+        assert "subset_edges" not in vars(g)
+
+    def test_single_vertex(self):
+        assert mg.enumerate_break_divisors(mg.Multigraph([[0]])) == [(0,)]
+
+    def test_equals_orientation_definition(self):
+        """Break divisors are the effective d of degree genus with
+        d - (q) orientable for every q, checked by scanning orientations."""
+        rng = random.Random(31)
+        checked = 0
+        while checked < 12:
+            g = random_connected_multigraph(rng, max_vertices=5, max_extra_edges=5)
+            if g.edge_count() > 10:
+                continue
+            gen = mg.genus(g)
+            expected = [
+                d
+                for d in mg._compositions(gen, g.n, gen)
+                if all(
+                    mg.orientable_bruteforce(
+                        g, [x - (v == q) for v, x in enumerate(d)]
+                    )
+                    for q in range(g.n)
+                )
+            ]
+            assert mg.enumerate_break_divisors(g) == expected
+            checked += 1
+
+    def test_count_equals_spanning_trees_on_8_vertices(self):
+        rng = random.Random(37)
+        for _ in range(10):
+            g = random_simple_graph(rng, 8, 7)
+            assert mg.genus(g) == 7
+            divs = mg.enumerate_break_divisors(g)
+            assert len(divs) == mg.spanning_tree_count(g)
+            assert divs == sorted(divs)
+
 
 class TestSpanningTrees:
     def test_triangle(self):
@@ -221,3 +332,33 @@ class TestGraphFile:
     def test_rejects_malformed(self, text):
         with pytest.raises(GraphFormatError):
             mg.parse_graph_file(text)
+
+
+@st.composite
+def multigraphs(draw, max_vertices=8):
+    n = draw(st.integers(2, max_vertices))
+    mult = [[0] * n for _ in range(n)]
+    for v in range(1, n):
+        w = draw(st.integers(0, v - 1))
+        mult[v][w] = mult[w][v] = draw(st.integers(1, 2))
+    pairs = list(itertools.combinations(range(n), 2))
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=6)):
+        mult[i][j] = mult[j][i] = min(mult[i][j] + 1, 3)
+    return mg.Multigraph(mult)
+
+
+@st.composite
+def graphs_with_divisor(draw):
+    g = draw(multigraphs())
+    gen = mg.genus(g)
+    cuts = sorted(draw(st.lists(st.integers(0, gen), min_size=g.n - 1, max_size=g.n - 1)))
+    d = [b - a for a, b in zip([0] + cuts, cuts + [gen])]
+    return g, d
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(graphs_with_divisor())
+def test_table_and_break_test_against_oracles(case):
+    g, d = case
+    assert g.subset_edges == [mg._internal_edges(g, s) for s in range(1 << g.n)]
+    assert mg.is_break_divisor(g, d) == mg.break_via_orientability(g, d)
