@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
+from .knm import KnmParams
 from .series import ExactSeries, one_minus_power
 
 MAX_SERIES_ORDER = 24
@@ -107,10 +108,6 @@ def von_sterneck_bruteforce(a: int, k: int, b: int) -> int:
     )
 
 
-def _genus(m: int, n: int) -> int:
-    return m * n * (n - 1) // 2 - n + 1
-
-
 def orbit_count_D(m: int, n: int) -> int:
     """Orbits of the permutation action on residue tuples:
     (1/n) sum over d | n of (-1)^(m(n+d)) mu(n/d) C((m+1)d-1, md)."""
@@ -128,7 +125,7 @@ def orbit_count_D(m: int, n: int) -> int:
 
 def orbit_count_D_von_sterneck(m: int, n: int) -> int:
     """Same count via the multiset formula at (a, k, b) = (mn, n, g)."""
-    return von_sterneck(m * n, n, _genus(m, n))
+    return von_sterneck(m * n, n, KnmParams(m, n).genus)
 
 
 def orbit_count_D_split(m: int, n: int) -> int:

@@ -210,6 +210,30 @@ def enumerate_parking(
     return _distinct_permutations(parking_orbit_reps(p))
 
 
+def compositions(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of `parts` integers in [0, bound] summing to total, in
+    lexicographic order."""
+    prefix: list[int] = []
+
+    def rec(remaining, left):
+        if left == 0:
+            if remaining == 0:
+                yield tuple(prefix)
+            return
+        lo = max(0, remaining - bound * (left - 1))
+        hi = min(bound, remaining)
+        if left == 2:  # the last part, remaining - v, is then in [0, bound]
+            for v in range(lo, hi + 1):
+                yield (*prefix, v, remaining - v)
+            return
+        for v in range(lo, hi + 1):
+            prefix.append(v)
+            yield from rec(remaining - v, left - 1)
+            prefix.pop()
+
+    return rec(total, parts)
+
+
 # The candidate scans below are the oracles for the two enumerations
 # above.  Each keeps the last (m, n) it built and hands back that tuple.
 
@@ -218,25 +242,7 @@ def enumerate_parking(
 def _scan_break(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     p = KnmParams(m, n)
     bound = p.delta[0] if n > 1 else 0
-    out = []
-
-    def rec(prefix, remaining, parts):
-        if parts == 0:
-            if remaining == 0:
-                d = tuple(prefix)
-                if is_break_mn(p, d):
-                    out.append(d)
-            return
-        lo = max(0, remaining - bound * (parts - 1))
-        hi = min(bound, remaining)
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            rec(prefix, remaining - v, parts - 1)
-            prefix.pop()
-
-    rec([], p.genus, n)
-    out.sort()
-    return tuple(out)
+    return tuple(d for d in compositions(p.genus, n, bound) if is_break_mn(p, d))
 
 
 @lru_cache(maxsize=1)

@@ -7,11 +7,13 @@ The subset-quantified predicates (orientable, break, and the break
 enumeration) read |E(G[S])| for every bitmask S from a table built once
 per graph in O(2^n) and cached on the instance.  A predicate call is
 then O(2^n) list work that stops at the first failing vertex level, so
-the vertex count is capped at 24.  On K_n (Python 3.11, a 2-core Xeon
-VM) the table build takes 0.09 s and a break test on it 0.08 s at
-n = 20, with 48 MB peak RSS; at n = 22 they take 0.33 s and 0.29 s, with
-108 MB.  G-parking uses Dhar's burning algorithm, in O(n^2), with no
-subset scan and no cap.
+these predicates and the G-parking subset oracle cap the vertex count
+at 24 and raise BudgetExceededError above it.  On K_n (Python 3.11, a
+2-core Xeon VM) the table build takes 0.09 s and a break test on it
+0.08 s at n = 20, with 48 MB peak RSS; at n = 22 they take 0.33 s and
+0.29 s, with 108 MB.  Genus and the spanning-tree count need no subset
+work and have no cap; G-parking uses Dhar's burning algorithm, in
+O(n^2), with no subset scan and no cap.
 """
 
 from __future__ import annotations
@@ -190,8 +192,12 @@ def parse_graph_file(text: str) -> Multigraph:
 def _require_connected(graph: Multigraph):
     if not graph.is_connected():
         raise PreconditionError("graph must be connected")
+
+
+def _require_subset_cap(graph: Multigraph):
+    """The subset table and the subset scans take 2^n memory or time."""
     if graph.n > SUBSET_VERTEX_CAP:
-        raise PreconditionError(
+        raise BudgetExceededError(
             f"subset-quantified predicates support at most {SUBSET_VERTEX_CAP} vertices"
         )
 
@@ -253,6 +259,7 @@ def is_orientable(graph: Multigraph, divisor: Sequence[int]) -> bool:
     for every nonempty subset S.
     """
     _require_connected(graph)
+    _require_subset_cap(graph)
     d = _as_divisor(graph, divisor)
     if sum(d) != graph.edge_count() - graph.n:
         return False
@@ -280,6 +287,7 @@ def is_break_divisor(graph: Multigraph, divisor: Sequence[int]) -> bool:
     i.e. sum over S of (d_v + 1) > |E(G[S])|, for every nonempty
     subset S."""
     _require_connected(graph)
+    _require_subset_cap(graph)
     d = _as_divisor(graph, divisor)
     if any(x < 0 for x in d):
         return False
@@ -340,6 +348,7 @@ def g_parking_bruteforce(graph: Multigraph, q: int, values: Sequence[int]) -> bo
     """Oracle: every nonempty S avoiding q must contain a vertex whose
     value is below its out-degree from S.  Scans all 2^(n-1) subsets."""
     _require_connected(graph)
+    _require_subset_cap(graph)
     val = _parking_values(graph, q, values)
     if any(x < 0 for x in val.values()):
         return False
@@ -361,36 +370,21 @@ def g_parking_bruteforce(graph: Multigraph, q: int, values: Sequence[int]) -> bo
     return True
 
 
-def _compositions(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` integers in [0, bound] summing to total, lex order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if 0 <= total <= bound:
-            yield (total,)
-        return
-    lo = max(0, total - bound * (parts - 1))
-    hi = min(bound, total)
-    for first in range(lo, hi + 1):
-        for rest in _compositions(total - first, parts - 1, bound):
-            yield (first,) + rest
-
-
 def enumerate_break_divisors(
     graph: Multigraph, budget: int = DEFAULT_ENUM_BUDGET
 ) -> list[tuple[int, ...]]:
     """All break divisors, sorted lexicographically.
 
-    Raises if the number of compositions of the genus into n parts
-    exceeds the budget.  A depth-first search over vertices 0..n-1 then
-    extends the subset sums of d_v + 1 one vertex at a time, as in
+    Raises BudgetExceededError if n exceeds SUBSET_VERTEX_CAP or the
+    number of compositions of the genus into n parts exceeds the budget.
+    A depth-first search over vertices 0..n-1 then extends the subset
+    sums of d_v + 1 one vertex at a time, as in
     `is_break_divisor`: at vertex k the masks with top bit k fix the
     least admissible d_k, so a failing prefix is never extended and
     shared prefixes are summed once.
     """
     g = genus(graph)
+    _require_subset_cap(graph)
     n = graph.n
     candidates = math.comb(g + n - 1, n - 1)
     if candidates > budget:

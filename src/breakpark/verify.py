@@ -41,15 +41,11 @@ def random_connected_multigraph(
     return multigraph.Multigraph(mult)
 
 
-def _effective_divisors(n: int, degree: int):
-    return multigraph._compositions(degree, n, degree)
-
-
 def check_break_oracle_on_graph(g: multigraph.Multigraph) -> bool:
     """is_break_divisor agrees with the orientability route on every
     effective divisor of degree genus."""
     gen = multigraph.genus(g)
-    for d in _effective_divisors(g.n, gen):
+    for d in knm.compositions(gen, g.n, gen):
         if multigraph.is_break_divisor(g, d) != multigraph.break_via_orientability(g, d):
             return False
     return True
@@ -171,7 +167,7 @@ def suite_knm_vs_multigraph(m_max: int = 2, n_max: int = 4) -> list[Check]:
         for n in range(2, n_max + 1):
             p = knm.KnmParams(m, n)
             g = multigraph.complete_multigraph(m, n)
-            for d in _effective_divisors(n, p.genus):
+            for d in knm.compositions(p.genus, n, p.genus):
                 if knm.is_break_mn(p, d) != multigraph.is_break_divisor(g, d):
                     break_ok = False
             bound = m * (n - 1)

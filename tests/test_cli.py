@@ -1,12 +1,16 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from breakpark import cli, knm
+from breakpark import cli, counting, knm, reptheory
 from breakpark.errors import InternalInvariantError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args):
@@ -18,6 +22,12 @@ def run_cli(args):
     finally:
         sys.stdout = old
     return code, out.getvalue()
+
+
+def path_file(tmp_path, n):
+    path = tmp_path / f"path{n}.txt"
+    path.write_text(f"{n}\n" + "".join(f"{i} {i + 1} 1\n" for i in range(1, n)))
+    return path
 
 
 class TestEnumerate:
@@ -83,6 +93,29 @@ class TestEnumerate:
         )
         assert code == cli.EXIT_BUDGET
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["enumerate", "--set", "park"],
+            ["enumerate", "--m", "2", "--n", "3"],
+            ["count", "--n", "3"],
+        ],
+    )
+    def test_graph_conflicting_flags_exit_2(self, tmp_path, capsys, args):
+        path = tmp_path / "tri.txt"
+        path.write_text("3\n1 2 1\n1 3 1\n2 3 1\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli([args[0], "--graph", str(path), *args[1:]])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1
+
+    def test_graph_over_vertex_cap_exit_3(self, tmp_path):
+        code, out = run_cli(["enumerate", "--graph", str(path_file(tmp_path, 25))])
+        assert code == cli.EXIT_BUDGET
+        assert out == ""
+
 
 class TestCount:
     def test_23(self):
@@ -116,6 +149,25 @@ class TestCount:
         (rec,) = json.loads(out)
         assert rec["spanning_trees"] == 12
         assert rec["break_divisors"] == 12
+
+    def test_graph_over_vertex_cap(self, tmp_path):
+        path = path_file(tmp_path, 25)
+        code, out = run_cli(["count", "--graph", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == [
+            {"vertices": 25, "edges": 24, "genus": 0, "spanning_trees": 1,
+             "break_divisors": "budget-exceeded"}
+        ]
+
+    def test_wrong_bruteforce_count_exit_4(self, monkeypatch):
+        real = knm.enumerate_break_bruteforce
+        monkeypatch.setattr(
+            knm, "enumerate_break_bruteforce", lambda p: real(p)[1:]
+        )
+        code, out = run_cli(["count", "--m", "2", "--n", "3", "--format", "json"])
+        assert code == cli.EXIT_VERIFY == 4
+        (rec,) = json.loads(out)
+        assert (rec["breaks"], rec["breaks_bruteforce"]) == (12, 11)
 
 
 class TestCharacter:
@@ -155,6 +207,17 @@ class TestCharacter:
         assert by_type["(1,1,1,1,1,1,1)"]["bruteforce"] == 2**6 * 7**5
         assert by_type["Res = Park"]["closed"] == "PASS"
 
+    def test_wrong_closed_value_exit_4(self, monkeypatch):
+        real = reptheory.character_break_closed
+        monkeypatch.setattr(
+            reptheory, "character_break_closed", lambda m, n, lam: real(m, n, lam) + 1
+        )
+        code, out = run_cli(
+            ["character", "--m", "2", "--n", "3", "--format", "json"]
+        )
+        assert code == cli.EXIT_VERIFY
+        assert json.loads(out)[0] == {"cycle_type": "(3)", "closed": 1, "bruteforce": 0}
+
     def test_over_budget_drops_bruteforce_column(self):
         code, out = run_cli(
             ["character", "--m", "2", "--n", "4", "--budget", "10",
@@ -191,6 +254,15 @@ class TestDt:
         code, _ = run_cli(["dt", "--m", "1", "--n-max", "30"])
         assert code == cli.EXIT_BUDGET
 
+    def test_disagree_exit_4(self, monkeypatch):
+        real = counting.dt_invariant
+        monkeypatch.setattr(counting, "dt_invariant", lambda m, n: real(m, n) + 1)
+        code, out = run_cli(["dt", "--m", "2", "--n-max", "3", "--format", "json"])
+        assert code == cli.EXIT_VERIFY
+        records = json.loads(out)
+        assert len(records) == 3
+        assert all(r["verdict"] == "DISAGREE" for r in records)
+
 
 class TestVerify:
     def test_single_suite(self):
@@ -212,6 +284,32 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run_cli(["verify", "--only", "nope"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["enumerate", "--m", "2", "--n", "3", "--seed", "1"],
+        ["count", "--m", "2", "--n", "3", "--seed", "1"],
+        ["character", "--m", "2", "--n", "3", "--seed", "1"],
+        ["dt", "--m", "2", "--n-max", "3", "--seed", "1"],
+        ["dt", "--m", "2", "--n-max", "3", "--budget", "10"],
+        ["verify", "--only", "orbit-counts", "--budget", "10"],
+    ],
+    ids=lambda args: f"{args[0]}{args[-2]}",
+)
+def test_removed_flags_exit_2(args):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+
+
+def test_verify_keeps_seed():
+    code, out = run_cli(
+        ["verify", "--only", "random-graphs", "--seed", "7", "--format", "json"]
+    )
+    assert code == 0
+    assert all(r["verdict"] == "PASS" for r in json.loads(out))
 
 
 class TestInternalError:
@@ -249,11 +347,16 @@ class TestDeterminism:
 
 
 def test_console_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "breakpark.cli", "count", "--m", "1", "--n", "2",
          "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["breaks"] == 1

@@ -63,8 +63,22 @@ class TestBreakMembership:
     def test_agrees_with_subset_test(self, m, n):
         p = params(m, n)
         g = mg.complete_multigraph(m, n)
-        for d in mg._compositions(p.genus, n, p.genus):
+        for d in knm.compositions(p.genus, n, p.genus):
             assert knm.is_break_mn(p, d) == mg.is_break_divisor(g, d)
+
+
+def test_compositions_lexicographic():
+    assert list(knm.compositions(2, 3, 1)) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    assert list(knm.compositions(0, 0, 5)) == [()]
+    assert list(knm.compositions(1, 0, 5)) == []
+    assert list(knm.compositions(3, 1, 2)) == []
+    for total, parts, bound in [(4, 3, 4), (5, 4, 2), (0, 2, 3)]:
+        expected = [
+            c
+            for c in itertools.product(range(bound + 1), repeat=parts)
+            if sum(c) == total
+        ]
+        assert list(knm.compositions(total, parts, bound)) == expected
 
 
 class TestParkingMembership:

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from breakpark import knm
 from breakpark import multigraph as mg
 from breakpark.errors import (
     BudgetExceededError,
@@ -24,6 +25,12 @@ def k32():
 def path4():
     return mg.Multigraph(
         [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
+    )
+
+
+def path_graph(n):
+    return mg.Multigraph(
+        [[1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
     )
 
 
@@ -96,6 +103,25 @@ class TestGenus:
         with pytest.raises(PreconditionError):
             mg.genus(mg.Multigraph([[0, 0], [0, 0]]))
 
+    def test_no_vertex_cap(self):
+        path = path_graph(30)
+        assert mg.genus(path) == 0
+        assert mg.spanning_tree_count(path) == 1
+
+
+def test_subset_work_over_the_cap_is_a_budget_error():
+    path = path_graph(mg.SUBSET_VERTEX_CAP + 1)
+    zero = (0,) * path.n
+    for call in (
+        lambda: mg.is_orientable(path, zero),
+        lambda: mg.is_break_divisor(path, zero),
+        lambda: mg.enumerate_break_divisors(path),
+        lambda: mg.g_parking_bruteforce(path, 0, zero[1:]),
+    ):
+        with pytest.raises(BudgetExceededError, match="at most 24 vertices"):
+            call()
+    assert "subset_edges" not in vars(path)
+
 
 class TestEulerCharSubset:
     def test_whole_triangle(self):
@@ -148,7 +174,7 @@ class TestBreakDivisor:
         assert mg.is_break_divisor(path4(), (0, 0, 0, 0))
 
     def test_orientability_route_agrees(self):
-        for d in mg._compositions(4, 3, 4):
+        for d in knm.compositions(4, 3, 4):
             assert mg.is_break_divisor(k32(), d) == mg.break_via_orientability(
                 k32(), d
             )
@@ -267,7 +293,7 @@ class TestEnumeration:
             gen = mg.genus(g)
             expected = [
                 d
-                for d in mg._compositions(gen, g.n, gen)
+                for d in knm.compositions(gen, g.n, gen)
                 if all(
                     mg.orientable_bruteforce(
                         g, [x - (v == q) for v, x in enumerate(d)]
