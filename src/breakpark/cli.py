@@ -11,10 +11,12 @@ Each subcommand reads only these flags:
 `enumerate` and `count` take --m and --n (K_n^m) or --graph (a graph
 file), not both; `enumerate --graph` lists break divisors only.  JSON is
 the canonical output format; csv and pretty tables are projections of
-the same records.  Exit codes: 0 success, 2 usage/parse error, 3 budget
-exceeded, 4 a failed verdict (any FAIL or DISAGREE row, or a brute-force
-count off its closed form; the records still print), 5 internal
-invariant violated (a bug; one `error:` line on stderr, no traceback).
+the same records.  A usage error, also one a handler finds, prints the
+subcommand's own usage line.  Exit codes: 0 success, 2 usage/parse
+error, 3 budget exceeded, 4 a failed verdict (any FAIL or DISAGREE row,
+or a brute-force count off its closed form; the records still print), 5
+internal invariant violated (a bug; one `error:` line on stderr, no
+traceback).
 """
 from __future__ import annotations
 
@@ -246,9 +248,17 @@ def cmd_verify(args) -> tuple[list[dict], bool]:
     return records, all(ok for _, ok, _ in results)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command: it sets `run` to the command's handler
-    and has only the flags that handler reads."""
+    and `parser` to itself, for usage errors the handler finds, and has
+    only the flags that handler reads."""
     parser = argparse.ArgumentParser(
         prog="breakpark",
         description="Break divisors, parking functions, and DT invariants "
@@ -266,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, run, parents, help):
         sp = sub.add_parser(name, help=help, parents=[*parents, fmt])
-        sp.set_defaults(run=run)
+        sp.set_defaults(run=run, parser=sp)
         return sp
 
     sp = add("enumerate", cmd_enumerate, [source, budget],
@@ -301,8 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(verify.SUITES),
         help="restrict to named suites (repeatable)",
     )
-    sp.add_argument("--m", type=int, help="largest m of the suites that take one")
-    sp.add_argument("--n", type=int, help="largest n of the suites that take one")
+    sp.add_argument(
+        "--m", type=_positive_int, help="largest m of the suites that take one"
+    )
+    sp.add_argument(
+        "--n", type=_positive_int, help="largest n of the suites that take one"
+    )
     sp.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -314,7 +328,7 @@ def main(argv=None) -> int:
         records, ok = args.run(args)
         emit(records, args.format)
     except argparse.ArgumentError as exc:  # flags that parse but do not go together
-        parser.error(f"{args.command} {exc}")
+        args.parser.error(str(exc))
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

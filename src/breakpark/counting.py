@@ -82,17 +82,15 @@ def von_sterneck(a: int, k: int, b: int) -> int:
     """Number of size-k multisets from {0, ..., a-1} with sum = b mod a."""
     if a < 1 or k < 0:
         raise PreconditionError("von_sterneck requires a >= 1, k >= 0")
-    total = Fraction(0)
+    total = 0
     for d in divisors(math.gcd(a, k) if k else a):
-        total += Fraction(
-            math.comb((a + k) // d - 1, k // d) * ramanujan_sum(d, b)
-        )
-    result = total / a
-    if result.denominator != 1:
+        total += math.comb((a + k) // d - 1, k // d) * ramanujan_sum(d, b)
+    q, r = divmod(total, a)
+    if r != 0:
         raise InternalInvariantError(
-            f"von_sterneck({a},{k},{b}) not integral: {result}"
+            f"von_sterneck({a},{k},{b}) not integral: {Fraction(total, a)}"
         )
-    return result.numerator
+    return q
 
 
 def von_sterneck_bruteforce(a: int, k: int, b: int) -> int:
@@ -113,14 +111,14 @@ def orbit_count_D(m: int, n: int) -> int:
     (1/n) sum over d | n of (-1)^(m(n+d)) mu(n/d) C((m+1)d-1, md)."""
     if m < 1 or n < 1:
         raise PreconditionError("orbit_count_D requires m, n >= 1")
-    total = Fraction(0)
+    total = 0
     for d in divisors(n):
         sign = -1 if (m * (n + d)) % 2 else 1
         total += sign * moebius(n // d) * math.comb((m + 1) * d - 1, m * d)
-    result = total / n
-    if result.denominator != 1:
+    q, r = divmod(total, n)
+    if r != 0:
         raise InternalInvariantError(f"orbit count ({m},{n}) not integral")
-    return result.numerator
+    return q
 
 
 def orbit_count_D_von_sterneck(m: int, n: int) -> int:
@@ -133,7 +131,7 @@ def orbit_count_D_split(m: int, n: int) -> int:
     the even-divisor terms enter with a minus sign; otherwise a plain
     Moebius-weighted divisor sum.  Divisor variable runs over d | n with
     binomial C((m+1)n/d - 1, n/d)."""
-    total = Fraction(0)
+    total = 0
     split = m % 2 == 1 and n % 4 == 2
     for d in divisors(n):
         term = moebius(d) * math.comb((m + 1) * n // d - 1, n // d)
@@ -141,10 +139,10 @@ def orbit_count_D_split(m: int, n: int) -> int:
             total -= term
         else:
             total += term
-    result = total / (m * n)
-    if result.denominator != 1:
+    q, r = divmod(total, m * n)
+    if r != 0:
         raise InternalInvariantError(f"split orbit count ({m},{n}) not integral")
-    return result.numerator
+    return q
 
 
 def dt_invariant(m: int, n: int) -> int:
@@ -178,6 +176,8 @@ def dt_via_euler_product(m: int, n_max: int) -> dict[int, int]:
     Substituting u = (-1)^m t turns the product into
     G(u) = prod_k (1 - u^k)^(-f_k) with f_k = (-1)^(mk) * k * DT_k, so
     at each step the coefficient of u^k in the remaining series is f_k.
+    The step multiplies by the one binomial factor (1 - u^k)^(f_k), so
+    every coefficient stays an integer.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
@@ -200,7 +200,7 @@ def dt_via_euler_product(m: int, n_max: int) -> dict[int, int]:
         if r != 0:
             raise InternalInvariantError(f"DT_{k} not integral in factorization")
         table[k] = q
-        remaining = remaining * one_minus_power(k, n_max).pow_int(f_k)
+        remaining = remaining * one_minus_power(k, n_max, f_k)
     return table
 
 

@@ -1,15 +1,28 @@
-"""Truncated power series with exact rational coefficients."""
+"""Truncated power series with exact coefficients.
+
+A coefficient is an `int`, or a `Fraction` where a division requires
+one (`reciprocal`, `log`), so integer series stay in integer arithmetic
+through `+`, `-`, `*` and `pow_int` with a nonnegative exponent.  No
+float is ever built.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
-from .errors import PreconditionError
+from .errors import InternalInvariantError, PreconditionError
+
+Coeff = Union[int, Fraction]
+
+
+def _exact(x) -> Coeff:
+    return int(x) if isinstance(x, int) else Fraction(x)
 
 
 class ExactSeries:
-    """Power series in t truncated at a fixed order, coefficients Fraction.
+    """Power series in t truncated at a fixed order; each coefficient is
+    an `int`, or a `Fraction` where a division requires one.
 
     order T means coefficients of t^0 .. t^T are tracked.
     """
@@ -17,12 +30,12 @@ class ExactSeries:
     def __init__(self, coeffs: Sequence, order: int):
         if order < 0:
             raise PreconditionError("order must be nonnegative")
-        c = [Fraction(x) for x in coeffs[: order + 1]]
-        c += [Fraction(0)] * (order + 1 - len(c))
+        c = [_exact(x) for x in coeffs[: order + 1]]
+        c += [0] * (order + 1 - len(c))
         self.coeffs = c
         self.order = order
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> Coeff:
         return self.coeffs[k]
 
     def __eq__(self, other):
@@ -56,7 +69,7 @@ class ExactSeries:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = [Fraction(0)] * (self.order + 1)
+        out = [0] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -71,12 +84,12 @@ class ExactSeries:
         if self.coeffs[0] == 0:
             raise PreconditionError("reciprocal needs nonzero constant term")
         inv = [Fraction(0)] * (self.order + 1)
-        inv[0] = 1 / self.coeffs[0]
+        inv[0] = Fraction(1, self.coeffs[0])
         for k in range(1, self.order + 1):
             acc = Fraction(0)
             for j in range(1, k + 1):
                 acc += self.coeffs[j] * inv[k - j]
-            inv[k] = -acc / self.coeffs[0]
+            inv[k] = Fraction(-acc, self.coeffs[0])
         return ExactSeries(inv, self.order)
 
     def pow_int(self, e: int) -> "ExactSeries":
@@ -104,14 +117,27 @@ class ExactSeries:
             acc = Fraction(k) * self.coeffs[k]
             for j in range(1, k):
                 acc -= Fraction(j) * l[j] * self.coeffs[k - j]
-            l[k] = acc / k
+            l[k] = Fraction(acc, k)
         return ExactSeries(l, self.order)
 
 
-def one_minus_power(k: int, order: int) -> ExactSeries:
-    """The series 1 - t^k truncated at `order`."""
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
-    if k <= order:
-        coeffs[k] = Fraction(-1)
+def one_minus_power(k: int, order: int, e: int = 1) -> ExactSeries:
+    """The series (1 - t^k)^e truncated at `order`, for any integer e.
+
+    The coefficient of t^(jk) is (-1)^j C(e, j), filled in from the
+    binomial recurrence c_j = -c_(j-1) (e - j + 1) / j, whose division
+    is exact for every integer e (also negative), so the series has
+    `int` coefficients and costs one pass over the multiples of k.
+    """
+    if k < 1:
+        raise PreconditionError("one_minus_power requires k >= 1")
+    coeffs = [0] * (order + 1)
+    c = coeffs[0] = 1
+    for j in range(1, order // k + 1):
+        c, r = divmod(-c * (e - j + 1), j)
+        if r != 0:
+            raise InternalInvariantError(
+                f"binomial coefficient C({e},{j}) not integral"
+            )
+        coeffs[j * k] = c
     return ExactSeries(coeffs, order)

@@ -18,6 +18,18 @@ from . import counting, knm, multigraph, reptheory
 Check = tuple[str, bool, str]
 
 
+def _scope(m_max: int, n_max: int, n_min: int = 1) -> tuple[str, bool]:
+    """The detail of a suite over 1 <= m <= m_max, n_min <= n <= n_max,
+    and whether that range holds a case at all: a suite over an empty
+    range checks nothing, so it must FAIL and name the empty scope."""
+    if m_max >= 1 and n_max >= n_min:
+        return f"m <= {m_max}, n <= {n_max}", True
+    return (
+        f"empty scope: 1 <= m <= {m_max}, {n_min} <= n <= {n_max} holds no case",
+        False,
+    )
+
+
 def random_connected_multigraph(
     rng: random.Random, max_vertices: int = 6, max_mult: int = 3,
     max_extra_edges: int = 5,
@@ -77,7 +89,7 @@ def suite_random_graphs(seed: int = 0, samples: int = 100) -> list[Check]:
 def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
     """Every shift class has size n, one break member, one parking
     projection; class count is N^(n-1)/n."""
-    ok = True
+    scope, ok = _scope(m_max, n_max)
     detail = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
@@ -110,21 +122,15 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
                     ok = False
                     detail.append(f"parking representative mismatch at ({m},{n})")
                     break
-    return [
-        (
-            "shift-class-structure",
-            ok,
-            "; ".join(detail) if detail else f"m <= {m_max}, n <= {n_max}",
-        )
-    ]
+    return [("shift-class-structure", ok, "; ".join(detail) or scope)]
 
 
 def suite_cardinalities(m_max: int = 3, n_max: int = 5) -> list[Check]:
     """The closed counts, and the orbit-generated enumerations against
     the candidate scans, list for list."""
-    ok = True
+    scope, ok = _scope(m_max, n_max)
     detail = []
-    scan_ok = True
+    scan_ok = ok
     scan_detail = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
@@ -147,22 +153,17 @@ def suite_cardinalities(m_max: int = 3, n_max: int = 5) -> list[Check]:
             if parks != list(knm.enumerate_parking_bruteforce(p)):
                 scan_ok = False
                 scan_detail.append(f"Park differs from the scan at ({m},{n})")
-    scope = f"m <= {m_max}, n <= {n_max}"
     return [
-        ("cardinalities", ok, "; ".join(detail) if detail else scope),
-        (
-            "orbit-enumeration-equals-scan",
-            scan_ok,
-            "; ".join(scan_detail) if scan_detail else scope,
-        ),
+        ("cardinalities", ok, "; ".join(detail) or scope),
+        ("orbit-enumeration-equals-scan", scan_ok, "; ".join(scan_detail) or scope),
     ]
 
 
 def suite_knm_vs_multigraph(m_max: int = 2, n_max: int = 4) -> list[Check]:
     """The sorted-dominance and subset-quantified break tests agree on
     K_n^m, and likewise for the two parking predicates."""
-    break_ok = True
-    park_ok = True
+    scope, break_ok = _scope(m_max, n_max, 2)
+    park_ok = break_ok
     for m in range(1, m_max + 1):
         for n in range(2, n_max + 1):
             p = knm.KnmParams(m, n)
@@ -175,38 +176,43 @@ def suite_knm_vs_multigraph(m_max: int = 2, n_max: int = 4) -> list[Check]:
                 if knm.is_parking_mn(p, a) != multigraph.is_g_parking(g, n - 1, a):
                     park_ok = False
     return [
-        ("break-dominance-vs-subset-test", break_ok, f"m <= {m_max}, n <= {n_max}"),
-        ("parking-vector-vs-subset-test", park_ok, f"m <= {m_max}, n <= {n_max}"),
+        ("break-dominance-vs-subset-test", break_ok, scope),
+        ("parking-vector-vs-subset-test", park_ok, scope),
     ]
 
 
 def suite_orbit_counts(m_max: int = 4, n_max: int = 12) -> list[Check]:
-    ok = all(
+    scope, ok = _scope(m_max, n_max)
+    ok = ok and all(
         counting.orbit_count_D(m, n)
         == counting.orbit_count_D_von_sterneck(m, n)
         == counting.orbit_count_D_split(m, n)
         for m in range(1, m_max + 1)
         for n in range(1, n_max + 1)
     )
-    return [("orbit-count-three-routes", ok, f"m <= {m_max}, n <= {n_max}")]
+    return [("orbit-count-three-routes", ok, scope)]
 
 
-def suite_dt_two_routes(m_max: int = 3, n_max: int = 10) -> list[Check]:
-    ok = True
+def suite_dt_two_routes(
+    m_max: int = 3, n_max: int = counting.MAX_SERIES_ORDER
+) -> list[Check]:
+    """Both series routes against the closed form, by default over the
+    whole series order the `dt` command serves."""
+    scope, ok = _scope(m_max, n_max)
     for m in range(1, m_max + 1):
         table = counting.dt_via_euler_product(m, n_max)
         log_table = counting.dt_via_formal_log(m, n_max)
         for n in range(1, n_max + 1):
             if not table[n] == log_table[n] == counting.dt_invariant(m, n):
                 ok = False
-    return [("dt-euler-product-vs-closed-form", ok, f"m <= {m_max}, n <= {n_max}")]
+    return [("dt-euler-product-vs-closed-form", ok, scope)]
 
 
 def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
     """The closed character formula and the orbit route (the `character`
     command's bruteforce column) against per-tuple fixed-point scans."""
-    closed_ok = True
-    orbit_ok = True
+    scope, closed_ok = _scope(m_max, n_max)
+    orbit_ok = closed_ok
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
             reps = knm.break_orbit_reps(knm.KnmParams(m, n))
@@ -217,7 +223,6 @@ def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
                     closed_ok = False
                 if orbit_chi[lam] != scanned:
                     orbit_ok = False
-    scope = f"m <= {m_max}, n <= {n_max}"
     return [
         ("closed-character-vs-bruteforce", closed_ok, scope),
         ("orbit-character-vs-bruteforce", orbit_ok, scope),
@@ -228,9 +233,8 @@ def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
     """Break module == shift-class module; restriction == parking module,
     scanned and by its orbits; trivial multiplicity == DT invariant ==
     orbits of the scanned break divisors == dominated-partition count."""
-    iso_ok = True
-    res_ok = True
-    triv_ok = True
+    scope, iso_ok = _scope(m_max, n_max, 2)
+    res_ok = triv_ok = iso_ok
     for m in range(1, m_max + 1):
         for n in range(2, n_max + 1):
             chi = reptheory.character_break(m, n)
@@ -253,9 +257,9 @@ def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
             ):
                 triv_ok = False
     return [
-        ("break-module-vs-shift-class-module", iso_ok, f"m <= {m_max}, n <= {n_max}"),
-        ("restriction-equals-parking-module", res_ok, f"m <= {m_max}, n <= {n_max}"),
-        ("trivial-multiplicity-equals-dt", triv_ok, f"m <= {m_max}, n <= {n_max}"),
+        ("break-module-vs-shift-class-module", iso_ok, scope),
+        ("restriction-equals-parking-module", res_ok, scope),
+        ("trivial-multiplicity-equals-dt", triv_ok, scope),
     ]
 
 

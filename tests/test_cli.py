@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from breakpark import cli, counting, knm, reptheory
+from breakpark import cli, counting, knm, reptheory, verify
 from breakpark.errors import InternalInvariantError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,6 +110,15 @@ class TestEnumerate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("error:") == 1
+        assert err.startswith(f"usage: breakpark {args[0]} ")
+
+    def test_missing_source_uses_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["count", "--n", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: breakpark count ")
+        assert "breakpark count: error: requires --m and --n" in err
 
     def test_graph_over_vertex_cap_exit_3(self, tmp_path):
         code, out = run_cli(["enumerate", "--graph", str(path_file(tmp_path, 25))])
@@ -284,6 +293,42 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run_cli(["verify", "--only", "nope"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--m", "0"], ["--n", "0"], ["--m", "-2"]], ids=" ".join
+    )
+    def test_range_below_1_is_a_usage_error(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--only", "cardinalities", *flags])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("suite", ["module-isomorphisms", "knm-vs-multigraph"])
+    def test_empty_scope_fails(self, suite):
+        code, out = run_cli(["verify", "--only", suite, "--n", "1", "--format", "json"])
+        assert code == cli.EXIT_VERIFY
+        records = json.loads(out)
+        assert len(records) >= 2
+        for r in records:
+            assert r["verdict"] == "FAIL"
+            assert r["detail"].startswith("empty scope: ")
+            assert "2 <= n <= 1" in r["detail"]
+
+    def test_library_suites_fail_on_m_below_1(self):
+        results = verify.run_suites(
+            only=["shift-classes", "cardinalities", "orbit-counts", "characters"],
+            m_max=0,
+        )
+        assert len(results) == 6
+        for _, ok, detail in results:
+            assert not ok
+            assert detail.startswith("empty scope: 1 <= m <= 0")
+
+    def test_dt_routes_cover_the_series_cap(self):
+        code, out = run_cli(["verify", "--only", "dt-two-routes", "--format", "json"])
+        assert code == 0
+        [record] = json.loads(out)
+        assert record["verdict"] == "PASS"
+        assert record["detail"] == f"m <= 3, n <= {counting.MAX_SERIES_ORDER}"
 
 
 @pytest.mark.parametrize(

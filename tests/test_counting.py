@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 
 from breakpark import counting
-from breakpark.errors import BudgetExceededError, PreconditionError
+from breakpark.errors import (
+    BudgetExceededError,
+    InternalInvariantError,
+    PreconditionError,
+)
 from breakpark.series import ExactSeries, one_minus_power
 
 
@@ -103,6 +107,18 @@ class TestOrbitCounts:
                     == counting.orbit_count_D_split(m, n)
                 )
 
+    def test_nonintegral_sum_is_an_internal_error(self, monkeypatch):
+        # With every Moebius value past 1 zeroed, each divisor sum keeps
+        # one binomial that its divisor does not divide: 28/3, 56/6, 56/6.
+        monkeypatch.setattr(counting, "moebius", lambda k: 1 if k == 1 else 0)
+        for count in (
+            lambda: counting.orbit_count_D(2, 3),
+            lambda: counting.orbit_count_D_split(2, 3),
+            lambda: counting.von_sterneck(6, 3, 4),
+        ):
+            with pytest.raises(InternalInvariantError):
+                count()
+
 
 class TestDTInvariant:
     def test_24_paper_value(self):
@@ -151,6 +167,41 @@ class TestSeries:
         f = counting.tree_series(1, 5)
         assert [f[k] for k in range(6)] == [1, 1, 2, 5, 14, 42]
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_minus_power_equals_repeated_product(self, k):
+        for e in [*range(-5, 6), 10**30, -(10**30)]:
+            assert one_minus_power(k, 12, e) == one_minus_power(k, 12).pow_int(e)
+
+    def test_one_minus_power_binomials(self):
+        assert one_minus_power(2, 7, 3).coeffs == [1, 0, -3, 0, 3, 0, -1, 0]
+        assert one_minus_power(3, 7, -2).coeffs == [1, 0, 0, 2, 0, 0, 3, 0]
+        assert one_minus_power(4, 3, 10**30).coeffs == [1, 0, 0, 0]
+
+    def test_one_minus_power_rejects_k_below_1(self):
+        with pytest.raises(PreconditionError):
+            one_minus_power(0, 5, 2)
+
+    def test_integer_series_keep_int(self):
+        f = ExactSeries([1, 2, 3], 4)
+        g = ExactSeries([0, 5, -1, 7, 2], 4)
+        for s in (
+            f + g, f - g, f * g, f * 3, f - 2, f.pow_int(3),
+            one_minus_power(2, 4, -7),
+        ):
+            assert all(type(c) is int for c in s.coeffs), s
+
+    def test_divisions_build_fractions_never_floats(self):
+        f = ExactSeries([2, 1, 3], 5)
+        for s in (
+            f.reciprocal(),
+            ExactSeries([1], 5).reciprocal(),
+            one_minus_power(1, 5).pow_int(-1),
+            ExactSeries([1, 1, 2], 5).log(),
+            counting.tree_series(2, 5).log(),
+        ):
+            assert all(type(c) is Fraction for c in s.coeffs), s
+        assert f * f.reciprocal() == ExactSeries([1], 5)
+
 
 class TestEulerProduct:
     def test_dt1_is_one(self):
@@ -166,6 +217,13 @@ class TestEulerProduct:
             logs = counting.dt_via_formal_log(m, 10)
             for n in range(1, 11):
                 assert product[n] == logs[n] == counting.dt_invariant(m, n)
+
+    def test_routes_agree_on_the_dt_workload_range(self):
+        n_max = counting.MAX_SERIES_ORDER
+        for m in range(1, 13):
+            closed = {n: counting.dt_invariant(m, n) for n in range(1, n_max + 1)}
+            assert counting.dt_via_euler_product(m, n_max) == closed
+            assert counting.dt_via_formal_log(m, n_max) == closed
 
     def test_order_cap(self):
         with pytest.raises(BudgetExceededError):
