@@ -26,6 +26,7 @@ from .knm import (
     break_orbit_reps,
     break_representative,
     circular_park,
+    class_key,
     enumerate_break,
     enumerate_break_bruteforce,
     enumerate_parking,
@@ -35,6 +36,7 @@ from .knm import (
     is_parking_mn,
     parking_orbit_reps,
     parking_representative,
+    residue_count,
     shift,
     shift_class,
     shift_classes,

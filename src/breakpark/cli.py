@@ -13,8 +13,9 @@ file), not both; `enumerate --graph` lists break divisors only.  JSON is
 the canonical output format; csv and pretty tables are projections of
 the same records.  A usage error, also one a handler finds, prints the
 subcommand's own usage line.  Exit codes: 0 success, 2 usage/parse
-error, 3 budget exceeded, 4 a failed verdict (any FAIL or DISAGREE row,
-or a brute-force count off its closed form; the records still print), 5
+error, 3 budget exceeded (a `verify` suite over budget is a FAIL row
+instead), 4 a failed verdict (any FAIL or DISAGREE row, or a
+brute-force count off its closed form; the records still print), 5
 internal invariant violated (a bug; one `error:` line on stderr, no
 traceback).
 """
@@ -113,7 +114,7 @@ def cmd_enumerate(args) -> tuple[list[dict], bool]:
         records = [
             {
                 "tuple": _fmt_tuple(x),
-                "class_key": _fmt_tuple(knm.shift_class(p, x)[0]),
+                "class_key": _fmt_tuple(knm.class_key(p, x)),
                 "orbit_key": _fmt_tuple(knm.sort_orbit_key(x)),
             }
             for x in knm.enumerate_residue_tuples(p, budget=args.budget)
@@ -156,12 +157,12 @@ def cmd_count(args) -> tuple[list[dict], bool]:
         "genus": p.genus,
         "breaks": knm.break_count(p),
         "parking": knm.break_count(p),
-        "residue_tuples": p.N ** (n - 1),
+        "residue_tuples": knm.residue_count(p),
         "orbits_D": counting.orbit_count_D(m, n),
         "dt": counting.dt_invariant(m, n),
     }
     ok = True
-    if p.N ** (n - 1) <= args.budget:
+    if rec["residue_tuples"] <= args.budget:
         keys = {knm.sort_orbit_key(x) for x in knm.enumerate_residue_tuples(p)}
         rec["orbits_D_bruteforce"] = len(keys)
         rec["breaks_bruteforce"] = len(knm.enumerate_break_bruteforce(p))
@@ -179,6 +180,10 @@ def cmd_character(args) -> tuple[list[dict], bool]:
     budget_ok = knm.break_count(p) <= args.budget
     if budget_ok:
         breaks = reptheory.permutation_module(knm.break_orbit_reps(p), n)
+    else:
+        print(f"note: |Break| = {knm.break_count(p)} exceeds budget {args.budget}; "
+              "bruteforce, Frob(Break), Frob(Park) and Res = Park left out",
+              file=sys.stderr)
     records = []
     ok = True
     for lam in reptheory.partitions_of(n):
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=int, default=2_000_000)
+    budget.add_argument("--budget", type=int, default=knm.DEFAULT_SET_BUDGET)
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--graph", help="graph file instead of --m/--n")
     source.add_argument("--m", type=int, help="edge multiplicity")
@@ -322,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.11, 3.10.7
+        sys.set_int_max_str_digits(0)  # closed counts may be huge; print them whole
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -6,7 +6,8 @@ a~_i <= m*i - 1; residue tuples live in [0, mn-1]^n with coordinate sum
 congruent to the genus mod mn.  The shift map adds m to every
 coordinate mod mn and partitions the residue tuples into classes of
 size n, each holding exactly one break divisor and exactly one tuple
-projecting to a parking function.
+projecting to a parking function.  So the classes are those of the break
+divisors, and `class_key` finds the smallest member of a class in O(n).
 
 Break and Park are unions of symmetric-group orbits, so both are
 generated from their orbit representatives (weakly decreasing vectors);
@@ -65,6 +66,11 @@ def break_count(p: KnmParams) -> int:
     """|Break_{m,n}| = |Park_{m,n}| = m^(n-1) * n^(n-2), the number of
     spanning trees of K_n^m."""
     return p.m ** (p.n - 1) * p.n ** max(p.n - 2, 0)
+
+
+def residue_count(p: KnmParams) -> int:
+    """|D_{m,n}| = N^(n-1): the last coordinate follows from the others."""
+    return p.N ** (p.n - 1)
 
 
 def sort_orbit_key(x: Sequence[int]) -> tuple[int, ...]:
@@ -279,19 +285,14 @@ def enumerate_parking_bruteforce(
 def enumerate_residue_tuples(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> list[tuple[int, ...]]:
-    """All of D_{m,n}: tuples in [0, N-1]^n with sum = g mod N.
-
-    The last coordinate is determined mod N by the first n-1, so the
-    cardinality is N^(n-1).
-    """
-    _check_budget(p.N ** (p.n - 1), budget, "D")
+    """All of D_{m,n}: tuples in [0, N-1]^n with sum = g mod N, in
+    lexicographic order, since the last coordinate follows from the head."""
+    _check_budget(residue_count(p), budget, "D")
     g, N = p.genus, p.N
-    out = [
+    return [
         head + ((g - sum(head)) % N,)
         for head in itertools.product(range(N), repeat=p.n - 1)
     ]
-    out.sort()
-    return out
 
 
 def _check_residue_tuple(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
@@ -311,20 +312,22 @@ def shift(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
     return tuple((v + p.m) % p.N for v in x)
 
 
-def shift_class(p: KnmParams, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The n members {sh^j(x) : 0 <= j < n}, sorted; the first member is
-    the canonical class key."""
+def class_key(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
+    """The smallest member of the shift class of x.  The first coordinates
+    of the n shifts are the n values in [0, N-1] congruent to x_0 mod m,
+    so the smallest member is x shifted back by s = x_0 - x_0 mod m."""
     x = _check_residue_tuple(p, x)
-    members = set()
-    cur = x
-    for _ in range(p.n):
-        members.add(cur)
-        cur = tuple((v + p.m) % p.N for v in cur)
-    if len(members) != p.n:
-        raise InternalInvariantError(
-            f"shift class of {x} has size {len(members)}, expected {p.n}"
-        )
-    return tuple(sorted(members))
+    s = x[0] - x[0] % p.m
+    return tuple((v - s) % p.N for v in x)
+
+
+def shift_class(p: KnmParams, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The n members {sh^j(x) : 0 <= j < n} in lexicographic order: the
+    class key, then its shifts, whose first coordinates key_0 + j*m
+    increase without wrapping."""
+    key = class_key(p, x)
+    m, N = p.m, p.N
+    return tuple(tuple((v + j * m) % N for v in key) for j in range(p.n))
 
 
 def break_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
@@ -404,15 +407,8 @@ def parking_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
 def shift_classes(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """All shift classes of D_{m,n}, keyed by lexicographically smallest
-    member, sorted by key."""
-    seen = set()
-    classes = []
-    for x in enumerate_residue_tuples(p, budget):
-        if x in seen:
-            continue
-        cls = shift_class(p, x)
-        seen.update(cls)
-        classes.append(cls)
-    classes.sort(key=lambda cls: cls[0])
-    return classes
+    """All shift classes of D_{m,n} in shift_class form, sorted by key.
+    Each class holds exactly one break divisor, so they are the classes
+    of the break divisors."""
+    _check_budget(residue_count(p), budget, "D")
+    return sorted(shift_class(p, d) for d in enumerate_break(p, budget))

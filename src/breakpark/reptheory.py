@@ -172,21 +172,16 @@ def character_parking(m: int, n: int) -> ClassFunction:
 
 def character_shift_classes_bruteforce(m: int, n: int) -> ClassFunction:
     """Character of the permutation action on shift classes of the
-    residue tuples: a class is fixed when the permuted member set equals
-    the original."""
+    residue tuples.  Permuting coordinates commutes with the shift, so a
+    permutation fixes the class with key k iff it maps k into that class."""
     p = knm.KnmParams(m, n)
-    classes = [frozenset(cls) for cls in knm.shift_classes(p)]
+    keys = [cls[0] for cls in knm.shift_classes(p)]
     values: ClassFunction = {}
     for lam in partitions_of(n):
         perm = permutation_of_type(lam)
-        fixed = 0
-        for cls in classes:
-            image = frozenset(
-                tuple(t[perm[i]] for i in range(n)) for t in cls
-            )
-            if image == cls:
-                fixed += 1
-        values[lam] = fixed
+        values[lam] = sum(
+            1 for k in keys if knm.class_key(p, tuple(k[i] for i in perm)) == k
+        )
     return values
 
 

@@ -14,6 +14,7 @@ import random
 from typing import Callable, Iterable, Sequence
 
 from . import counting, knm, multigraph, reptheory
+from .errors import BudgetExceededError
 
 Check = tuple[str, bool, str]
 
@@ -87,24 +88,39 @@ def suite_random_graphs(seed: int = 0, samples: int = 100) -> list[Check]:
 
 
 def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
-    """Every shift class has size n, one break member, one parking
-    projection; class count is N^(n-1)/n."""
+    """The shift classes partition D into |Break| = N^(n-1)/n classes,
+    each of size n, closed under the shift, listed in key order, with one
+    break member and one parking projection."""
     scope, ok = _scope(m_max, n_max)
     detail = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
             p = knm.KnmParams(m, n)
             classes = knm.shift_classes(p)
-            expected = p.N ** (n - 1) // n if n > 1 else 1
-            if len(classes) != expected:
+            if len(classes) != knm.break_count(p):
                 ok = False
                 detail.append(f"class count off at ({m},{n})")
                 continue
+            keys = [cls[0] for cls in classes]
+            if keys != sorted(keys) or any(list(c) != sorted(c) for c in classes):
+                ok = False
+                detail.append(f"classes or members out of order at ({m},{n})")
+            covered = set()
             for cls in classes:
                 if len(cls) != n:
                     ok = False
                     detail.append(f"class size off at ({m},{n})")
                     break
+                members = set(cls)
+                if {knm.shift(p, a) for a in cls} != members:
+                    ok = False
+                    detail.append(f"class not closed under shift at ({m},{n})")
+                    break
+                if members & covered:
+                    ok = False
+                    detail.append(f"classes overlap at ({m},{n})")
+                    break
+                covered |= members
                 breaks = [a for a in cls if knm.is_break_mn(p, a)]
                 parks = [
                     a for a in cls if knm.is_parking_mn(p, a[: n - 1])
@@ -122,6 +138,10 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
                     ok = False
                     detail.append(f"parking representative mismatch at ({m},{n})")
                     break
+            else:
+                if len(covered) != knm.residue_count(p):
+                    ok = False
+                    detail.append(f"classes cover {len(covered)} of |D| at ({m},{n})")
     return [("shift-class-structure", ok, "; ".join(detail) or scope)]
 
 
@@ -144,7 +164,7 @@ def suite_cardinalities(m_max: int = 3, n_max: int = 5) -> list[Check]:
             if len(parks) != expected:
                 ok = False
                 detail.append(f"|Park| off at ({m},{n})")
-            if len(knm.enumerate_residue_tuples(p)) != p.N ** (n - 1):
+            if len(knm.enumerate_residue_tuples(p)) != knm.residue_count(p):
                 ok = False
                 detail.append(f"|D| off at ({m},{n})")
             if breaks != list(knm.enumerate_break_bruteforce(p)):
@@ -279,7 +299,8 @@ def run_suites(
     only: Iterable[str] | None = None, seed: int = 0, **overrides
 ) -> list[Check]:
     """Run the named suites (all by default), passing each only the
-    keyword overrides its signature accepts."""
+    keyword overrides its signature accepts.  A suite that exceeds a
+    budget or cap yields one FAIL record naming it, and the run goes on."""
     names = list(only) if only else list(SUITES)
     results: list[Check] = []
     for name in names:
@@ -290,5 +311,8 @@ def run_suites(
         kwargs = {k: v for k, v in overrides.items() if k in accepted}
         if "seed" in accepted:
             kwargs.setdefault("seed", seed)
-        results.extend(fn(**kwargs))
+        try:
+            results.extend(fn(**kwargs))
+        except BudgetExceededError as exc:
+            results.append((name, False, f"over budget: {exc}"))
     return results

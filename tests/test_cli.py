@@ -30,6 +30,21 @@ def path_file(tmp_path, n):
     return path
 
 
+@pytest.fixture
+def default_int_str_limit():
+    """The int-to-str digit limit of a fresh interpreter, where the
+    running Python has one; the previous limit is restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 class TestEnumerate:
     def test_break_23(self):
         code, out = run_cli(
@@ -168,6 +183,22 @@ class TestCount:
              "break_divisors": "budget-exceeded"}
         ]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_huge_integers_print_whole(self, fmt, default_int_str_limit):
+        code, out = run_cli(["count", "--m", "2", "--n", "3000", "--format", fmt])
+        assert code == 0
+        if fmt == "json":
+            [rec] = json.loads(out)
+            rec = {k: str(v) for k, v in rec.items()}
+        else:
+            header, row = out.splitlines()
+            sep = "," if fmt == "csv" else None
+            rec = dict(zip(header.split(sep), row.split(sep)))
+        assert rec["dt"] == str(counting.dt_invariant(2, 3000))
+        residue_tuples = knm.residue_count(knm.KnmParams(2, 3000))
+        assert rec["residue_tuples"] == str(residue_tuples)
+        assert len(rec["residue_tuples"]) > 4300  # past the default limit
+
     def test_wrong_bruteforce_count_exit_4(self, monkeypatch):
         real = knm.enumerate_break_bruteforce
         monkeypatch.setattr(
@@ -227,7 +258,7 @@ class TestCharacter:
         assert code == cli.EXIT_VERIFY
         assert json.loads(out)[0] == {"cycle_type": "(3)", "closed": 1, "bruteforce": 0}
 
-    def test_over_budget_drops_bruteforce_column(self):
+    def test_over_budget_drops_bruteforce_column(self, capsys):
         code, out = run_cli(
             ["character", "--m", "2", "--n", "4", "--budget", "10",
              "--format", "json"]
@@ -236,6 +267,13 @@ class TestCharacter:
         records = json.loads(out)
         assert len(records) == 5
         assert all("bruteforce" not in r for r in records)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("note: ")
+        assert "|Break| = 128 exceeds budget 10" in err[0]
+
+    def test_within_budget_prints_no_note(self, capsys):
+        run_cli(["character", "--m", "2", "--n", "4", "--format", "json"])
+        assert capsys.readouterr().err == ""
 
 
 class TestDt:
@@ -322,6 +360,33 @@ class TestVerify:
         for _, ok, detail in results:
             assert not ok
             assert detail.startswith("empty scope: 1 <= m <= 0")
+
+    def test_suite_over_the_series_cap_fails_and_the_run_goes_on(self):
+        code, out = run_cli(
+            ["verify", "--only", "orbit-counts", "--only", "dt-two-routes",
+             "--n", "30", "--format", "json"]
+        )
+        assert code == cli.EXIT_VERIFY
+        cap = counting.MAX_SERIES_ORDER
+        assert json.loads(out) == [
+            {"invariant": "orbit-count-three-routes", "verdict": "PASS",
+             "detail": "m <= 4, n <= 30"},
+            {"invariant": "dt-two-routes", "verdict": "FAIL",
+             "detail": f"over budget: series order 30 exceeds cap {cap}"},
+        ]
+
+    def test_suite_over_budget_fails_and_the_run_goes_on(self):
+        code, out = run_cli(
+            ["verify", "--only", "orbit-counts", "--only", "cardinalities",
+             "--n", "12", "--format", "json"]
+        )
+        assert code == cli.EXIT_VERIFY
+        assert json.loads(out) == [
+            {"invariant": "orbit-count-three-routes", "verdict": "PASS",
+             "detail": "m <= 4, n <= 12"},
+            {"invariant": "cardinalities", "verdict": "FAIL",
+             "detail": "over budget: |D| = 2097152 exceeds budget 2000000"},
+        ]
 
     def test_dt_routes_cover_the_series_cap(self):
         code, out = run_cli(["verify", "--only", "dt-two-routes", "--format", "json"])

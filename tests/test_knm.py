@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from breakpark import counting, knm
 from breakpark import multigraph as mg
@@ -44,6 +45,10 @@ class TestParams:
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 5), (4, 6)])
     def test_break_count(self, m, n):
         assert knm.break_count(params(m, n)) == m ** (n - 1) * n ** max(n - 2, 0)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 5), (4, 6)])
+    def test_residue_count(self, m, n):
+        assert knm.residue_count(params(m, n)) == (m * n) ** (n - 1)
 
 
 class TestBreakMembership:
@@ -324,6 +329,99 @@ class TestShiftClassStructure:
             assert len(breaks) == 1
             assert len(parks) == 1
         assert len(seen) == p.N ** (n - 1)
+
+
+def _shift_iterates(p, x):
+    """x and its n-1 further images under knm.shift, in that order."""
+    out = [tuple(x)]
+    for _ in range(p.n - 1):
+        out.append(knm.shift(p, out[-1]))
+    return out
+
+
+def _scanned_shift_classes(p):
+    """The classes as found by scanning all of D with a `seen` set, each
+    the sorted set of shift iterates, sorted by key."""
+    seen, classes = set(), []
+    for x in knm.enumerate_residue_tuples(p):
+        if x in seen:
+            continue
+        members, cur = set(), x
+        for _ in range(p.n):
+            members.add(cur)
+            cur = tuple((v + p.m) % p.N for v in cur)
+        cls = tuple(sorted(members))
+        seen.update(cls)
+        classes.append(cls)
+    return sorted(classes, key=lambda cls: cls[0])
+
+
+SHIFT_RANGE = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4, 5)]
+
+
+class TestClassKey:
+    @pytest.mark.parametrize("m,n", SHIFT_RANGE)
+    def test_key_is_min_of_shift_iterates(self, m, n):
+        p = params(m, n)
+        for x in knm.enumerate_residue_tuples(p):
+            assert knm.class_key(p, x) == min(_shift_iterates(p, x))
+
+    def test_example_35(self):
+        p = params(3, 5)
+        assert knm.class_key(p, (3, 13, 7, 13, 5)) == (0, 10, 4, 10, 2)
+        assert knm.shift_class(p, (9, 4, 13, 4, 11))[0] == (0, 10, 4, 10, 2)
+
+    @pytest.mark.parametrize("x", [(0, 0, 2), (6, 0, 4), (2, 2)])
+    def test_invalid_tuple_rejected(self, x):
+        for fn in (knm.class_key, knm.shift_class):
+            with pytest.raises(PreconditionError):
+                fn(params(2, 3), x)
+
+    @pytest.mark.parametrize("m,n", ORACLE_RANGE)
+    def test_shift_classes_equal_residue_scan(self, m, n):
+        p = params(m, n)
+        assert knm.shift_classes(p) == _scanned_shift_classes(p)
+
+    def test_shift_classes_read_no_residue_tuples(self, monkeypatch):
+        p = params(3, 4)
+        expected = _scanned_shift_classes(p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("shift_classes read the residue tuples")
+
+        monkeypatch.setattr(knm, "enumerate_residue_tuples", refuse)
+        assert knm.shift_classes(p) == expected
+
+    def test_shift_classes_budget_is_on_D(self):
+        # |Break| = 10125 fits, |D| = 50625 does not
+        with pytest.raises(BudgetExceededError, match=r"\|D\| = 50625"):
+            knm.shift_classes(params(3, 5), budget=20_000)
+
+    def test_residue_tuples_sorted(self):
+        for m, n in [(1, 1), (2, 3), (3, 4)]:
+            tuples = knm.enumerate_residue_tuples(params(m, n))
+            assert tuples == sorted(tuples)
+
+
+@st.composite
+def residue_tuples_past_exhaustive_range(draw):
+    m, n = draw(st.sampled_from([(5, 9), (7, 8)]))
+    p = params(m, n)
+    head = draw(st.lists(st.integers(0, p.N - 1), min_size=n - 1, max_size=n - 1))
+    return p, (*head, (p.genus - sum(head)) % p.N)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(residue_tuples_past_exhaustive_range())
+def test_shift_class_structure_on_random_tuples(case):
+    p, x = case
+    iterates = _shift_iterates(p, x)
+    cls = knm.shift_class(p, x)
+    assert knm.class_key(p, x) == cls[0] == min(iterates)
+    assert cls == tuple(sorted(set(iterates))) and len(cls) == p.n
+    assert {knm.shift(p, a) for a in cls} == set(cls)
+    assert all(knm.class_key(p, a) == cls[0] for a in cls)
+    assert sum(knm.is_break_mn(p, a) for a in cls) == 1
 
 
 class TestSortOrbitKey:

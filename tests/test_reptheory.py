@@ -226,6 +226,21 @@ class TestShiftClassModule:
             m, n
         )
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_key_test_equals_member_set_action(self, m, n):
+        # a class is fixed when the permuted member set equals the original
+        classes = [frozenset(c) for c in knm.shift_classes(knm.KnmParams(m, n))]
+        expected = {}
+        for lam in rt.partitions_of(n):
+            perm = rt.permutation_of_type(lam)
+            expected[lam] = sum(
+                1
+                for cls in classes
+                if frozenset(tuple(t[perm[i]] for i in range(n)) for t in cls) == cls
+            )
+        assert rt.character_shift_classes_bruteforce(m, n) == expected
+
 
 class TestTrivialMultiplicity:
     def test_24(self):
