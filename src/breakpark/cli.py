@@ -12,19 +12,30 @@ Each subcommand reads only these flags:
 file), not both; `enumerate --graph` lists break divisors only.  JSON is
 the canonical output format; csv and pretty tables are projections of
 the same records.  A usage error, also one a handler finds, prints the
-subcommand's own usage line.  Exit codes: 0 success, 2 usage/parse
-error, 3 budget exceeded (a `verify` suite over budget is a FAIL row
-instead), 4 a failed verdict (any FAIL or DISAGREE row, or a
-brute-force count off its closed form; the records still print), 5
-internal invariant violated (a bug; one `error:` line on stderr, no
-traceback).
+subcommand's own usage line.
+
+`enumerate` streams: its records are built one at a time and json and
+csv write each as it comes (pretty first reads them all, for its column
+widths).  The set is enumerated, and --budget checked, before the first
+byte is written.
+
+Exit codes: 0 success, 2 usage/parse error, 3 budget exceeded (a
+`verify` suite over budget is a FAIL row instead), 4 a failed verdict
+(any FAIL or DISAGREE row, or a brute-force count off its closed form;
+the records still print), 5 internal invariant violated (a bug; one
+`error:` line on stderr, no traceback; it may follow part of the
+records on stdout).  When the reader closes stdout early, as
+`breakpark enumerate ... | head` does, the command stops writing, prints
+nothing on stderr and exits with its verdict code, 0 or 4.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from . import counting, knm, multigraph, reptheory, verify
 from .errors import (
@@ -55,17 +66,34 @@ def _fmt_expansion(coeffs, basis: str) -> str:
     return " + ".join(terms)
 
 
-def emit(records: list[dict], fmt: str, stream=None):
+def emit(records: Iterable[dict], fmt: str, stream=None):
+    """Write `records`, a list or any iterable of dicts with the same
+    keys, to `stream` (stdout by default).  json and csv write each record
+    as it comes, so a generator of records is never held whole, and the
+    json bytes are those of `json.dump(list(records), stream,
+    sort_keys=True)` plus a newline.  pretty needs the column widths over
+    all records, so it alone reads them into a list first.  No records
+    print `[]` in json and nothing in csv and pretty."""
     stream = stream or sys.stdout
     if fmt == "json":
-        json.dump(records, stream, sort_keys=True)
-        stream.write("\n")
+        # encode() runs the C encoder; json.dump runs the Python one.
+        encode = json.JSONEncoder(sort_keys=True).encode
+        sep = "["
+        for r in records:
+            stream.write(sep)
+            stream.write(encode(r))
+            sep = ", "
+        stream.write("[]\n" if sep == "[" else "]\n")
     elif fmt == "csv":
-        if records:
-            writer = csv.DictWriter(stream, fieldnames=list(records[0]))
+        records = iter(records)
+        first = next(records, None)
+        if first is not None:
+            writer = csv.DictWriter(stream, fieldnames=list(first))
             writer.writeheader()
+            writer.writerow(first)
             writer.writerows(records)
     else:
+        records = list(records)
         if not records:
             return
         keys = list(records[0])
@@ -95,32 +123,35 @@ def _graph_or_knm(args, set_name: str = "break"):
         return multigraph.parse_graph_file(fh.read()), None
 
 
-def cmd_enumerate(args) -> tuple[list[dict], bool]:
+def cmd_enumerate(args) -> tuple[Iterator[dict], bool]:
+    """A generator of the records of the chosen set.  The set itself is
+    enumerated, and its budget checked, before the first record is built,
+    so an over-budget run writes nothing to stdout."""
     g, p = _graph_or_knm(args, args.set)
     if g is not None:
         divisors = multigraph.enumerate_break_divisors(g, budget=args.budget)
-        return [{"divisor": _fmt_tuple(d)} for d in divisors], True
+        return ({"divisor": _fmt_tuple(d)} for d in divisors), True
     if args.set == "break":
-        records = [
+        records = (
             {"divisor": _fmt_tuple(d), "orbit_key": _fmt_tuple(knm.sort_orbit_key(d))}
             for d in knm.enumerate_break(p, budget=args.budget)
-        ]
+        )
     elif args.set == "park":
-        records = [
+        records = (
             {"parking": _fmt_tuple(a), "orbit_key": _fmt_tuple(knm.sort_orbit_key(a))}
             for a in knm.enumerate_parking(p, budget=args.budget)
-        ]
+        )
     elif args.set == "residue":
-        records = [
+        records = (
             {
                 "tuple": _fmt_tuple(x),
                 "class_key": _fmt_tuple(knm.class_key(p, x)),
                 "orbit_key": _fmt_tuple(knm.sort_orbit_key(x)),
             }
             for x in knm.enumerate_residue_tuples(p, budget=args.budget)
-        ]
+        )
     else:  # classes
-        records = [
+        records = (
             {
                 "class_key": _fmt_tuple(cls[0]),
                 "members": ";".join(_fmt_tuple(x) for x in cls),
@@ -128,7 +159,7 @@ def cmd_enumerate(args) -> tuple[list[dict], bool]:
                 "parking_rep": _fmt_tuple(knm.parking_representative(p, cls[0])),
             }
             for cls in knm.shift_classes(p, budget=args.budget)
-        ]
+        )
     return records, True
 
 
@@ -334,11 +365,19 @@ def main(argv=None) -> int:
     try:
         records, ok = args.run(args)
         emit(records, args.format)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
     except argparse.ArgumentError as exc:  # flags that parse but do not go together
         args.parser.error(str(exc))
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # Send what is still buffered to the null device, so the flush at
+        # exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK if ok else EXIT_VERIFY
     except (GraphFormatError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

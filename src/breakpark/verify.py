@@ -14,7 +14,7 @@ import random
 from typing import Callable, Iterable, Sequence
 
 from . import counting, knm, multigraph, reptheory
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
 
 Check = tuple[str, bool, str]
 
@@ -300,7 +300,10 @@ def run_suites(
 ) -> list[Check]:
     """Run the named suites (all by default), passing each only the
     keyword overrides its signature accepts.  A suite that exceeds a
-    budget or cap yields one FAIL record naming it, and the run goes on."""
+    budget or cap, or that a library fault stops (an
+    `InternalInvariantError`, or a `PreconditionError` on the inputs the
+    suite built itself), yields one FAIL record naming it, and the run
+    goes on."""
     names = list(only) if only else list(SUITES)
     results: list[Check] = []
     for name in names:
@@ -315,4 +318,6 @@ def run_suites(
             results.extend(fn(**kwargs))
         except BudgetExceededError as exc:
             results.append((name, False, f"over budget: {exc}"))
+        except (InternalInvariantError, PreconditionError) as exc:
+            results.append((name, False, f"internal error: {exc}"))
     return results

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -6,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from breakpark import cli, counting, knm, reptheory, verify
-from breakpark.errors import InternalInvariantError
+from breakpark.errors import InternalInvariantError, PreconditionError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -139,6 +141,45 @@ class TestEnumerate:
         code, out = run_cli(["enumerate", "--graph", str(path_file(tmp_path, 25))])
         assert code == cli.EXIT_BUDGET
         assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize("source", ["break", "park", "residue", "classes", "graph"])
+    def test_over_budget_writes_nothing(self, tmp_path, capsys, source, fmt):
+        if source == "graph":  # 25 vertices, over the subset-table cap
+            args = ["--graph", str(path_file(tmp_path, 25))]
+        else:  # every set of K_5^3 has thousands of elements
+            args = ["--set", source, "--m", "3", "--n", "5", "--budget", "10"]
+        code, out = run_cli(["enumerate", *args, "--format", fmt])
+        assert code == cli.EXIT_BUDGET
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fault_mid_stream_exits_5_after_a_prefix(self, monkeypatch, capsys, fmt):
+        args = ["enumerate", "--set", "classes", "--m", "2", "--n", "3", "--format", fmt]
+        _, full = run_cli(args)
+        calls = []
+        real = knm.parking_representative
+
+        def third_call_fails(p, x):
+            calls.append(x)
+            if len(calls) == 3:
+                raise InternalInvariantError("parking representative out of range")
+            return real(p, x)
+
+        monkeypatch.setattr(knm, "parking_representative", third_call_fails)
+        capsys.readouterr()
+        code, out = run_cli(args)
+        assert code == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: internal invariant violated: ")
+        assert "Traceback" not in err
+        # The two records before the fault, and nothing of the third.
+        if fmt == "json":
+            assert out == json.dumps(json.loads(full)[:2], sort_keys=True)[:-1]
+        else:
+            assert out == "".join(full.splitlines(keepends=True)[:3])
 
 
 class TestCount:
@@ -388,6 +429,25 @@ class TestVerify:
              "detail": "over budget: |D| = 2097152 exceeds budget 2000000"},
         ]
 
+    @pytest.mark.parametrize("error", [InternalInvariantError, PreconditionError])
+    def test_library_fault_in_a_suite_fails_and_the_run_goes_on(
+        self, monkeypatch, error
+    ):
+        def broken():
+            raise error("class key out of range")
+
+        monkeypatch.setitem(verify.SUITES, "shift-classes", broken)
+        code, out = run_cli(
+            ["verify", "--only", "shift-classes", "--only", "orbit-counts",
+             "--format", "json"]
+        )
+        assert code == cli.EXIT_VERIFY
+        first, second = json.loads(out)
+        assert first == {"invariant": "shift-classes", "verdict": "FAIL",
+                         "detail": "internal error: class key out of range"}
+        assert second["invariant"] == "orbit-count-three-routes"
+        assert second["verdict"] == "PASS"
+
     def test_dt_routes_cover_the_series_cap(self):
         code, out = run_cli(["verify", "--only", "dt-two-routes", "--format", "json"])
         assert code == 0
@@ -437,6 +497,84 @@ class TestInternalError:
         assert "shift class has 2 break members" in err
 
 
+def json_reference(records):
+    return json.dumps(records, sort_keys=True) + "\n"
+
+
+def csv_reference(records):
+    out = io.StringIO()
+    if records:
+        writer = csv.DictWriter(out, fieldnames=list(records[0]))
+        writer.writeheader()
+        writer.writerows(records)
+    return out.getvalue()
+
+
+def pretty_reference(records):
+    """The pretty table as `emit` wrote it before records were streamed."""
+    out = io.StringIO()
+    if records:
+        keys = list(records[0])
+        widths = {
+            k: max(len(k), *(len(str(r.get(k, ""))) for r in records))
+            for k in keys
+        }
+        out.write("  ".join(k.ljust(widths[k]) for k in keys).rstrip() + "\n")
+        for r in records:
+            out.write(
+                "  ".join(str(r.get(k, "")).ljust(widths[k]) for k in keys).rstrip()
+                + "\n"
+            )
+    return out.getvalue()
+
+
+REFERENCES = {"json": json_reference, "csv": csv_reference, "pretty": pretty_reference}
+
+
+@st.composite
+def record_lists(draw):
+    """Up to 5 records with one key set.  Values are ints of up to 600
+    digits or strings with non-ASCII characters: the value types of every
+    command's records."""
+    keys = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4,
+                         unique=True))
+    value = st.one_of(
+        st.integers(),
+        st.integers(min_value=-(10**600), max_value=10**600),
+        st.text(max_size=12),
+        st.sampled_from(["(3,1,0)", "Δ²", "h21 + s3", ""]),
+    )
+    return draw(st.lists(st.fixed_dictionaries({k: value for k in keys}), max_size=5))
+
+
+class TestEmit:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(record_lists(), st.sampled_from(["json", "csv", "pretty"]),
+           st.sampled_from([list, lambda rs: (r for r in rs)]))
+    def test_bytes_equal_the_whole_list_encoders(self, records, fmt, container):
+        out = io.StringIO()
+        cli.emit(container(records), fmt, out)
+        assert out.getvalue() == REFERENCES[fmt](records)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_records_are_written_as_they_come(self, fmt):
+        records = [{"divisor": f"({k},0)", "rank": k, "name": "é" * k} for k in range(5)]
+        out = io.StringIO()
+
+        def stream():
+            for k, record in enumerate(records):
+                if k:  # record k-1 is on the stream before record k is built
+                    written = out.getvalue()
+                    if fmt == "json":
+                        assert written == json_reference(records[:k])[:-2]
+                    else:
+                        assert written == csv_reference(records[:k])
+                yield record
+
+        cli.emit(stream(), fmt, out)
+        assert out.getvalue() == REFERENCES[fmt](records)
+
+
 class TestDeterminism:
     def test_byte_stable(self):
         runs = [
@@ -456,17 +594,50 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
 
-def test_console_entry_point():
+def cli_env():
+    """The environment of a `python -m breakpark.cli` child: this source
+    tree first, and stdout block-buffered, as it is for users."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "breakpark.cli", "count", "--m", "1", "--n", "2",
          "--format", "json"],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["breaks"] == 1
+
+
+@pytest.mark.parametrize(
+    "args, read, expected",
+    [
+        # 50,625 csv rows, far more than a pipe holds: the reader stops early.
+        (["enumerate", "--set", "residue", "--m", "3", "--n", "5", "--format", "csv"],
+         20, cli.EXIT_OK),
+        # A failed verdict, short enough to sit in the buffer until the flush.
+        (["verify", "--only", "dt-two-routes", "--n", "30"], 0, cli.EXIT_VERIFY),
+    ],
+    ids=["enumerate", "verify-fail"],
+)
+def test_closed_stdout_pipe_is_silent(args, read, expected):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "breakpark.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    head = proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == expected
+    assert err == b""
+    assert len(head) == read
