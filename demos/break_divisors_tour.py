@@ -31,5 +31,5 @@ print("(4,0,0) is break?", is_break_divisor(g, (4, 0, 0)))
 # delta = (m(n-1)-1, ..., m-1, 0) gives the same set, much faster.
 p = KnmParams(2, 3)
 print("delta:", p.delta)
-assert enumerate_break(p) == divisors
+assert list(enumerate_break(p)) == divisors
 print("dominance route agrees with the subset-quantified definition")

@@ -14,10 +14,10 @@ the canonical output format; csv and pretty tables are projections of
 the same records.  A usage error, also one a handler finds, prints the
 subcommand's own usage line.
 
-`enumerate` streams: its records are built one at a time and json and
-csv write each as it comes (pretty first reads them all, for its column
-widths).  The set is enumerated, and --budget checked, before the first
-byte is written.
+`enumerate` streams: --budget is checked before the first byte is
+written, and then the set is generated as it is written, never held.
+Its records are built one at a time and json and csv write each as it
+comes (pretty first reads them all, for its column widths).
 
 Exit codes: 0 success, 2 usage/parse error, 3 budget exceeded (a
 `verify` suite over budget is a FAIL row instead), 4 a failed verdict
@@ -53,7 +53,7 @@ EXIT_INTERNAL = 5
 
 
 def _fmt_tuple(t) -> str:
-    return "(" + ",".join(str(x) for x in t) + ")"
+    return "(" + ",".join(map(str, t)) + ")"
 
 
 def _fmt_expansion(coeffs, basis: str) -> str:
@@ -124,9 +124,10 @@ def _graph_or_knm(args, set_name: str = "break"):
 
 
 def cmd_enumerate(args) -> tuple[Iterator[dict], bool]:
-    """A generator of the records of the chosen set.  The set itself is
-    enumerated, and its budget checked, before the first record is built,
-    so an over-budget run writes nothing to stdout."""
+    """A generator of the records of the chosen set.  The budget is
+    checked here, before the first record is built, so an over-budget run
+    writes nothing to stdout; the set is then generated as its records
+    are written, never held whole."""
     g, p = _graph_or_knm(args, args.set)
     if g is not None:
         divisors = multigraph.enumerate_break_divisors(g, budget=args.budget)
@@ -194,9 +195,14 @@ def cmd_count(args) -> tuple[list[dict], bool]:
     }
     ok = True
     if rec["residue_tuples"] <= args.budget:
-        keys = {knm.sort_orbit_key(x) for x in knm.enumerate_residue_tuples(p)}
+        keys = {
+            knm.sort_orbit_key(x)
+            for x in knm.enumerate_residue_tuples(p, budget=args.budget)
+        }
         rec["orbits_D_bruteforce"] = len(keys)
-        rec["breaks_bruteforce"] = len(knm.enumerate_break_bruteforce(p))
+        rec["breaks_bruteforce"] = len(
+            knm.enumerate_break_bruteforce(p, budget=args.budget)
+        )
         ok = len(keys) == rec["orbits_D"] and rec["breaks_bruteforce"] == rec["breaks"]
     return [rec], ok
 

@@ -8,10 +8,18 @@ coordinate mod mn and partitions the residue tuples into classes of
 size n, each holding exactly one break divisor and exactly one tuple
 projecting to a parking function.  So the classes are those of the break
 divisors, and `class_key` finds the smallest member of a class in O(n).
+The first coordinates of a class's members are the n values in [0, N-1]
+congruent to x_0 mod m, so exactly one member has x_0 < m: the class key.
 
 Break and Park are unions of symmetric-group orbits, so both are
 generated from their orbit representatives (weakly decreasing vectors);
 the candidate scans they replaced are kept as `*_bruteforce` oracles.
+
+The set enumerators `enumerate_break`, `enumerate_parking`,
+`enumerate_residue_tuples` and `shift_classes` return iterators.  Each
+checks its budget when it is called, before the first item, and then
+generates the set as it is read, so it never holds the whole set; call
+`list(...)` on it for a list.
 """
 
 from __future__ import annotations
@@ -41,7 +49,9 @@ class KnmParams:
         if self.m < 1 or self.n < 1:
             raise PreconditionError("KnmParams requires m >= 1 and n >= 1")
 
-    @property
+    # cached_property writes the instance __dict__ directly, so it works
+    # on a frozen dataclass.
+    @cached_property
     def N(self) -> int:
         return self.m * self.n
 
@@ -49,8 +59,6 @@ class KnmParams:
     def genus(self) -> int:
         return self.m * self.n * (self.n - 1) // 2 - self.n + 1
 
-    # cached_property writes the instance __dict__ directly, so it works
-    # on a frozen dataclass.
     @cached_property
     def delta(self) -> tuple[int, ...]:
         """(m(n-1)-1, m(n-2)-1, ..., m-1, 0); sums to the genus."""
@@ -75,9 +83,10 @@ def residue_count(p: KnmParams) -> int:
 
 def sort_orbit_key(x: Sequence[int]) -> tuple[int, ...]:
     """Weakly decreasing rearrangement; canonical S_n-orbit representative."""
-    if any(v < 0 for v in x):
+    key = tuple(sorted(x, reverse=True))
+    if key and key[-1] < 0:
         raise PreconditionError("entries must be nonnegative")
-    return tuple(sorted(x, reverse=True))
+    return key
 
 
 def is_break_mn(p: KnmParams, d: Sequence[int]) -> bool:
@@ -162,56 +171,68 @@ def parking_orbit_reps(p: KnmParams) -> list[tuple[int, ...]]:
     return out
 
 
+# Suffixes this short are few and shared by many prefixes: cheap to list once.
+_MEMO_LENGTH = 3
+
+
 def _distinct_permutations(
     orbit_reps: Sequence[Sequence[int]],
-) -> list[tuple[int, ...]]:
+) -> Iterator[tuple[int, ...]]:
     """Every distinct rearrangement of every representative (distinct
     multisets of one length), in lexicographic order and without a sort.
 
     A node of the recursion is the tuple of multisets still to lay out
-    after some prefix; it depends only on the prefix as a multiset, so
-    it is memoized.  Nodes at depth 0 and 1 are reached once each, so
-    they are not kept, which saves memory.  The work is linear in the
-    output.
+    after some prefix.  The nodes with longer multisets stream their
+    rearrangements; those of at most _MEMO_LENGTH entries depend only on
+    the prefix as a multiset and are reached many times, so their lists
+    are memoized.  The work is linear in the output.
     """
     memo: dict[tuple, list[tuple[int, ...]]] = {}
 
-    def lay_out(group, depth):
-        found = memo.get(group)
-        if found is not None:
-            return found
-        if not group[0]:
-            return [()]
+    def split(group):
+        """(v, the multisets of group holding v, with one v removed), by v."""
         rests: dict[int, list[tuple[int, ...]]] = {}
         for ms in group:
             for i, v in enumerate(ms):
                 if i == 0 or v != ms[i - 1]:
                     rests.setdefault(v, []).append(ms[:i] + ms[i + 1 :])
-        out = []
-        for v in sorted(rests):
-            head = (v,)
-            out.extend([head + t for t in lay_out(tuple(rests[v]), depth + 1)])
-        if depth >= 2:
-            memo[group] = out
-        return out
+        return [(v, tuple(rests[v])) for v in sorted(rests)]
 
-    return lay_out(tuple(tuple(sorted(rep)) for rep in orbit_reps), 0)
+    def suffixes(group):
+        found = memo.get(group)
+        if found is None:
+            if group[0]:
+                found = [(v,) + t for v, rest in split(group) for t in suffixes(rest)]
+            else:
+                found = [()]
+            memo[group] = found
+        return found
+
+    def lay_out(group, prefix):
+        if len(group[0]) <= _MEMO_LENGTH:
+            for t in suffixes(group):
+                yield prefix + t
+        else:
+            for v, rest in split(group):
+                yield from lay_out(rest, prefix + (v,))
+
+    return lay_out(tuple(tuple(sorted(rep)) for rep in orbit_reps), ())
 
 
 def enumerate_break(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
-) -> list[tuple[int, ...]]:
-    """All of Break_{m,n}, lexicographically sorted: the rearrangements
-    of break_orbit_reps."""
+) -> Iterator[tuple[int, ...]]:
+    """An iterator over all of Break_{m,n} in lexicographic order: the
+    rearrangements of break_orbit_reps.  The budget is checked on call."""
     _check_budget(break_count(p), budget, "Break")
     return _distinct_permutations(break_orbit_reps(p))
 
 
 def enumerate_parking(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
-) -> list[tuple[int, ...]]:
-    """All of Park_{m,n}, lexicographically sorted: the rearrangements
-    of parking_orbit_reps."""
+) -> Iterator[tuple[int, ...]]:
+    """An iterator over all of Park_{m,n} in lexicographic order: the
+    rearrangements of parking_orbit_reps.  The budget is checked on call."""
     _check_budget(break_count(p), budget, "Park")
     return _distinct_permutations(parking_orbit_reps(p))
 
@@ -284,23 +305,29 @@ def enumerate_parking_bruteforce(
 
 def enumerate_residue_tuples(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
-) -> list[tuple[int, ...]]:
-    """All of D_{m,n}: tuples in [0, N-1]^n with sum = g mod N, in
-    lexicographic order, since the last coordinate follows from the head."""
+) -> Iterator[tuple[int, ...]]:
+    """An iterator over all of D_{m,n}: tuples in [0, N-1]^n with sum = g
+    mod N, in lexicographic order, since the last coordinate follows from
+    the head.  The budget is checked on call."""
     _check_budget(residue_count(p), budget, "D")
     g, N = p.genus, p.N
-    return [
+    return (
         head + ((g - sum(head)) % N,)
         for head in itertools.product(range(N), repeat=p.n - 1)
-    ]
+    )
 
 
-def _check_residue_tuple(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
+def _check_residue_ranges(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
     x = tuple(x)
     if len(x) != p.n:
         raise PreconditionError(f"expected length {p.n}, got {len(x)}")
-    if any(not 0 <= v <= p.N - 1 for v in x):
+    if min(x) < 0 or max(x) > p.N - 1:
         raise PreconditionError("residue entries must lie in [0, N-1]")
+    return x
+
+
+def _check_residue_tuple(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
+    x = _check_residue_ranges(p, x)
     if sum(x) % p.N != p.genus % p.N:
         raise PreconditionError("residue sum must be g mod N")
     return x
@@ -321,13 +348,17 @@ def class_key(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
     return tuple((v - s) % p.N for v in x)
 
 
-def shift_class(p: KnmParams, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The n members {sh^j(x) : 0 <= j < n} in lexicographic order: the
-    class key, then its shifts, whose first coordinates key_0 + j*m
-    increase without wrapping."""
-    key = class_key(p, x)
+def _members(p: KnmParams, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The class of `key` in lexicographic order: the key, then its
+    shifts, whose first coordinates key_0 + j*m increase without wrapping."""
     m, N = p.m, p.N
     return tuple(tuple((v + j * m) % N for v in key) for j in range(p.n))
+
+
+def shift_class(p: KnmParams, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The n members {sh^j(x) : 0 <= j < n} in lexicographic order, the
+    class key first."""
+    return _members(p, class_key(p, x))
 
 
 def break_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
@@ -369,16 +400,11 @@ def parking_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
     rotation has every length-k prefix sum >= k.  Never reads x[n-1], so
     only the coordinate ranges are validated, not the residue sum.
     """
-    x = tuple(x)
-    if len(x) != p.n:
-        raise PreconditionError(f"expected length {p.n}, got {len(x)}")
-    if any(not 0 <= v <= p.N - 1 for v in x):
-        raise PreconditionError("residue entries must lie in [0, N-1]")
+    x = _check_residue_ranges(p, x)
     m, n, N = p.m, p.n, p.N
-    occupied = circular_park(x[: n - 1], N)
-    counts = [
-        sum(1 for s in occupied if m * i <= s < m * (i + 1)) for i in range(n)
-    ]
+    counts = [0] * n
+    for s in circular_park(x[: n - 1], N):
+        counts[s // m] += 1
     valid = []
     for j in range(n):
         rotated = counts[j:] + counts[:j]
@@ -406,9 +432,17 @@ def parking_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
 
 def shift_classes(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
-) -> list[tuple[tuple[int, ...], ...]]:
-    """All shift classes of D_{m,n} in shift_class form, sorted by key.
-    Each class holds exactly one break divisor, so they are the classes
-    of the break divisors."""
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """An iterator over all shift classes of D_{m,n} in shift_class form,
+    in key order; the budget, on |D|, is checked on call.
+
+    A class key is the one member with x_0 < m, so the keys in order are
+    h + ((g - sum(h)) mod N,) for h in [0, m-1] x [0, N-1]^(n-2) in
+    lexicographic order: m*N^(n-2) = |Break| of them.  For n = 1 the only
+    class is ((0,),)."""
     _check_budget(residue_count(p), budget, "D")
-    return sorted(shift_class(p, d) for d in enumerate_break(p, budget))
+    if p.n == 1:
+        return iter([((0,),)])
+    g, N = p.genus, p.N
+    heads = itertools.product(range(p.m), *[range(N)] * (p.n - 2))
+    return (_members(p, h + ((g - sum(h)) % N,)) for h in heads)

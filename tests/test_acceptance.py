@@ -29,9 +29,9 @@ def test_01_cardinalities():
         for n in range(1, 6):
             p = knm.KnmParams(m, n)
             expected = m ** (n - 1) * n ** max(n - 2, 0)
-            ok &= len(knm.enumerate_break(p)) == expected
-            ok &= len(knm.enumerate_parking(p)) == expected
-            ok &= len(knm.enumerate_residue_tuples(p)) == (m * n) ** (n - 1)
+            ok &= len(list(knm.enumerate_break(p))) == expected
+            ok &= len(list(knm.enumerate_parking(p))) == expected
+            ok &= len(list(knm.enumerate_residue_tuples(p))) == (m * n) ** (n - 1)
     report(1, "cardinalities m<=3 n<=5", ok)
 
 
@@ -42,7 +42,7 @@ def test_02_example_2_3():
         | set(itertools.permutations((2, 2, 0)))
         | set(itertools.permutations((2, 1, 1)))
     )
-    ok = knm.enumerate_break(p) == expected
+    ok = list(knm.enumerate_break(p)) == expected
 
     break_reps = sorted({knm.sort_orbit_key(b) for b in knm.enumerate_break(p)})
     h_break = rt.perm_module_h_expansion(break_reps)
@@ -139,7 +139,7 @@ def test_09_shift_class_structure():
     for m in range(1, 4):
         for n in range(1, 6):
             p = knm.KnmParams(m, n)
-            classes = knm.shift_classes(p)
+            classes = list(knm.shift_classes(p))
             ok &= len(classes) == p.N ** (n - 1) // n
             for cls in classes:
                 ok &= len(cls) == n

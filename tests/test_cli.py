@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -240,10 +241,29 @@ class TestCount:
         assert rec["residue_tuples"] == str(residue_tuples)
         assert len(rec["residue_tuples"]) > 4300  # past the default limit
 
+    def test_raised_budget_reaches_the_scans(self, monkeypatch):
+        seen = {}
+        for name in ("enumerate_residue_tuples", "enumerate_break_bruteforce"):
+            real = getattr(knm, name)
+
+            def record(p, budget=knm.DEFAULT_SET_BUDGET, name=name, real=real):
+                seen[name] = budget
+                return real(p, budget)
+
+            monkeypatch.setattr(knm, name, record)
+        code, _ = run_cli(
+            ["count", "--m", "2", "--n", "3", "--budget", "8000000", "--format", "json"]
+        )
+        assert code == 0
+        assert seen == {
+            "enumerate_residue_tuples": 8_000_000,
+            "enumerate_break_bruteforce": 8_000_000,
+        }
+
     def test_wrong_bruteforce_count_exit_4(self, monkeypatch):
         real = knm.enumerate_break_bruteforce
         monkeypatch.setattr(
-            knm, "enumerate_break_bruteforce", lambda p: real(p)[1:]
+            knm, "enumerate_break_bruteforce", lambda p, budget: real(p, budget)[1:]
         )
         code, out = run_cli(["count", "--m", "2", "--n", "3", "--format", "json"])
         assert code == cli.EXIT_VERIFY == 4
@@ -573,6 +593,29 @@ class TestEmit:
 
         cli.emit(stream(), fmt, out)
         assert out.getvalue() == REFERENCES[fmt](records)
+
+
+class TestFlatMemory:
+    """`enumerate` generates its set as it writes it: the peak of traced
+    allocations stays far below the size of the set."""
+
+    @pytest.mark.parametrize(
+        "set_name, m, n, limit_mb",
+        [("residue", 3, 5, 1.0), ("classes", 3, 5, 1.0), ("break", 4, 5, 2.5)],
+    )
+    def test_peak_allocation(self, monkeypatch, set_name, m, n, limit_mb):
+        args = ["enumerate", "--set", set_name, "--m", str(m), "--n", str(n),
+                "--format", "json"]
+        with open(os.devnull, "w") as null, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", null)
+            tracemalloc.start()
+            try:
+                code = cli.main(args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < limit_mb * 2**20
 
 
 class TestDeterminism:

@@ -113,9 +113,9 @@ class TestEnumerations:
     def test_cardinalities(self, m, n):
         p = params(m, n)
         expected = m ** (n - 1) * n ** max(n - 2, 0)
-        assert len(knm.enumerate_break(p)) == expected
-        assert len(knm.enumerate_parking(p)) == expected
-        assert len(knm.enumerate_residue_tuples(p)) == p.N ** (n - 1)
+        assert len(list(knm.enumerate_break(p))) == expected
+        assert len(list(knm.enumerate_parking(p))) == expected
+        assert len(list(knm.enumerate_residue_tuples(p))) == p.N ** (n - 1)
 
     def test_break_23_exact(self):
         expected = sorted(
@@ -123,13 +123,13 @@ class TestEnumerations:
             | set(itertools.permutations((2, 2, 0)))
             | set(itertools.permutations((2, 1, 1)))
         )
-        assert knm.enumerate_break(params(2, 3)) == expected
+        assert list(knm.enumerate_break(params(2, 3))) == expected
 
     def test_n1_degenerate(self):
         p = params(3, 1)
-        assert knm.enumerate_break(p) == [(0,)]
-        assert knm.enumerate_parking(p) == [()]
-        assert knm.enumerate_residue_tuples(p) == [(0,)]
+        assert list(knm.enumerate_break(p)) == [(0,)]
+        assert list(knm.enumerate_parking(p)) == [()]
+        assert list(knm.enumerate_residue_tuples(p)) == [(0,)]
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -159,8 +159,8 @@ class TestOrbitGeneration:
     @pytest.mark.parametrize("m,n", ORACLE_RANGE)
     def test_enumerations_equal_scans(self, m, n):
         p = params(m, n)
-        assert knm.enumerate_break(p) == list(knm.enumerate_break_bruteforce(p))
-        assert knm.enumerate_parking(p) == list(knm.enumerate_parking_bruteforce(p))
+        assert list(knm.enumerate_break(p)) == list(knm.enumerate_break_bruteforce(p))
+        assert list(knm.enumerate_parking(p)) == list(knm.enumerate_parking_bruteforce(p))
 
     def test_orbit_count_is_dt(self):
         # S_n-orbits of break divisors are counted by DT_n of the
@@ -204,6 +204,47 @@ class TestOrbitGeneration:
         ):
             with pytest.raises(BudgetExceededError):
                 enumerate_set(p, budget=100)
+
+
+def _max_m(n, cap=40, size=50_000):
+    """The largest m <= cap with break_count(m, n) <= size."""
+    return max(m for m in range(1, cap + 1) if knm.break_count(params(m, n)) <= size)
+
+
+@st.composite
+def params_within_scan_reach(draw):
+    n = draw(st.integers(1, 7))
+    return params(draw(st.integers(1, _max_m(n))), n)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(params_within_scan_reach())
+def test_streamed_enumerations_equal_scans(p):
+    assert list(knm.enumerate_break(p)) == list(knm.enumerate_break_bruteforce(p))
+    assert list(knm.enumerate_parking(p)) == list(knm.enumerate_parking_bruteforce(p))
+
+
+SET_ENUMERATORS = (
+    knm.enumerate_break,
+    knm.enumerate_parking,
+    knm.enumerate_residue_tuples,
+    knm.shift_classes,
+)
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("enumerate_set", SET_ENUMERATORS)
+    def test_budget_raises_on_call(self, enumerate_set):
+        # the call alone raises; no item is ever requested
+        with pytest.raises(BudgetExceededError):
+            enumerate_set(params(3, 6), budget=100)
+
+    @pytest.mark.parametrize("enumerate_set", SET_ENUMERATORS)
+    def test_returns_an_iterator(self, enumerate_set):
+        items = enumerate_set(params(2, 4))
+        assert iter(items) is items
+        first = next(items)
+        assert first == min([first, *items])
 
 
 class TestShift:
@@ -283,7 +324,7 @@ class TestRepresentatives:
         # permuting the first n-1 coordinates permutes the parking rep
         p = params(2, 4)
         rng = random.Random(5)
-        tuples = rng.sample(knm.enumerate_residue_tuples(p), 40)
+        tuples = rng.sample(list(knm.enumerate_residue_tuples(p)), 40)
         for x in tuples:
             for sigma in itertools.permutations(range(p.n - 1)):
                 y = tuple(x[sigma[i]] for i in range(p.n - 1)) + (x[-1],)
@@ -316,7 +357,7 @@ class TestShiftClassStructure:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_partition_into_classes(self, m, n):
         p = params(m, n)
-        classes = knm.shift_classes(p)
+        classes = list(knm.shift_classes(p))
         assert len(classes) == p.N ** (n - 1) // n
         seen = set()
         for cls in classes:
@@ -380,7 +421,7 @@ class TestClassKey:
     @pytest.mark.parametrize("m,n", ORACLE_RANGE)
     def test_shift_classes_equal_residue_scan(self, m, n):
         p = params(m, n)
-        assert knm.shift_classes(p) == _scanned_shift_classes(p)
+        assert list(knm.shift_classes(p)) == _scanned_shift_classes(p)
 
     def test_shift_classes_read_no_residue_tuples(self, monkeypatch):
         p = params(3, 4)
@@ -390,16 +431,35 @@ class TestClassKey:
             raise AssertionError("shift_classes read the residue tuples")
 
         monkeypatch.setattr(knm, "enumerate_residue_tuples", refuse)
-        assert knm.shift_classes(p) == expected
+        assert list(knm.shift_classes(p)) == expected
 
     def test_shift_classes_budget_is_on_D(self):
         # |Break| = 10125 fits, |D| = 50625 does not
         with pytest.raises(BudgetExceededError, match=r"\|D\| = 50625"):
             knm.shift_classes(params(3, 5), budget=20_000)
 
+    @pytest.mark.parametrize("m,n", SHIFT_RANGE + [(2, 6), (4, 5)])
+    def test_key_route_equals_break_route(self, m, n):
+        # the route shift_classes took before it generated the keys
+        p = params(m, n)
+        expected = sorted(knm.shift_class(p, d) for d in knm.enumerate_break(p))
+        assert list(knm.shift_classes(p)) == expected
+
+    def test_key_route_reads_no_break_divisors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("shift_classes read the break divisors")
+
+        monkeypatch.setattr(knm, "enumerate_break", refuse)
+        assert list(knm.shift_classes(params(1, 1))) == [((0,),)]
+        classes = list(knm.shift_classes(params(2, 3)))
+        assert [cls[0] for cls in classes] == [
+            (0, 0, 4), (0, 1, 3), (0, 2, 2), (0, 3, 1), (0, 4, 0), (0, 5, 5),
+            (1, 0, 3), (1, 1, 2), (1, 2, 1), (1, 3, 0), (1, 4, 5), (1, 5, 4),
+        ]
+
     def test_residue_tuples_sorted(self):
         for m, n in [(1, 1), (2, 3), (3, 4)]:
-            tuples = knm.enumerate_residue_tuples(params(m, n))
+            tuples = list(knm.enumerate_residue_tuples(params(m, n)))
             assert tuples == sorted(tuples)
 
 
