@@ -17,7 +17,14 @@ subcommand's own usage line.
 `enumerate` streams: --budget is checked before the first byte is
 written, and then the set is generated as it is written, never held.
 Its records are built one at a time and json and csv write each as it
-comes (pretty first reads them all, for its column widths).
+comes (pretty first reads them all, for its column widths).  Each tuple
+in a record is formatted by one `%` with a "(%d,...,%d)" template
+cached per length.  A `classes` record takes its representatives from
+`knm.break_representative` and `knm.parking_representative`, which
+rebuild the class from its key.
+
+--m, --n and --n-max must be at least 1 and --budget at least 0, else
+the run is a usage error.
 
 Exit codes: 0 success, 2 usage/parse error, 3 budget exceeded (a
 `verify` suite over budget is a FAIL row instead), 4 a failed verdict
@@ -52,8 +59,22 @@ EXIT_VERIFY = 4
 EXIT_INTERNAL = 5
 
 
+class _TupleFormats(dict):
+    """The `%` template "(%d,...,%d)" of each tuple length, built on
+    first use."""
+
+    def __missing__(self, length: int) -> str:
+        template = self[length] = "(" + ",".join(["%d"] * length) + ")"
+        return template
+
+
+_TUPLE_FORMATS = _TupleFormats()
+
+
 def _fmt_tuple(t) -> str:
-    return "(" + ",".join(map(str, t)) + ")"
+    """"(a,b,c)": the int entries in decimal, no spaces; one `%` format."""
+    t = tuple(t)
+    return _TUPLE_FORMATS[len(t)] % t
 
 
 def _fmt_expansion(coeffs, basis: str) -> str:
@@ -290,11 +311,22 @@ def cmd_verify(args) -> tuple[list[dict], bool]:
     return records, all(ok for _, ok, _ in results)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+def _int_at_least(text: str, low: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name this function in the message
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,11 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=int, default=knm.DEFAULT_SET_BUDGET)
+    budget.add_argument(
+        "--budget", type=_nonnegative_int, default=knm.DEFAULT_SET_BUDGET
+    )
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--graph", help="graph file instead of --m/--n")
-    source.add_argument("--m", type=int, help="edge multiplicity")
-    source.add_argument("--n", type=int, help="vertex count")
+    source.add_argument("--m", type=_positive_int, help="edge multiplicity")
+    source.add_argument("--n", type=_positive_int, help="vertex count")
 
     def add(name, run, parents, help):
         sp = sub.add_parser(name, help=help, parents=[*parents, fmt])
@@ -339,12 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
         "counts fixed points on the generated orbits, independently of the "
         "closed formula",
     )
-    sp.add_argument("--m", type=int, required=True, help="edge multiplicity")
-    sp.add_argument("--n", type=int, required=True, help="vertex count")
+    sp.add_argument("--m", type=_positive_int, required=True,
+                    help="edge multiplicity")
+    sp.add_argument("--n", type=_positive_int, required=True, help="vertex count")
 
     sp = add("dt", cmd_dt, [], "DT invariants by two routes")
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--n-max", type=_positive_int, required=True)
+    sp.add_argument("--m", type=_positive_int, required=True)
 
     sp = add("verify", cmd_verify, [], "run the invariant suites")
     sp.add_argument(

@@ -20,6 +20,12 @@ The set enumerators `enumerate_break`, `enumerate_parking`,
 checks its budget when it is called, before the first item, and then
 generates the set as it is read, so it never holds the whole set; call
 `list(...)` on it for a list.
+
+`enumerate` calls the predicates and the class helpers once or more per
+record, so they stay cheap per call: `is_break_mn` and `is_parking_mn`
+reject a wrong sum or a negative entry in O(n) before they sort, the
+range checks use min/max, `class_key` and `_members` build tuples from
+lists, and `KnmParams` caches its derived quantities, the genus too.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ class KnmParams:
     def N(self) -> int:
         return self.m * self.n
 
-    @property
+    @cached_property
     def genus(self) -> int:
         return self.m * self.n * (self.n - 1) // 2 - self.n + 1
 
@@ -95,9 +101,8 @@ def is_break_mn(p: KnmParams, d: Sequence[int]) -> bool:
     d = tuple(d)
     if len(d) != p.n:
         raise PreconditionError(f"expected length {p.n}, got {len(d)}")
-    if any(v < 0 for v in d):
-        return False
-    if sum(d) != p.genus:
+    # the two O(n) rejections come before the sort
+    if sum(d) != p.genus or min(d) < 0:
         return False
     prefix = 0
     for dv, bound in zip(sorted(d, reverse=True), p.delta_prefix):
@@ -112,7 +117,7 @@ def is_parking_mn(p: KnmParams, a: Sequence[int]) -> bool:
     a = tuple(a)
     if len(a) != p.n - 1:
         raise PreconditionError(f"expected length {p.n - 1}, got {len(a)}")
-    if any(v < 0 for v in a):
+    if a and min(a) < 0:
         return False
     for i, v in enumerate(sorted(a), start=1):
         if v > p.m * i - 1:
@@ -344,15 +349,16 @@ def class_key(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
     of the n shifts are the n values in [0, N-1] congruent to x_0 mod m,
     so the smallest member is x shifted back by s = x_0 - x_0 mod m."""
     x = _check_residue_tuple(p, x)
+    N = p.N
     s = x[0] - x[0] % p.m
-    return tuple((v - s) % p.N for v in x)
+    return tuple([(v - s) % N for v in x])
 
 
 def _members(p: KnmParams, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The class of `key` in lexicographic order: the key, then its
     shifts, whose first coordinates key_0 + j*m increase without wrapping."""
     m, N = p.m, p.N
-    return tuple(tuple((v + j * m) % N for v in key) for j in range(p.n))
+    return tuple([tuple([(v + j * m) % N for v in key]) for j in range(p.n)])
 
 
 def shift_class(p: KnmParams, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -380,7 +386,7 @@ def circular_park(prefs: Sequence[int], spots: int) -> set[int]:
     prefs = list(prefs)
     if len(prefs) >= spots:
         raise PreconditionError("need fewer cars than spots")
-    if any(not 0 <= v < spots for v in prefs):
+    if prefs and (min(prefs) < 0 or max(prefs) >= spots):
         raise PreconditionError("preferences must lie in [0, spots-1]")
     occupied: set[int] = set()
     for pref in prefs:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -181,6 +182,45 @@ class TestEnumerate:
             assert out == json.dumps(json.loads(full)[:2], sort_keys=True)[:-1]
         else:
             assert out == "".join(full.splitlines(keepends=True)[:3])
+
+
+# sha256 of `enumerate --set S --m M --n N --format F` stdout, recorded
+# before the per-record kernels (`_fmt_tuple`, the knm predicates and
+# class helpers) were rewritten for speed; they must keep every byte.
+ENUMERATE_DIGESTS = [
+    ("break", 3, 4, "json", "e31853ce573d1b282a1ebf904c4ed70da3942553c370a0ae73117a1646b6625c"),
+    ("break", 3, 4, "csv", "8777b2d80dce0f454bfb2429d775335568851f18c3764c6689c349f03ae54f66"),
+    ("break", 3, 4, "pretty", "f9bc49bc099fb3e63c1275bdcad16411e2f4ec6f1b25332f62dc1264cb4e2f2a"),
+    ("park", 3, 4, "json", "e9e5e38769b227f1de0ecb58820f7ef4b78f1610000bed21cf57ca5da09d0e0f"),
+    ("park", 3, 4, "csv", "d40a5b7005d3f635ac973642cbae3f37b6a3ac37e7c6997c8bf16807a456a3ff"),
+    ("park", 3, 4, "pretty", "c91cbc804b22b8fe0b8ed87255a1cbec2cd0fd286511806cd579f67402d3223d"),
+    ("residue", 3, 4, "json", "63d78db2865d21b5dda706df0cc4359878d4dfc8fb43ad4cf660692efc36e4c6"),
+    ("residue", 3, 4, "csv", "06f3ace45915df2933598a54257832f6726f09bf1e6b30bcf912f785e20212c5"),
+    ("residue", 3, 4, "pretty", "e1eef987a984b1963075ecc904848932a82976141450b1b4d22a984e37248f2e"),
+    ("classes", 3, 4, "json", "04ccd6879aa85f0e02146ff65c7524a3c37f6f5e4fc9d9acf8576390c73f38f8"),
+    ("classes", 3, 4, "csv", "e4b09499df6cf3d1b61144d218d74585025a80966e3105bed01a5442671f4b48"),
+    ("classes", 3, 4, "pretty", "19faa047e8a1a365ec0237ac3bf60b58a608b518f30fbca5ed89b4e884c1dd41"),
+    ("park", 1, 1, "json", "e0fb5f16c4f46e6267d5a24124a033e5d2cff5c90f56ab2d8a07c1003535527a"),
+    ("park", 1, 1, "csv", "015ca43670eefb6db642b40a5a50497031eaec2a07c71067cdc047dc26cf933d"),
+    ("park", 1, 1, "pretty", "863442eb105505d56858c2afe213d6ad26782642cae6d0f787bdecca42fd61c0"),
+    ("classes", 1, 1, "json", "aba6a19fecbf2cd67b28ddf5aafddf522c47e8f41209d73bab6d888a69aeef73"),
+    ("classes", 1, 1, "csv", "16027b0dffaf38390162553299c3333383bbdabf0b114bf95ea54652c6a9fb1e"),
+    ("classes", 1, 1, "pretty", "36e965c3c163ca64d3e7f804d510b6e63bcc3acdcc374d16301e8c62b97f3a8e"),
+    ("residue", 2, 1, "json", "9611e48d6fe49395b042a652f85abef2e501c144789514b889ac5fc1b4a01377"),
+    ("residue", 2, 1, "csv", "98d8b0e6b71cbac0dc785eb270a73991fe19940e9b7ce3fd34f9b5b77942e366"),
+    ("residue", 2, 1, "pretty", "c1c01df8e086649a3a59ab0b6337e05f05e3e67e90d09ea4539546d9524f0176"),
+]
+
+
+@pytest.mark.parametrize(
+    "set_name, m, n, fmt, digest", ENUMERATE_DIGESTS,
+    ids=[f"{s}-{m}-{n}-{f}" for s, m, n, f, _ in ENUMERATE_DIGESTS],
+)
+def test_enumerate_stdout_is_byte_stable(set_name, m, n, fmt, digest):
+    code, out = run_cli(["enumerate", "--set", set_name, "--m", str(m),
+                         "--n", str(n), "--format", fmt])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCount:
@@ -494,6 +534,46 @@ def test_removed_flags_exit_2(args):
     assert exc.value.code == 2
 
 
+BAD_NUMERIC_FLAGS = [
+    (["enumerate", "--m", "0", "--n", "3"], "--m: must be >= 1, got 0"),
+    (["count", "--m", "-1", "--n", "3"], "--m: must be >= 1, got -1"),
+    (["character", "--m", "0", "--n", "3"], "--m: must be >= 1, got 0"),
+    (["dt", "--m", "0", "--n-max", "3"], "--m: must be >= 1, got 0"),
+    (["enumerate", "--m", "2", "--n", "0"], "--n: must be >= 1, got 0"),
+    (["count", "--m", "2", "--n", "-4"], "--n: must be >= 1, got -4"),
+    (["character", "--m", "2", "--n", "0"], "--n: must be >= 1, got 0"),
+    (["dt", "--m", "2", "--n-max", "0"], "--n-max: must be >= 1, got 0"),
+    (["dt", "--m", "2", "--n-max", "-3"], "--n-max: must be >= 1, got -3"),
+    (["enumerate", "--m", "2", "--n", "3", "--budget", "-1"],
+     "--budget: must be >= 0, got -1"),
+    (["count", "--m", "2", "--n", "3", "--budget", "-1"],
+     "--budget: must be >= 0, got -1"),
+    (["character", "--m", "2", "--n", "3", "--budget", "-5"],
+     "--budget: must be >= 0, got -5"),
+    (["enumerate", "--m", "2", "--n", "x"], "--n: invalid int value: 'x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, message", BAD_NUMERIC_FLAGS,
+    ids=[" ".join(args) for args, _ in BAD_NUMERIC_FLAGS],
+)
+def test_bad_numeric_flag_is_a_usage_error(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*args, "--format", "json"])
+    assert exc.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: breakpark {args[0]} ")
+    assert err.endswith(f"breakpark {args[0]}: error: argument {message}\n")
+
+
+def test_budget_zero_is_a_budget_not_a_usage_error():
+    code, out = run_cli(["enumerate", "--m", "2", "--n", "3", "--budget", "0"])
+    assert code == cli.EXIT_BUDGET
+    assert out == ""
+
+
 def test_verify_keeps_seed():
     code, out = run_cli(
         ["verify", "--only", "random-graphs", "--seed", "7", "--format", "json"]
@@ -593,6 +673,20 @@ class TestEmit:
 
         cli.emit(stream(), fmt, out)
         assert out.getvalue() == REFERENCES[fmt](records)
+
+
+def reference_fmt_tuple(t):
+    """The tuple formatting `_fmt_tuple` had before its cached `%` template."""
+    return "(" + ",".join(map(str, t)) + ")"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(),
+                          st.integers(min_value=-(10**300), max_value=10**300)),
+                max_size=8).map(tuple))
+def test_fmt_tuple_equals_its_reference(t):
+    assert cli._fmt_tuple(t) == reference_fmt_tuple(t)
+    assert cli._fmt_tuple(list(t)) == reference_fmt_tuple(t)
 
 
 class TestFlatMemory:

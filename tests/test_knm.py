@@ -493,3 +493,136 @@ class TestSortOrbitKey:
 
     def test_longer(self):
         assert knm.sort_orbit_key((3, 13, 7, 13, 5)) == (13, 13, 7, 5, 3)
+
+
+# The per-record kernels were rewritten for speed (early O(n) rejections,
+# list-built tuples, min/max range checks).  These copies of their earlier
+# definitions are the oracles: every input, valid or not, must give the
+# same value or the same error with the same message.
+
+
+def reference_is_break_mn(p, d):
+    d = tuple(d)
+    if len(d) != p.n:
+        raise PreconditionError(f"expected length {p.n}, got {len(d)}")
+    if any(v < 0 for v in d):
+        return False
+    if sum(d) != p.m * p.n * (p.n - 1) // 2 - p.n + 1:
+        return False
+    prefix = 0
+    for dv, bound in zip(sorted(d, reverse=True), p.delta_prefix):
+        prefix += dv
+        if prefix > bound:
+            return False
+    return True
+
+
+def reference_is_parking_mn(p, a):
+    a = tuple(a)
+    if len(a) != p.n - 1:
+        raise PreconditionError(f"expected length {p.n - 1}, got {len(a)}")
+    if any(v < 0 for v in a):
+        return False
+    for i, v in enumerate(sorted(a), start=1):
+        if v > p.m * i - 1:
+            return False
+    return True
+
+
+def reference_class_key(p, x):
+    x = tuple(x)
+    if len(x) != p.n:
+        raise PreconditionError(f"expected length {p.n}, got {len(x)}")
+    if min(x) < 0 or max(x) > p.N - 1:
+        raise PreconditionError("residue entries must lie in [0, N-1]")
+    if sum(x) % p.N != p.genus % p.N:
+        raise PreconditionError("residue sum must be g mod N")
+    s = x[0] - x[0] % p.m
+    return tuple((v - s) % p.N for v in x)
+
+
+def reference_shift_class(p, x):
+    key = reference_class_key(p, x)
+    return tuple(tuple((v + j * p.m) % p.N for v in key) for j in range(p.n))
+
+
+def reference_circular_park(prefs, spots):
+    prefs = list(prefs)
+    if len(prefs) >= spots:
+        raise PreconditionError("need fewer cars than spots")
+    if any(not 0 <= v < spots for v in prefs):
+        raise PreconditionError("preferences must lie in [0, spots-1]")
+    occupied = set()
+    for pref in prefs:
+        spot = pref
+        while spot in occupied:
+            spot = (spot + 1) % spots
+        occupied.add(spot)
+    return occupied
+
+
+def outcome(fn, *args):
+    """("value", the result) or ("error", its type, its message)."""
+    try:
+        return ("value", fn(*args))
+    except PreconditionError as exc:
+        return ("error", type(exc), str(exc))
+
+
+small_params = st.builds(params, st.integers(1, 4), st.integers(1, 6))
+
+
+@st.composite
+def params_and_vector(draw, length_offset):
+    """K_n^m and an int vector of about length n + length_offset: the
+    length is sometimes off by one, entries may be negative or above the
+    ranges, and the entry sum is sometimes set to the genus."""
+    p = draw(small_params)
+    length = max(0, p.n + length_offset + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    top = max(p.delta[0], p.m * p.n)
+    v = draw(st.lists(st.integers(-3, top + 2), min_size=length, max_size=length))
+    if v and draw(st.booleans()):
+        v[-1] = p.genus - sum(v[:-1])
+    return p, tuple(v)
+
+
+class TestKernelsEqualTheirReferences:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(params_and_vector(0))
+    def test_is_break_mn(self, case):
+        p, d = case
+        assert outcome(knm.is_break_mn, p, d) == outcome(reference_is_break_mn, p, d)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(params_and_vector(-1))
+    def test_is_parking_mn(self, case):
+        p, a = case
+        assert outcome(knm.is_parking_mn, p, a) == outcome(
+            reference_is_parking_mn, p, a
+        )
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(small_params, st.data())
+    def test_class_key_and_shift_class(self, p, data):
+        length = max(1, p.n + data.draw(st.sampled_from([0, 0, 0, -1, 1])))
+        x = data.draw(st.lists(st.integers(-2, p.N + 1), min_size=length,
+                               max_size=length))
+        if data.draw(st.booleans()):  # the residue sum, mod N, of D
+            x[-1] = (p.genus - sum(x[:-1])) % p.N
+        for fn, reference in ((knm.class_key, reference_class_key),
+                              (knm.shift_class, reference_shift_class)):
+            assert outcome(fn, p, x) == outcome(reference, p, x)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 12), max_size=10), st.integers(0, 10))
+    def test_circular_park(self, prefs, spots):
+        assert outcome(knm.circular_park, prefs, spots) == outcome(
+            reference_circular_park, prefs, spots
+        )
+
+    def test_genus_is_cached_and_closed_form(self):
+        for m in range(1, 5):
+            for n in range(1, 7):
+                p = params(m, n)
+                assert p.genus == m * n * (n - 1) // 2 - n + 1
+                assert vars(p)["genus"] == p.genus
