@@ -23,6 +23,11 @@ cached per length.  A `classes` record takes its representatives from
 `knm.break_representative` and `knm.parking_representative`, which
 rebuild the class from its key.
 
+Every command pays for the imports at start-up, so the modules it loads
+keep `dataclasses`, `inspect`, `fractions` and `csv` off that path: each
+is imported only by the code that uses it (`csv` by `emit` for --format
+csv, `fractions` only where the series code divides).
+
 --m, --n and --n-max must be at least 1 and --budget at least 0, else
 the run is a usage error.
 
@@ -38,7 +43,6 @@ nothing on stderr and exits with its verdict code, 0 or 4.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -106,6 +110,8 @@ def emit(records: Iterable[dict], fmt: str, stream=None):
             sep = ", "
         stream.write("[]\n" if sep == "[" else "]\n")
     elif fmt == "csv":
+        import csv
+
         records = iter(records)
         first = next(records, None)
         if first is not None:

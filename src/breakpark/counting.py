@@ -5,13 +5,13 @@ has three equivalent expressions (a divisor sum over mu, a von Sterneck
 multiset count, and a parity-split form); DT invariants are that count
 divided by n, and independently the exponents in the signed Euler
 product of the Fuss-Catalan generating series.  Everything is exact;
-every division is asserted to land on an integer.
+every division is asserted to land on an integer.  Only the formal-log
+DT route divides in rationals, so only it imports `fractions`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
 from .knm import KnmParams
@@ -88,7 +88,7 @@ def von_sterneck(a: int, k: int, b: int) -> int:
     q, r = divmod(total, a)
     if r != 0:
         raise InternalInvariantError(
-            f"von_sterneck({a},{k},{b}) not integral: {Fraction(total, a)}"
+            f"von_sterneck({a},{k},{b}) not integral: {total}/{a}"
         )
     return q
 
@@ -207,6 +207,8 @@ def dt_via_euler_product(m: int, n_max: int) -> dict[int, int]:
 def dt_via_formal_log(m: int, n_max: int) -> dict[int, int]:
     """Second route: formal log of the substituted tree series plus
     Moebius inversion of M*L_M = sum over k | M of k*f_k."""
+    from fractions import Fraction
+
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     if n_max > MAX_SERIES_ORDER:

@@ -26,12 +26,16 @@ record, so they stay cheap per call: `is_break_mn` and `is_parking_mn`
 reject a wrong sum or a negative entry in O(n) before they sort, the
 range checks use min/max, `class_key` and `_members` build tuples from
 lists, and `KnmParams` caches its derived quantities, the genus too.
+`parking_representative` finds the cycle lemma's one valid rotation in
+a single O(n) pass over the block counts.
+
+`KnmParams` is a plain read-only value class rather than a dataclass:
+`dataclasses` pulls `inspect` and `ast` into every CLI start-up.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
@@ -44,19 +48,39 @@ from .errors import (
 DEFAULT_SET_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
 class KnmParams:
-    """Parameters of K_n^m with the derived quantities used everywhere."""
+    """Parameters of K_n^m with the derived quantities used everywhere.
 
-    m: int
-    n: int
+    A value: equal and hashed by (m, n), and read-only.  The derived
+    quantities are computed once per instance and cached.
+    """
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int):
+        if m < 1 or n < 1:
             raise PreconditionError("KnmParams requires m >= 1 and n >= 1")
+        # __setattr__ refuses every write; like cached_property, set the
+        # instance __dict__ directly
+        d = self.__dict__
+        d["m"] = m
+        d["n"] = n
 
-    # cached_property writes the instance __dict__ directly, so it works
-    # on a frozen dataclass.
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.m == other.m and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.n))
+
+    def __repr__(self):
+        return f"KnmParams(m={self.m!r}, n={self.n!r})"
+
     @cached_property
     def N(self) -> int:
         return self.m * self.n
@@ -403,31 +427,30 @@ def parking_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
 
     Parks the projected tuple on N circular spots, counts occupancy in
     the n blocks of size m, and rotates per the cycle lemma: exactly one
-    rotation has every length-k prefix sum >= k.  Never reads x[n-1], so
-    only the coordinate ranges are validated, not the residue sum.
+    rotation has every length-k prefix sum >= k.  With S_i the sum of
+    (count - 1) over the blocks before i, that rotation starts at the
+    first i in [0, n) where S_i is least, found in one O(n) pass.  Never
+    reads x[n-1], so only the coordinate ranges are validated, not the
+    residue sum.
     """
     x = _check_residue_ranges(p, x)
     m, n, N = p.m, p.n, p.N
     counts = [0] * n
     for s in circular_park(x[: n - 1], N):
         counts[s // m] += 1
-    valid = []
-    for j in range(n):
-        rotated = counts[j:] + counts[:j]
-        prefix = 0
-        ok = True
-        for k in range(n - 1):
-            prefix += rotated[k]
-            if prefix < k + 1:
-                ok = False
-                break
-        if ok:
-            valid.append(j)
-    if len(valid) != 1:
-        raise InternalInvariantError(
-            f"cycle lemma gave {len(valid)} valid rotations for {x}"
-        )
-    j = valid[0]
+    j = least = total = 0
+    for i in range(1, n):
+        total += counts[i - 1] - 1
+        if total < least:
+            j, least = i, total
+    prefix = 0
+    rotated = counts[j:] + counts[:j]
+    for k, c in enumerate(rotated[: n - 1], start=1):
+        prefix += c
+        if prefix < k:
+            raise InternalInvariantError(
+                f"cycle lemma rotation {j} of {x} fails the prefix test"
+            )
     result = tuple((v + (n - j) * m) % N for v in x[: n - 1])
     if not is_parking_mn(p, result):
         raise InternalInvariantError(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
@@ -107,18 +106,21 @@ def character_break_closed(m: int, n: int, lam: Partition) -> int:
     d = 0
     for part in lam:
         d = math.gcd(d, part)
-    base = Fraction(m) ** (ell - 1) * Fraction(n) ** (ell - 2)
     if d == 1:
-        value = base
+        factor = 1
     elif d == 2 and m % 2 == 1 and n % 4 == 2:
-        value = 2 * base
+        factor = 2
     else:
         return 0
-    if value.denominator != 1:
+    # factor * m^(ell-1) * n^(ell-2); at ell = 1 the n is a divisor
+    value, r = divmod(
+        factor * m ** (ell - 1) * n ** max(ell - 2, 0), n ** max(2 - ell, 0)
+    )
+    if r != 0:
         raise InternalInvariantError(
             f"closed character formula non-integral at m={m}, n={n}, lam={lam}"
         )
-    return value.numerator
+    return value
 
 
 def permutation_of_type(lam: Partition) -> tuple[int, ...]:
@@ -270,13 +272,13 @@ def schur_expansion(chi: ClassFunction) -> Dict[Partition, int]:
         acc = 0
         for mu in partitions_of(n):
             acc += class_size(mu) * chi[mu] * murnaghan_nakayama(lam, mu)
-        coeff = Fraction(acc, nfact)
-        if coeff.denominator != 1:
+        coeff, r = divmod(acc, nfact)
+        if r != 0:
             raise InternalInvariantError(
-                f"non-integral multiplicity of s_{lam}: {coeff}"
+                f"non-integral multiplicity of s_{lam}: {acc}/{nfact}"
             )
         if coeff != 0:
-            out[lam] = coeff.numerator
+            out[lam] = coeff
     return out
 
 
@@ -308,10 +310,10 @@ def trivial_multiplicity(chi: ClassFunction) -> int:
     """Multiplicity of the trivial character: (1/n!) sum class_size * chi."""
     n = _degree(chi)
     acc = sum(class_size(mu) * chi[mu] for mu in partitions_of(n))
-    coeff = Fraction(acc, math.factorial(n))
-    if coeff.denominator != 1:
+    coeff, r = divmod(acc, math.factorial(n))
+    if r != 0:
         raise InternalInvariantError("trivial multiplicity not integral")
-    return coeff.numerator
+    return coeff
 
 
 def dominated_partition_count(m: int, n: int) -> int:

@@ -4,20 +4,30 @@ A coefficient is an `int`, or a `Fraction` where a division requires
 one (`reciprocal`, `log`), so integer series stay in integer arithmetic
 through `+`, `-`, `*` and `pow_int` with a nonnegative exponent.  No
 float is ever built.
+
+`fractions` is imported only by the code that divides (`reciprocal`,
+`log`, and `_exact` on a non-int coefficient), so integer series, the
+Euler-product DT route among them, never load it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import InternalInvariantError, PreconditionError
 
-Coeff = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Coeff = Union[int, "Fraction"]
 
 
 def _exact(x) -> Coeff:
-    return int(x) if isinstance(x, int) else Fraction(x)
+    if isinstance(x, int):
+        return int(x)
+    from fractions import Fraction
+
+    return Fraction(x)
 
 
 class ExactSeries:
@@ -83,6 +93,8 @@ class ExactSeries:
         """1/self; requires a nonzero constant term."""
         if self.coeffs[0] == 0:
             raise PreconditionError("reciprocal needs nonzero constant term")
+        from fractions import Fraction
+
         inv = [Fraction(0)] * (self.order + 1)
         inv[0] = Fraction(1, self.coeffs[0])
         for k in range(1, self.order + 1):
@@ -111,6 +123,8 @@ class ExactSeries:
         """
         if self.coeffs[0] != 1:
             raise PreconditionError("log needs constant term 1")
+        from fractions import Fraction
+
         # L' * F = F'  =>  k*F_k = sum_{j=1..k} j*L_j*F_{k-j}
         l = [Fraction(0)] * (self.order + 1)
         for k in range(1, self.order + 1):

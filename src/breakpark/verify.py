@@ -8,7 +8,6 @@ same code.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import random
 from typing import Callable, Iterable, Sequence
@@ -306,6 +305,8 @@ def run_suites(
     `InternalInvariantError`, or a `PreconditionError` on the inputs the
     suite built itself), yields one FAIL record naming it, and the run
     goes on."""
+    import inspect
+
     names = list(only) if only else list(SUITES)
     results: list[Check] = []
     for name in names:

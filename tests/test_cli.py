@@ -742,6 +742,40 @@ def cli_env():
     return env
 
 
+# Stdlib modules CLI start-up must not load: each adds milliseconds to
+# every command.
+HEAVY_STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "numbers", "csv")
+
+# Run in a fresh interpreter; whatever `site` loaded before the snapshot
+# does not count.
+IMPORT_GUARD = """
+import io, json, sys
+before = set(sys.modules)
+from breakpark import cli
+imported = sorted(set(sys.modules) - before)
+out, sys.stdout = sys.stdout, io.StringIO()
+code = cli.main(["dt", "--m", "3", "--n-max", "24", "--format", "json"])
+sys.stdout = out
+ran = sorted(set(sys.modules) - before)
+print(json.dumps({"code": code, "imported": imported, "ran": ran}))
+"""
+
+
+def test_startup_imports_no_heavy_stdlib():
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == cli.EXIT_OK
+    assert "breakpark.counting" in report["imported"]
+    assert [m for m in HEAVY_STDLIB if m in report["imported"]] == []
+    assert "fractions" not in report["ran"]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "breakpark.cli", "count", "--m", "1", "--n", "2",

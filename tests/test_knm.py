@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from breakpark import counting, knm
 from breakpark import multigraph as mg
-from breakpark.errors import BudgetExceededError, PreconditionError
+from breakpark.errors import (
+    BudgetExceededError,
+    InternalInvariantError,
+    PreconditionError,
+)
 
 
 def params(m, n):
@@ -41,6 +45,43 @@ class TestParams:
         p, q = params(2, 4), params(2, 4)
         p.delta_prefix
         assert p == q and hash(p) == hash(q)
+
+    def test_value_semantics(self):
+        p = params(2, 3)
+        assert p == params(2, 3) == knm.KnmParams(m=2, n=3)
+        assert p != params(3, 2) and p != params(2, 4)
+        assert p != (2, 3)
+        assert hash(p) == hash(params(2, 3))
+        assert len({p, params(2, 3), params(3, 2)}) == 2
+        assert repr(p) == "KnmParams(m=2, n=3)"
+
+    @pytest.mark.parametrize("name", ["m", "n", "genus", "other"])
+    def test_read_only(self, name):
+        p = params(2, 3)
+        p.genus
+        with pytest.raises(AttributeError):
+            setattr(p, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+        assert (p.m, p.n, p.genus) == (2, 3, 4)
+
+    @pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (-1, 2), (0, 0)])
+    def test_rejects_m_or_n_below_one(self, m, n):
+        with pytest.raises(PreconditionError):
+            knm.KnmParams(m, n)
+
+    def test_derived_values_equal_closed_forms(self):
+        for m in range(1, 5):
+            for n in range(1, 8):
+                p = params(m, n)
+                assert p.N == m * n
+                assert p.genus == m * n * (n - 1) // 2 - n + 1
+                assert p.delta == tuple(
+                    m * (n - 1 - i) - 1 for i in range(n - 1)
+                ) + (0,)
+                assert p.delta_prefix == tuple(
+                    sum(p.delta[: i + 1]) for i in range(n)
+                )
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 5), (4, 6)])
     def test_break_count(self, m, n):
@@ -332,6 +373,41 @@ class TestRepresentatives:
                 assert knm.parking_representative(p, y) == tuple(
                     rep[sigma[i]] for i in range(p.n - 1)
                 )
+
+
+def reference_parking_representative(p, x):
+    """The all-rotations scan: park, count the blocks, and test every
+    rotation of the counts for prefix sums >= their length; exactly one
+    passes (the cycle lemma)."""
+    m, n, N = p.m, p.n, p.N
+    counts = [0] * n
+    for s in reference_circular_park(x[: n - 1], N):
+        counts[s // m] += 1
+    valid = [
+        j
+        for j in range(n)
+        if all(sum((counts[j:] + counts[:j])[:k]) >= k for k in range(1, n))
+    ]
+    assert len(valid) == 1, (p, x, counts, valid)
+    j = valid[0]
+    return tuple((v + (n - j) * m) % N for v in x[: n - 1])
+
+
+class TestParkingRepresentativeEqualsRotationScan:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_residue_tuple(self, m, n):
+        p = params(m, n)
+        for x in knm.enumerate_residue_tuples(p):
+            assert knm.parking_representative(
+                p, x
+            ) == reference_parking_representative(p, x), x
+
+    def test_failed_prefix_test_is_internal_error(self, monkeypatch):
+        # No car parked: every rotation fails, the chosen one included.
+        monkeypatch.setattr(knm, "circular_park", lambda prefs, spots: set())
+        with pytest.raises(InternalInvariantError, match="fails the prefix test"):
+            knm.parking_representative(params(2, 3), (2, 2, 0))
 
 
 class TestCircularPark:

@@ -1,9 +1,28 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from breakpark import counting, knm, reptheory as rt
-from breakpark.errors import PreconditionError
+from breakpark.errors import InternalInvariantError, PreconditionError
+
+
+def reference_character_break_closed(m, n, lam):
+    """The closed break character in rationals: m^(ell-1) n^(ell-2),
+    doubled when d = 2, m is odd and n = 2 mod 4, else 0 unless d = 1."""
+    ell = len(lam)
+    d = 0
+    for part in lam:
+        d = math.gcd(d, part)
+    base = Fraction(m) ** (ell - 1) * Fraction(n) ** (ell - 2)
+    if d == 1:
+        value = base
+    elif d == 2 and m % 2 == 1 and n % 4 == 2:
+        value = 2 * base
+    else:
+        value = Fraction(0)
+    assert value.denominator == 1
+    return value.numerator
 
 
 class TestPartitions:
@@ -154,6 +173,29 @@ class TestPermutationModule:
     def test_wrong_length_rejected(self):
         with pytest.raises(PreconditionError):
             rt.permutation_module([(1, 0)], 3)
+
+
+class TestCharacterBreakClosedInIntegers:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_equals_rational_reference(self, m):
+        for n in range(1, 10):
+            for lam in rt.partitions_of(n):
+                assert rt.character_break_closed(
+                    m, n, lam
+                ) == reference_character_break_closed(m, n, lam), (m, n, lam)
+
+
+class TestNonIntegralClassFunction:
+    # (1/2!) (1 * 1 + 1 * 0): no integral multiplicity of s_2 or s_11
+    HALF = {(1, 1): 1, (2,): 0}
+
+    def test_schur_expansion_raises(self):
+        with pytest.raises(InternalInvariantError, match=r"s_\(2,\): 1/2"):
+            rt.schur_expansion(self.HALF)
+
+    def test_trivial_multiplicity_raises(self):
+        with pytest.raises(InternalInvariantError, match="not integral"):
+            rt.trivial_multiplicity(self.HALF)
 
 
 class TestEmptyClassFunction:
