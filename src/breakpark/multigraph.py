@@ -4,16 +4,26 @@ A multigraph is stored as a symmetric matrix of edge multiplicities with
 zero diagonal.  Divisors are plain integer tuples indexed by vertex.
 
 The subset-quantified predicates (orientable, break, and the break
-enumeration) read |E(G[S])| for every bitmask S from a table built once
-per graph in O(2^n) and cached on the instance.  A predicate call is
-then O(2^n) list work that stops at the first failing vertex level, so
-these predicates and the G-parking subset oracle cap the vertex count
-at 24 and raise BudgetExceededError above it.  On K_n (Python 3.11, a
-2-core Xeon VM) the table build takes 0.09 s and a break test on it
-0.08 s at n = 20, with 48 MB peak RSS; at n = 22 they take 0.33 s and
-0.29 s, with 108 MB.  Genus and the spanning-tree count need no subset
-work and have no cap; G-parking uses Dhar's burning algorithm, in
-O(n^2), with no subset scan and no cap.
+enumeration) compare sums over every vertex set S, as a bitmask, with
+|E(G[S])|.  They work on packed integers: one Python int holds a lane
+of B bytes per mask S, lane S at bits [8B*S, 8B*(S+1)), with
+B = ceil((bit_length(|E| + 1) + 1) / 8).  Every lane value they form is
+at most |E| + 1, so the top bit of each lane stays clear as a guard
+bit.  The |E(G[S])| table and the lanes-of-one masks are built once per
+graph by doubling over vertices, in O(2^n) int work, and cached on the
+instance.  A test packs the subset sums of d_v + 1 by the same doubling
+and compares all 2^n lanes at once with one borrow-guarded subtraction
+(`_lanes_at_least`).  The list table `subset_edges` and the list pass
+remain as the `*_subset_bruteforce` oracles.  These predicates and the
+G-parking subset oracle cap the vertex count at 24 and raise
+BudgetExceededError above it.  On K_n (Python 3.11, a 2-core VM, a
+fresh process per run, three runs) the first break test, which builds
+the table, takes 0.03 s and a second one 0.013 s at n = 20, with 31 MB
+peak RSS; at n = 22 they take 0.13-0.16 s and 0.05 s, with 82 MB.  The
+list version took 0.17 s, 0.09 s and 45 MB at n = 20, and 0.55-0.76 s,
+0.32-0.40 s and 141 MB at n = 22.  Genus and the spanning-tree count
+need no subset work and have no cap; G-parking uses Dhar's burning
+algorithm, in O(n^2), with no subset scan and no cap.
 """
 
 from __future__ import annotations
@@ -104,7 +114,8 @@ class Multigraph:
 
         Built by doubling over vertices: the masks whose top bit is k
         add the edges from k into the lower mask.  O(2^n) list work;
-        callers check SUBSET_VERTEX_CAP first.
+        callers check SUBSET_VERTEX_CAP first.  The predicates read the
+        packed table instead; this list serves the oracles.
         """
         table = [0]
         for k in range(self.n):
@@ -114,6 +125,45 @@ class Multigraph:
                 w = row[j]
                 into += [x + w for x in into]
             table += map(operator.add, table, into)
+        return table
+
+    # Packed subset tables: lane S of a packed int is bits
+    # [S * lane_bits, (S + 1) * lane_bits).  Every lane value the
+    # predicates form is at most |E| + 1, below the lane's top (guard)
+    # bit.  Callers check SUBSET_VERTEX_CAP first.
+
+    @functools.cached_property
+    def _lane_bits(self) -> int:
+        return 8 * (((self.edge_count() + 1).bit_length() + 8) // 8)
+
+    @functools.cached_property
+    def _lane_ones(self) -> list[int]:
+        """ones[k] holds 1 in each of the lanes 0 .. 2^k - 1."""
+        w = self._lane_bits
+        ones = [1]
+        for k in range(self.n - 1):
+            ones.append(ones[-1] | ones[-1] << (w << k))
+        return ones
+
+    @functools.cached_property
+    def _lane_guard(self) -> int:
+        """The top bit of each of the 2^n lanes."""
+        w, top = self._lane_bits, self.n - 1
+        ones = self._lane_ones[top]
+        return (ones | ones << (w << top)) << (w - 1)
+
+    @functools.cached_property
+    def _packed_subset_edges(self) -> int:
+        """`subset_edges` packed one lane per mask, built by the same
+        doubling with int operations only."""
+        w, ones = self._lane_bits, self._lane_ones
+        table = 0
+        for k in range(self.n):
+            row = self.mult[k]
+            into = 0  # edges from k into each mask of vertices < k
+            for j in range(k):
+                into |= (into + row[j] * ones[j]) << (w << j)
+            table |= (table + into) << (w << k)
         return table
 
     def edge_count(self) -> int:
@@ -189,6 +239,19 @@ def parse_graph_file(text: str) -> Multigraph:
     return Multigraph(mult)
 
 
+def format_graph_file(graph: Multigraph) -> str:
+    """The graph in the textual format `parse_graph_file` reads: the
+    vertex count, then one "i j mult" line per adjacent pair, i < j."""
+    n = graph.n
+    lines = [str(n)] + [
+        f"{i + 1} {j + 1} {graph.mult[i][j]}"
+        for i in range(n)
+        for j in range(i + 1, n)
+        if graph.mult[i][j]
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _require_connected(graph: Multigraph):
     if not graph.is_connected():
         raise PreconditionError("graph must be connected")
@@ -232,9 +295,32 @@ def euler_char_subset(graph: Multigraph, subset: Iterable[int]) -> int:
     return mask.bit_count() - _internal_edges(graph, mask)
 
 
+def _packed_subset_sums(graph: Multigraph, d: tuple[int, ...]) -> int:
+    """The sum of d_v + 1 over S in lane S, for every mask S.
+
+    Built by doubling: at vertex k the lanes [2^k, 2^(k+1)) are the
+    lower lanes plus d_k + 1.  Callers make every d_v + 1 nonnegative
+    and the total at most |E| + 1, so no lane reaches its guard bit.
+    """
+    w, ones = graph._lane_bits, graph._lane_ones
+    sums = 0
+    for k, x in enumerate(d):
+        sums |= (sums + (x + 1) * ones[k]) << (w << k)
+    return sums
+
+
+def _lanes_at_least(sums: int, bound: int, guard: int) -> bool:
+    """Whether each lane of sums is at least the same lane of bound.
+
+    With the guard bits set, each lane's borrow stays inside it and
+    clears its guard bit exactly where sums is the smaller.
+    """
+    return ((sums | guard) - bound) & guard == guard
+
+
 def _subset_sums_pass(graph: Multigraph, d: tuple[int, ...], fails) -> bool:
     """Whether fails(sum of d_v + 1 over S, |E(G[S])|) is false for every
-    nonempty vertex set S.
+    nonempty vertex set S, by list work on `subset_edges`.
 
     The subset sums are built level by level: at vertex k the masks with
     top bit k extend the lower masks by d_k + 1.  Only those new masks
@@ -256,8 +342,23 @@ def is_orientable(graph: Multigraph, divisor: Sequence[int]) -> bool:
 
     Checked via the degree condition deg(D) = |E| - |V| together with
     deg(D|_S) + chi(S) >= 0, i.e. sum over S of (d_v + 1) >= |E(G[S])|,
-    for every nonempty subset S.
+    for every nonempty subset S, on the packed tables.
     """
+    _require_connected(graph)
+    _require_subset_cap(graph)
+    d = _as_divisor(graph, divisor)
+    if sum(d) != graph.edge_count() - graph.n:
+        return False
+    if min(d) < -1:  # no in-degree is negative; lanes are unsigned
+        return False
+    return _lanes_at_least(
+        _packed_subset_sums(graph, d), graph._packed_subset_edges, graph._lane_guard
+    )
+
+
+def orientable_subset_bruteforce(graph: Multigraph, divisor: Sequence[int]) -> bool:
+    """Oracle: the subset inequalities of `is_orientable` by the list
+    pass over `subset_edges`."""
     _require_connected(graph)
     _require_subset_cap(graph)
     d = _as_divisor(graph, divisor)
@@ -285,7 +386,23 @@ def orientable_bruteforce(graph: Multigraph, divisor: Sequence[int]) -> bool:
 def is_break_divisor(graph: Multigraph, divisor: Sequence[int]) -> bool:
     """Effective, degree = genus, and deg(D|_S) >= |E(G[S])| - |S| + 1,
     i.e. sum over S of (d_v + 1) > |E(G[S])|, for every nonempty
-    subset S."""
+    subset S, on the packed tables."""
+    _require_connected(graph)
+    _require_subset_cap(graph)
+    d = _as_divisor(graph, divisor)
+    if min(d) < 0:
+        return False
+    if sum(d) != graph.edge_count() - graph.n + 1:
+        return False
+    guard = graph._lane_guard
+    # strict: at least |E(G[S])| + 1 on every lane but the empty set's
+    bound = graph._packed_subset_edges + (guard >> (graph._lane_bits - 1)) - 1
+    return _lanes_at_least(_packed_subset_sums(graph, d), bound, guard)
+
+
+def break_subset_bruteforce(graph: Multigraph, divisor: Sequence[int]) -> bool:
+    """Oracle: the subset inequalities of `is_break_divisor` by the list
+    pass over `subset_edges`."""
     _require_connected(graph)
     _require_subset_cap(graph)
     d = _as_divisor(graph, divisor)
@@ -377,8 +494,8 @@ def enumerate_break_divisors(
 
     Raises BudgetExceededError if n exceeds SUBSET_VERTEX_CAP or the
     number of compositions of the genus into n parts exceeds the budget.
-    A depth-first search over vertices 0..n-1 then extends the subset
-    sums of d_v + 1 one vertex at a time, as in
+    A depth-first search over vertices 0..n-1 then carries the packed
+    subset sums of d_v + 1 one vertex at a time, as in
     `is_break_divisor`: at vertex k the masks with top bit k fix the
     least admissible d_k, so a failing prefix is never extended and
     shared prefixes are summed once.
@@ -391,30 +508,39 @@ def enumerate_break_divisors(
         raise BudgetExceededError(
             f"{candidates} candidate compositions exceed budget {budget}"
         )
-    table = graph.subset_edges
+    w, ones = graph._lane_bits, graph._lane_ones
+    table = graph._packed_subset_edges
+    guards = [x << (w - 1) for x in ones]
+    # |E(G[S])| for the masks S with top bit k, in lane S - 2^k
+    levels = [(table >> (w << k)) & ((1 << (w << k)) - 1) for k in range(n)]
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
-    def extend(k: int, sums: list[int], remaining: int):
+    def extend(k: int, sums: int, remaining: int):
         # sum over S of (d_v + 1) > |E(G[S])| for each mask S with top
-        # bit k holds iff d_k >= |E(G[S])| - sums[S without k]
-        least = max(0, max(map(operator.sub, table[1 << k : 2 << k], sums)))
+        # bit k holds iff sums[S without k] + d_k >= |E(G[S])|: lane by
+        # lane, margin + d_k * ones keeps its guard bit
+        guard, one = guards[k], ones[k]
+        margin = (sums | guard) - levels[k]
         if k == n - 1:
-            if least <= remaining:
+            if (margin + remaining * one) & guard == guard:
                 out.append((*prefix, remaining))
             return
+        least = 0
+        while least <= remaining and (margin + least * one) & guard != guard:
+            least += 1
+        shift = w << k
         for x in range(least, remaining + 1):
             prefix.append(x)
-            step = x + 1
-            extend(k + 1, sums + [s + step for s in sums], remaining - x)
+            extend(k + 1, sums | (sums + (x + 1) * one) << shift, remaining - x)
             prefix.pop()
 
-    extend(0, [0], g)
+    extend(0, 0, g)
     return out
 
 
 def _as_divisor(graph: Multigraph, divisor: Sequence[int]) -> tuple[int, ...]:
-    d = tuple(int(x) for x in divisor)
+    d = tuple(map(int, divisor))
     if len(d) != graph.n:
         raise PreconditionError(
             f"divisor length {len(d)} != vertex count {graph.n}"

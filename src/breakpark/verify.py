@@ -53,35 +53,165 @@ def random_connected_multigraph(
     return multigraph.Multigraph(mult)
 
 
-def check_break_oracle_on_graph(g: multigraph.Multigraph) -> bool:
-    """is_break_divisor agrees with the orientability route on every
-    effective divisor of degree genus."""
+def _counterexample(g: multigraph.Multigraph, case: str, values) -> str:
+    """A failing case named by the graph in file format, the input and
+    the (function name, value) pairs that disagree on it."""
+    found = ", ".join(f"{name} {value}" for name, value in values)
+    return f"graph {multigraph.format_graph_file(g)!r}, {case}: {found}"
+
+
+def _first_disagreement(g, divisors, fast, slow) -> str | None:
+    """The first divisor on which fast(g, d) != slow(g, d), named with
+    both values, or None."""
+    for d in divisors:
+        a, b = fast(g, d), slow(g, d)
+        if a != b:
+            return _counterexample(
+                g, f"divisor {tuple(d)}", [(fast.__name__, a), (slow.__name__, b)]
+            )
+    return None
+
+
+def break_oracle_counterexample(g: multigraph.Multigraph) -> str | None:
+    """The first effective divisor of degree genus on which
+    is_break_divisor and the orientability route disagree, or None."""
     gen = multigraph.genus(g)
-    for d in knm.compositions(gen, g.n, gen):
-        if multigraph.is_break_divisor(g, d) != multigraph.break_via_orientability(g, d):
-            return False
-    return True
+    return _first_disagreement(
+        g, knm.compositions(gen, g.n, gen),
+        multigraph.is_break_divisor, multigraph.break_via_orientability,
+    )
 
 
-def check_break_count_on_graph(g: multigraph.Multigraph) -> bool:
-    return len(multigraph.enumerate_break_divisors(g)) == multigraph.spanning_tree_count(g)
+def break_count_counterexample(g: multigraph.Multigraph) -> str | None:
+    """The break count and the spanning-tree count of g if they differ."""
+    breaks = len(multigraph.enumerate_break_divisors(g))
+    trees = multigraph.spanning_tree_count(g)
+    if breaks == trees:
+        return None
+    return _counterexample(
+        g, "counts",
+        [("enumerate_break_divisors", breaks), ("spanning_tree_count", trees)],
+    )
+
+
+def _detail(scope: str, counterexample: str | None) -> str:
+    if counterexample is None:
+        return scope
+    return f"{scope}; first counterexample: {counterexample}"
 
 
 def suite_random_graphs(seed: int = 0, samples: int = 100) -> list[Check]:
     rng = random.Random(seed)
     graphs = [random_connected_multigraph(rng) for _ in range(samples)]
-    oracle_ok = all(check_break_oracle_on_graph(g) for g in graphs)
-    count_ok = all(check_break_count_on_graph(g) for g in graphs)
+    scope = f"{samples} graphs, seed {seed}"
+    oracle_cx = next(filter(None, map(break_oracle_counterexample, graphs)), None)
+    count_cx = next(filter(None, map(break_count_counterexample, graphs)), None)
     return [
         (
             "break-equals-orientability-on-random-graphs",
-            oracle_ok,
-            f"{samples} graphs, seed {seed}",
+            oracle_cx is None,
+            _detail(scope, oracle_cx),
         ),
         (
             "break-count-equals-spanning-trees",
-            count_ok,
-            f"{samples} graphs, seed {seed}",
+            count_cx is None,
+            _detail(scope, count_cx),
+        ),
+    ]
+
+
+def _bfs_tree(g: multigraph.Multigraph) -> set[tuple[int, int]]:
+    """The vertex pairs (i, j), i < j, of a breadth-first spanning tree."""
+    seen, tree = [0], set()
+    for v in seen:
+        for w in range(g.n):
+            if g.mult[v][w] and w not in seen:
+                seen.append(w)
+                tree.add((min(v, w), max(v, w)))
+    return tree
+
+
+def _chips_on_endpoints(
+    rng: random.Random, g: multigraph.Multigraph, start: int, tree=frozenset()
+) -> list[int]:
+    """start on every vertex, plus one chip on a random endpoint of each
+    edge, leaving out one edge of each pair in tree.  With start -1 and
+    no tree this is indeg - 1 of an orientation, so orientable; with
+    start 0 and a spanning tree it is a break divisor (An, Baker,
+    Kuperberg and Shokrieh)."""
+    d = [start] * g.n
+    for i, j in itertools.combinations(range(g.n), 2):
+        copies = g.mult[i][j] - ((i, j) in tree)
+        # all on one endpoint leaves tight vertex sets for _move_chip
+        heads = rng.choice((0, copies, rng.randint(0, copies)))
+        d[i] += copies - heads
+        d[j] += heads
+    return d
+
+
+def _heavy_multigraph(
+    rng: random.Random, max_vertices: int, max_mult: int
+) -> multigraph.Multigraph:
+    """A random connected multigraph whose multiplicities reach max_mult."""
+    g = random_connected_multigraph(rng, max_vertices, max_extra_edges=2 * max_vertices)
+    mult = [[0] * g.n for _ in range(g.n)]
+    for i, j in itertools.combinations(range(g.n), 2):
+        if g.mult[i][j]:
+            mult[i][j] = mult[j][i] = rng.randint(1, max_mult)
+    return multigraph.Multigraph(mult)
+
+
+def _random_divisor(rng: random.Random, n: int, degree: int) -> list[int]:
+    """Entries from -2 up, of the given degree."""
+    d = [rng.randint(-2, 2) for _ in range(n)]
+    d[rng.randrange(n)] += degree - sum(d)
+    return d
+
+
+def _move_chip(rng: random.Random, d: list[int]) -> list[int]:
+    """d with one chip moved between two random vertices: next to a
+    divisor that holds, this often meets some inequality with equality."""
+    d = list(d)
+    d[rng.randrange(len(d))] -= 1
+    d[rng.randrange(len(d))] += 1
+    return d
+
+
+def suite_subset_kernel(seed: int = 0, samples: int = 50) -> list[Check]:
+    """The packed subset predicates against independent oracles on seeded
+    random multigraphs: is_orientable against the scan of all
+    orientations, on graphs with at most 12 edges, and is_break_divisor
+    against the list pass over `subset_edges`, on graphs with up to 9
+    vertices and multiplicities up to 300.  Each graph gets a divisor
+    that holds by construction, the same with one chip moved, and a
+    random one that mostly fails."""
+    rng = random.Random(seed)
+    orient_cx = break_cx = None
+    for _ in range(samples):
+        # a spanning tree of at most 6 edges plus at most 6 more
+        g = random_connected_multigraph(rng, max_vertices=7, max_extra_edges=6)
+        d = _chips_on_endpoints(rng, g, -1)
+        divisors = [d, _move_chip(rng, d), _random_divisor(rng, g.n, g.edge_count() - g.n)]
+        orient_cx = orient_cx or _first_disagreement(
+            g, divisors, multigraph.is_orientable, multigraph.orientable_bruteforce
+        )
+        g = _heavy_multigraph(rng, max_vertices=9, max_mult=300)
+        d = _chips_on_endpoints(rng, g, 0, _bfs_tree(g))
+        divisors = [d, _move_chip(rng, d), _move_chip(rng, d),
+                    _random_divisor(rng, g.n, multigraph.genus(g))]
+        break_cx = break_cx or _first_disagreement(
+            g, divisors, multigraph.is_break_divisor, multigraph.break_subset_bruteforce
+        )
+    return [
+        (
+            "packed-orientable-vs-orientation-scan",
+            orient_cx is None,
+            _detail(f"{samples} graphs with at most 12 edges, seed {seed}", orient_cx),
+        ),
+        (
+            "packed-break-vs-subset-list",
+            break_cx is None,
+            _detail(f"{samples} graphs, seed {seed}", break_cx),
         ),
     ]
 
@@ -183,22 +313,32 @@ def suite_cardinalities(m_max: int = 3, n_max: int = 5) -> list[Check]:
 def suite_knm_vs_multigraph(m_max: int = 2, n_max: int = 4) -> list[Check]:
     """The sorted-dominance and subset-quantified break tests agree on
     K_n^m, and likewise for the two parking predicates."""
-    scope, break_ok = _scope(m_max, n_max, 2)
-    park_ok = break_ok
+    scope, ok = _scope(m_max, n_max, 2)
+    break_cx = park_cx = None
     for m in range(1, m_max + 1):
         for n in range(2, n_max + 1):
             p = knm.KnmParams(m, n)
             g = multigraph.complete_multigraph(m, n)
             for d in knm.compositions(p.genus, n, p.genus):
-                if knm.is_break_mn(p, d) != multigraph.is_break_divisor(g, d):
-                    break_ok = False
+                a, b = knm.is_break_mn(p, d), multigraph.is_break_divisor(g, d)
+                if a != b and break_cx is None:
+                    break_cx = _counterexample(
+                        g, f"divisor {d}",
+                        [("is_break_mn", a), ("is_break_divisor", b)],
+                    )
             bound = m * (n - 1)
             for a in itertools.product(range(bound + 1), repeat=n - 1):
-                if knm.is_parking_mn(p, a) != multigraph.is_g_parking(g, n - 1, a):
-                    park_ok = False
+                x, y = knm.is_parking_mn(p, a), multigraph.is_g_parking(g, n - 1, a)
+                if x != y and park_cx is None:
+                    park_cx = _counterexample(
+                        g, f"q {n - 1} (0-based), values {a}",
+                        [("is_parking_mn", x), ("is_g_parking", y)],
+                    )
     return [
-        ("break-dominance-vs-subset-test", break_ok, scope),
-        ("parking-vector-vs-subset-test", park_ok, scope),
+        ("break-dominance-vs-subset-test", ok and break_cx is None,
+         _detail(scope, break_cx)),
+        ("parking-vector-vs-subset-test", ok and park_cx is None,
+         _detail(scope, park_cx)),
     ]
 
 
@@ -289,11 +429,19 @@ SUITES: dict[str, Callable[..., list[Check]]] = {
     "shift-classes": suite_shift_classes,
     "cardinalities": suite_cardinalities,
     "knm-vs-multigraph": suite_knm_vs_multigraph,
+    "subset-kernel": suite_subset_kernel,
     "orbit-counts": suite_orbit_counts,
     "dt-two-routes": suite_dt_two_routes,
     "characters": suite_characters,
     "module-isomorphisms": suite_module_isomorphisms,
 }
+
+
+def _unwrap(fn):
+    """The function a chain of `functools.wraps` wrappers ends at."""
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
+    return fn
 
 
 def run_suites(
@@ -305,15 +453,14 @@ def run_suites(
     `InternalInvariantError`, or a `PreconditionError` on the inputs the
     suite built itself), yields one FAIL record naming it, and the run
     goes on."""
-    import inspect
-
     names = list(only) if only else list(SUITES)
     results: list[Check] = []
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
         fn = SUITES[name]
-        accepted = set(inspect.signature(fn).parameters)
+        code = _unwrap(fn).__code__
+        accepted = set(code.co_varnames[: code.co_argcount + code.co_kwonlyargcount])
         kwargs = {k: v for k, v in overrides.items() if k in accepted}
         if "seed" in accepted:
             kwargs.setdefault("seed", seed)

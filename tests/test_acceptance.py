@@ -12,8 +12,8 @@ import pytest
 
 from breakpark import counting, knm, multigraph as mg, reptheory as rt
 from breakpark.verify import (
-    check_break_count_on_graph,
-    check_break_oracle_on_graph,
+    break_count_counterexample,
+    break_oracle_counterexample,
     random_connected_multigraph,
 )
 
@@ -129,8 +129,8 @@ def test_08_random_graph_suite():
     ok = True
     for _ in range(100):
         g = random_connected_multigraph(rng, max_vertices=6, max_mult=3)
-        ok &= check_break_oracle_on_graph(g)
-        ok &= check_break_count_on_graph(g)
+        ok &= break_oracle_counterexample(g) is None
+        ok &= break_count_counterexample(g) is None
     report(8, "100 random multigraphs: oracles and tree counts", ok)
 
 

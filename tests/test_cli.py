@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from breakpark import cli, counting, knm, reptheory, verify
+from breakpark import cli, counting, knm, multigraph, reptheory, verify
 from breakpark.errors import InternalInvariantError, PreconditionError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -219,6 +220,47 @@ ENUMERATE_DIGESTS = [
 def test_enumerate_stdout_is_byte_stable(set_name, m, n, fmt, digest):
     code, out = run_cli(["enumerate", "--set", set_name, "--m", str(m),
                          "--n", str(n), "--format", fmt])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# A fixed connected simple graph on 7 vertices with genus 6: a 7-cycle
+# plus five chords.
+GRAPH7 = (
+    "7\n1 2 1\n1 3 1\n1 7 1\n2 3 1\n2 5 1\n3 4 1\n3 6 1\n"
+    "4 5 1\n4 7 1\n5 6 1\n5 7 1\n6 7 1\n"
+)
+
+# sha256 of the stdout of the graph commands (the verify suites on graphs,
+# and `count` / `enumerate --graph` on GRAPH7), recorded before the
+# subset predicates moved to packed integers; they must keep every byte.
+GRAPH_DIGESTS = [
+    (("verify", "--only", "random-graphs", "--only", "knm-vs-multigraph",
+      "--seed", "0", "--format", "json"),
+     "d244f30ab07a42c45e154780ef11f79be0d855fecfcc4e9a8ee8cb4302562c87"),
+    (("count", "--graph", "GRAPH7", "--format", "json"),
+     "d8970f304b2fecb8aa6f3ab20d7bc265d827bbe760c91f6b38122dc62fa095ec"),
+    (("count", "--graph", "GRAPH7", "--format", "csv"),
+     "6b94a3ecca1cc7e880c2e0df1a13322a160ff7e955f7ad1b6f2354d262452e0f"),
+    (("count", "--graph", "GRAPH7", "--format", "pretty"),
+     "14b2454775f856687eaef3d3f5ec7877233e626eec043f0a50afd90503c6eea8"),
+    (("enumerate", "--graph", "GRAPH7", "--format", "json"),
+     "22625f54db1d800aef7755b73cbbe9cbe344f3e40895fcbadbb589f83f8916e4"),
+    (("enumerate", "--graph", "GRAPH7", "--format", "csv"),
+     "b89b11d9fe88d5c3a298edccfe464cd70b88c461ef962a04630ed13c92da592b"),
+    (("enumerate", "--graph", "GRAPH7", "--format", "pretty"),
+     "1ac98f4c28765c2731d7a98dde49850b757181b88d2278866b57b4f8261e20fd"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", GRAPH_DIGESTS,
+    ids=[f"{a[0]}-{a[-1]}" for a, _ in GRAPH_DIGESTS],
+)
+def test_graph_stdout_is_byte_stable(tmp_path, args, digest):
+    path = tmp_path / "graph7.txt"
+    path.write_text(GRAPH7)
+    code, out = run_cli([str(path) if a == "GRAPH7" else a for a in args])
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -508,6 +550,107 @@ class TestVerify:
         assert second["invariant"] == "orbit-count-three-routes"
         assert second["verdict"] == "PASS"
 
+    def test_random_graphs_fail_names_the_first_counterexample(self, monkeypatch):
+        real = multigraph.is_break_divisor
+
+        def is_break_divisor(g, d):
+            return not real(g, d)
+
+        monkeypatch.setattr(multigraph, "is_break_divisor", is_break_divisor)
+        g = verify.random_connected_multigraph(random.Random(0))
+        gen = multigraph.genus(g)
+        d = next(knm.compositions(gen, g.n, gen))
+        code, out = run_cli(["verify", "--only", "random-graphs", "--format", "json"])
+        assert code == cli.EXIT_VERIFY
+        oracle, count = json.loads(out)
+        assert oracle == {
+            "invariant": "break-equals-orientability-on-random-graphs",
+            "verdict": "FAIL",
+            "detail": "100 graphs, seed 0; first counterexample: graph "
+            f"{multigraph.format_graph_file(g)!r}, divisor {d}: "
+            f"is_break_divisor {not real(g, d)}, break_via_orientability {real(g, d)}",
+        }
+        assert count["verdict"] == "PASS"
+        assert count["detail"] == "100 graphs, seed 0"
+
+    def test_break_count_fail_names_the_graph_and_both_counts(self, monkeypatch):
+        real = multigraph.spanning_tree_count
+        monkeypatch.setattr(multigraph, "spanning_tree_count", lambda g: real(g) + 1)
+        g = verify.random_connected_multigraph(random.Random(3))
+        trees = real(g)
+        [_, count] = verify.suite_random_graphs(seed=3)
+        assert count == (
+            "break-count-equals-spanning-trees", False,
+            "100 graphs, seed 3; first counterexample: graph "
+            f"{multigraph.format_graph_file(g)!r}, counts: "
+            f"enumerate_break_divisors {trees}, spanning_tree_count {trees + 1}",
+        )
+
+    def test_knm_vs_multigraph_fail_names_the_first_counterexample(self, monkeypatch):
+        real = multigraph.is_g_parking
+
+        def is_g_parking(g, q, values):
+            return real(g, q, values) != (values == (1, 0))
+
+        monkeypatch.setattr(multigraph, "is_g_parking", is_g_parking)
+        code, out = run_cli(
+            ["verify", "--only", "knm-vs-multigraph", "--format", "json"]
+        )
+        assert code == cli.EXIT_VERIFY
+        assert json.loads(out) == [
+            {"invariant": "break-dominance-vs-subset-test", "verdict": "PASS",
+             "detail": "m <= 2, n <= 4"},
+            {"invariant": "parking-vector-vs-subset-test", "verdict": "FAIL",
+             "detail": "m <= 2, n <= 4; first counterexample: graph "
+             "'3\\n1 2 1\\n1 3 1\\n2 3 1\\n', q 2 (0-based), values (1, 0): "
+             "is_parking_mn True, is_g_parking False"},
+        ]
+
+    def test_knm_break_fail_names_the_first_counterexample(self, monkeypatch):
+        real = multigraph.is_break_divisor
+
+        def is_break_divisor(g, d):
+            return real(g, d) != (d == (0, 0))
+
+        monkeypatch.setattr(multigraph, "is_break_divisor", is_break_divisor)
+        [broken, parking] = verify.suite_knm_vs_multigraph()
+        assert broken == (
+            "break-dominance-vs-subset-test", False,
+            "m <= 2, n <= 4; first counterexample: graph '2\\n1 2 1\\n', "
+            "divisor (0, 0): is_break_mn True, is_break_divisor False",
+        )
+        assert parking == ("parking-vector-vs-subset-test", True, "m <= 2, n <= 4")
+
+    def test_subset_kernel_suite(self):
+        code, out = run_cli(["verify", "--only", "subset-kernel", "--format", "json"])
+        assert code == cli.EXIT_OK
+        assert json.loads(out) == [
+            {"invariant": "packed-orientable-vs-orientation-scan", "verdict": "PASS",
+             "detail": "50 graphs with at most 12 edges, seed 0"},
+            {"invariant": "packed-break-vs-subset-list", "verdict": "PASS",
+             "detail": "50 graphs, seed 0"},
+        ]
+
+    @pytest.mark.parametrize(
+        "name, check",
+        [("is_orientable", "packed-orientable-vs-orientation-scan"),
+         ("is_break_divisor", "packed-break-vs-subset-list")],
+    )
+    def test_subset_kernel_suite_fails_on_a_broken_predicate(
+        self, monkeypatch, name, check
+    ):
+        real = getattr(multigraph, name)
+
+        def flipped(g, d):
+            return not real(g, d)
+
+        flipped.__name__ = name
+        monkeypatch.setattr(multigraph, name, flipped)
+        failed = [r for r in verify.suite_subset_kernel() if not r[1]]
+        assert [r[0] for r in failed] == [check]
+        assert "; first counterexample: graph '" in failed[0][2]
+        assert f": {name} " in failed[0][2]
+
     def test_dt_routes_cover_the_series_cap(self):
         code, out = run_cli(["verify", "--only", "dt-two-routes", "--format", "json"])
         assert code == 0
@@ -754,16 +897,18 @@ before = set(sys.modules)
 from breakpark import cli
 imported = sorted(set(sys.modules) - before)
 out, sys.stdout = sys.stdout, io.StringIO()
-code = cli.main(["dt", "--m", "3", "--n-max", "24", "--format", "json"])
+code = cli.main(json.loads(sys.argv[1]))
 sys.stdout = out
 ran = sorted(set(sys.modules) - before)
 print(json.dumps({"code": code, "imported": imported, "ran": ran}))
 """
 
 
-def test_startup_imports_no_heavy_stdlib():
+def import_report(args):
+    """The modules a fresh interpreter loads for `from breakpark import
+    cli`, and after `cli.main(args)`."""
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD],
+        [sys.executable, "-c", IMPORT_GUARD, json.dumps(args)],
         capture_output=True,
         text=True,
         env=cli_env(),
@@ -771,9 +916,22 @@ def test_startup_imports_no_heavy_stdlib():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["code"] == cli.EXIT_OK
+    return report
+
+
+def test_startup_imports_no_heavy_stdlib():
+    report = import_report(["dt", "--m", "3", "--n-max", "24", "--format", "json"])
     assert "breakpark.counting" in report["imported"]
     assert [m for m in HEAVY_STDLIB if m in report["imported"]] == []
     assert "fractions" not in report["ran"]
+
+
+def test_graph_verify_suites_import_no_heavy_stdlib():
+    report = import_report(
+        ["verify", "--only", "random-graphs", "--only", "knm-vs-multigraph",
+         "--format", "json"]
+    )
+    assert [m for m in HEAVY_STDLIB if m in report["ran"]] == []
 
 
 def test_console_entry_point():

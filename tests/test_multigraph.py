@@ -388,3 +388,147 @@ def test_table_and_break_test_against_oracles(case):
     g, d = case
     assert g.subset_edges == [mg._internal_edges(g, s) for s in range(1 << g.n)]
     assert mg.is_break_divisor(g, d) == mg.break_via_orientability(g, d)
+
+
+def lanes(g, packed):
+    """The 2^n lanes of a packed subset table of g, lowest mask first."""
+    w = g._lane_bits
+    return [(packed >> (w * s)) & ((1 << w) - 1) for s in range(1 << g.n)]
+
+
+PACKED_CACHE = ("_lane_bits", "_lane_ones", "_lane_guard", "_packed_subset_edges")
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("edges, lane_bits", [(126, 8), (127, 16), (254, 16)])
+    def test_guard_bit_boundary(self, edges, lane_bits):
+        # |E| + 1 = 127 is the largest lane value one byte holds below
+        # its guard bit; at 128 and 255 the lane takes two bytes
+        g = mg.Multigraph(
+            [[0, edges // 2, edges - edges // 2 - 1], [edges // 2, 0, 1],
+             [edges - edges // 2 - 1, 1, 0]]
+        )
+        assert g.edge_count() == edges
+        assert g._lane_bits == lane_bits
+        assert lanes(g, g._packed_subset_edges) == g.subset_edges
+        gen = mg.genus(g)
+        for d in knm.compositions(gen, 3, gen):
+            assert mg.is_break_divisor(g, d) == mg.break_subset_bruteforce(g, d)
+            e = (d[0] - 1, *d[1:])
+            assert mg.is_orientable(g, e) == mg.orientable_subset_bruteforce(g, e)
+
+    def test_multiplicity_one_million(self):
+        big = 10**6
+        g = mg.Multigraph([[0, big, 1], [big, 0, big], [1, big, 0]])
+        assert g._lane_bits == 24
+        assert lanes(g, g._packed_subset_edges) == g.subset_edges
+        gen = mg.genus(g)
+        for d in [(gen, 0, 0), (0, gen, 0), (big, 0, gen - big), (big - 1, 1, gen - big),
+                  (gen // 3, gen // 3, gen - 2 * (gen // 3)), (gen + 1, -1, 0)]:
+            assert mg.is_break_divisor(g, d) == mg.break_subset_bruteforce(g, d)
+            e = (d[0] - 1, *d[1:])
+            assert mg.is_orientable(g, e) == mg.orientable_subset_bruteforce(g, e)
+        assert mg.is_break_divisor(g, (big, 0, gen - big))
+        assert not mg.is_break_divisor(g, (gen, 0, 0))
+
+    def test_one_vertex(self):
+        g = mg.Multigraph([[0]])
+        assert lanes(g, g._packed_subset_edges) == [0, 0]
+        assert mg.is_break_divisor(g, (0,))
+        assert not mg.is_break_divisor(g, (1,))
+        assert mg.is_orientable(g, (-1,))
+        assert not mg.is_orientable(g, (0,))
+        assert mg.enumerate_break_divisors(g) == [(0,)]
+
+    def test_minus_one_and_minus_two(self):
+        g = triangle()
+        assert mg.is_orientable(g, (1, -1, 0))
+        assert not mg.is_orientable(g, (2, -2, 0))
+        assert not mg.orientable_subset_bruteforce(g, (2, -2, 0))
+        assert not mg.is_break_divisor(g, (2, -1, 0))
+        star = mg.Multigraph([[0, 2, 2], [2, 0, 0], [2, 0, 0]])
+        # the centre takes all four edges, each leaf none
+        assert mg.is_orientable(star, (3, -1, -1))
+        assert not mg.is_orientable(star, (4, -2, -1))
+        # every divisor of the right degree with entries down to -3: an
+        # entry below -1 must not reach the unsigned lanes
+        for g in (path_graph(3), star, k32()):
+            target = g.edge_count() - g.n
+            for head in itertools.product(range(-3, 5), repeat=g.n - 1):
+                d = (*head, target - sum(head))
+                assert mg.is_orientable(g, d) == mg.orientable_subset_bruteforce(g, d)
+
+    @pytest.mark.parametrize(
+        "call",
+        [mg.is_orientable, mg.is_break_divisor, mg.orientable_subset_bruteforce,
+         mg.break_subset_bruteforce],
+    )
+    def test_wrong_length(self, call):
+        with pytest.raises(PreconditionError, match=r"divisor length 2 != vertex count 3"):
+            call(triangle(), (0, 0))
+
+    def test_over_the_cap_leaves_no_packed_table(self):
+        path = path_graph(25)
+        for call in (mg.is_orientable, mg.is_break_divisor):
+            with pytest.raises(BudgetExceededError, match="at most 24 vertices"):
+                call(path, (0,) * 25)
+        with pytest.raises(BudgetExceededError, match="at most 24 vertices"):
+            mg.enumerate_break_divisors(path)
+        assert not set(PACKED_CACHE + ("subset_edges",)) & set(vars(path))
+
+    def test_predicates_build_no_list_table(self):
+        g = mg.complete_multigraph(2, 5)
+        gen = mg.genus(g)
+        mg.is_break_divisor(g, (gen, 0, 0, 0, 0))
+        mg.is_orientable(g, (gen - 1, 0, 0, 0, 0))
+        mg.break_via_orientability(g, (gen, 0, 0, 0, 0))
+        mg.enumerate_break_divisors(g)
+        assert "subset_edges" not in vars(g)
+        assert set(PACKED_CACHE) <= set(vars(g))
+
+
+@st.composite
+def packed_cases(draw):
+    """A connected multigraph on up to 9 vertices with multiplicities up
+    to 300, and a divisor: random entries from -3 to genus + 2, indeg - 1
+    of an orientation, or one chip on an endpoint of each edge outside a
+    spanning tree (a break divisor); the last two sometimes with one chip
+    moved, which can leave some S with equality or a vertex at -2, or
+    with one chip more or less."""
+    n = draw(st.integers(1, 9))
+    mult = [[0] * n for _ in range(n)]
+    tree = set()
+    for v in range(1, n):
+        w = draw(st.integers(0, v - 1))
+        mult[v][w] = mult[w][v] = draw(st.integers(1, 300))
+        tree.add((w, v))
+    pairs = list(itertools.combinations(range(n), 2))
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else ():
+        mult[i][j] = mult[j][i] = draw(st.integers(1, 300))
+    g = mg.Multigraph(mult)
+    gen = mg.genus(g)
+    kind = draw(st.sampled_from(["random", "orientation", "tree"]))
+    if kind == "random":
+        return g, draw(st.lists(st.integers(-3, gen + 2), min_size=n, max_size=n))
+    d = [-1 if kind == "orientation" else 0] * n
+    for i, j in pairs:
+        copies = mult[i][j] - (kind == "tree" and (i, j) in tree)
+        heads = draw(st.integers(0, copies))
+        d[j] += heads
+        d[i] += copies - heads
+    # sometimes one chip moves from a to b, or one goes or comes
+    take, give = draw(st.sampled_from([(0, 0), (1, 1), (1, 1), (1, 0), (0, 1)]))
+    d[draw(st.integers(0, n - 1))] -= take
+    d[draw(st.integers(0, n - 1))] += give
+    return g, d
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(packed_cases())
+def test_packed_kernel_against_list_oracles(case):
+    g, d = case
+    packed = g._packed_subset_edges
+    assert lanes(g, packed) == g.subset_edges
+    assert packed >> (g._lane_bits << g.n) == 0
+    assert mg.is_orientable(g, d) == mg.orientable_subset_bruteforce(g, d)
+    assert mg.is_break_divisor(g, d) == mg.break_subset_bruteforce(g, d)
