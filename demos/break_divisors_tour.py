@@ -19,7 +19,7 @@ print("spanning trees of K_3^2:", spanning_tree_count(g))
 # Break divisors are effective divisors of degree = genus whose
 # restriction to every induced subgraph H has degree at least g(H).
 # There are exactly as many as spanning trees.
-divisors = enumerate_break_divisors(g)
+divisors = list(enumerate_break_divisors(g))
 print(f"{len(divisors)} break divisors:")
 for d in divisors:
     print("  ", d)

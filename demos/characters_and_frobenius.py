@@ -1,10 +1,10 @@
 """Symmetric-group structure of the break-divisor module.
 
 Computes the character of the permutation action on break divisors by
-closed formula and by brute-force fixed-point counting, expands the
-Frobenius characteristic in the h- and s-bases from the generated orbit
-representatives, and checks that restriction to the smaller symmetric
-group gives the parking-function module.
+closed formula and by brute-force fixed-point counting, then reads the
+Frobenius characteristics of Break and Park in the h- and s-bases, and
+the check that restriction to the smaller symmetric group gives the
+parking-function module, from one `knm_modules` call.
 
 Run:  python3 demos/characters_and_frobenius.py
 """
@@ -12,44 +12,39 @@ Run:  python3 demos/characters_and_frobenius.py
 from breakpark import (
     KnmParams,
     break_orbit_reps,
-    character_break,
     character_break_bruteforce,
     character_parking,
     enumerate_break,
     enumerate_parking,
+    knm_modules,
     parking_orbit_reps,
-    perm_module_h_expansion,
     restrict_character,
     sort_orbit_key,
 )
-from breakpark.reptheory import h_to_s
 
 m, n = 2, 3
 p = KnmParams(m, n)
 
-chi = character_break(m, n)
+# Both modules, built from one representative per orbit, with the closed
+# character and the restriction verdict; no full set is enumerated.
+modules = knm_modules(p)
 print("character of the break module (closed vs brute force):")
-for lam, value in chi.items():
+for lam, value in modules.closed.items():
     brute = character_break_bruteforce(m, n, lam)
     print(f"  cycle type {lam}: {value} / {brute}")
 
-# One representative per S_n-orbit, generated directly: the weakly
-# decreasing vectors dominated by delta.  They are the orbit keys of the
-# full set.
+# The orbit representatives are the weakly decreasing vectors dominated
+# by delta: the orbit keys of the full set.
 orbit_reps = break_orbit_reps(p)
 print("break orbit representatives:", orbit_reps)
 assert orbit_reps == sorted({sort_orbit_key(d) for d in enumerate_break(p)})
-h = perm_module_h_expansion(orbit_reps)
-print("Frob(Break) in h:", h)
-print("Frob(Break) in s:", h_to_s(h, n))
+print("Frob(Break) in h:", modules.breaks.h)
+print("Frob(Break) in s:", modules.breaks.s)
 
-park_reps = parking_orbit_reps(p)
-assert park_reps == sorted({sort_orbit_key(a) for a in enumerate_parking(p)})
-hp = perm_module_h_expansion(park_reps)
-print("Frob(Park) in h:", hp)
-print("Frob(Park) in s:", h_to_s(hp, n - 1))
+assert parking_orbit_reps(p) == sorted({sort_orbit_key(a) for a in enumerate_parking(p)})
+print("Frob(Park) in h:", modules.parks.h)
+print("Frob(Park) in s:", modules.parks.s)
 
-print(
-    "restriction equals parking module:",
-    restrict_character(chi) == character_parking(m, n),
-)
+print("restriction equals parking module (Res = Park):", modules.restricts)
+# the same verdict against the per-tuple scan of the parking functions
+assert restrict_character(modules.closed) == character_parking(m, n)

@@ -61,6 +61,7 @@ from .reptheory import (
     character_break_closed,
     character_parking,
     class_size,
+    knm_modules,
     murnaghan_nakayama,
     partitions_of,
     perm_module_h_expansion,

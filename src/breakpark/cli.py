@@ -203,8 +203,8 @@ def cmd_count(args) -> tuple[list[dict], bool]:
             "spanning_trees": multigraph.spanning_tree_count(g),
         }
         try:
-            rec["break_divisors"] = len(
-                multigraph.enumerate_break_divisors(g, budget=args.budget)
+            rec["break_divisors"] = sum(
+                1 for _ in multigraph.enumerate_break_divisors(g, budget=args.budget)
             )
         except BudgetExceededError:
             rec["break_divisors"] = "budget-exceeded"
@@ -235,45 +235,27 @@ def cmd_count(args) -> tuple[list[dict], bool]:
 
 
 def cmd_character(args) -> tuple[list[dict], bool]:
-    """Closed character values against fixed-point counts on the orbits
-    of generated representatives (the `bruteforce` column), then the
-    Frobenius data of Break and Park.  No full set is enumerated.  The
-    verdict is whether every row agrees and `Res = Park` passes."""
-    m, n = args.m, args.n
-    p = knm.KnmParams(m, n)
-    budget_ok = knm.break_count(p) <= args.budget
-    if budget_ok:
-        breaks = reptheory.permutation_module(knm.break_orbit_reps(p), n)
-    else:
-        print(f"note: |Break| = {knm.break_count(p)} exceeds budget {args.budget}; "
-              "bruteforce, Frob(Break), Frob(Park) and Res = Park left out",
-              file=sys.stderr)
-    records = []
-    ok = True
-    for lam in reptheory.partitions_of(n):
-        rec = {
-            "cycle_type": _fmt_tuple(lam),
-            "closed": reptheory.character_break_closed(m, n, lam),
-        }
-        if budget_ok:
-            rec["bruteforce"] = breaks.character[lam]
-            ok = ok and rec["closed"] == rec["bruteforce"]
-        records.append(rec)
-    if budget_ok:
-        records.append(_frobenius_record("Frob(Break)", breaks))
-        if n >= 2:
-            parks = reptheory.permutation_module(knm.parking_orbit_reps(p), n - 1)
-            records.append(_frobenius_record("Frob(Park)", parks))
-            chi = reptheory.character_break(m, n)
-            verdict = reptheory.restrict_character(chi) == parks.character
-            ok = ok and verdict
-            records.append(
-                {
-                    "cycle_type": "Res = Park",
-                    "closed": "PASS" if verdict else "FAIL",
-                }
-            )
-    return records, ok
+    """The rows of `reptheory.knm_modules`: the closed character against
+    fixed points on the generated orbits (the `bruteforce` column), then
+    Frob(Break), Frob(Park) and `Res = Park`, which the verdict reads
+    with every row.  Over budget, only the closed column prints."""
+    try:
+        modules = reptheory.knm_modules(knm.KnmParams(args.m, args.n), args.budget)
+    except BudgetExceededError as exc:
+        print(f"note: {exc}; bruteforce, Frob(Break), Frob(Park) and "
+              "Res = Park left out", file=sys.stderr)
+        closed = reptheory.character_break(args.m, args.n)
+        return [{"cycle_type": _fmt_tuple(lam), "closed": v}
+                for lam, v in closed.items()], True
+    chi = modules.breaks.character
+    records = [{"cycle_type": _fmt_tuple(lam), "closed": v, "bruteforce": chi[lam]}
+               for lam, v in modules.closed.items()]
+    records.append(_frobenius_record("Frob(Break)", modules.breaks))
+    if modules.parks is not None:
+        records += [_frobenius_record("Frob(Park)", modules.parks),
+                    {"cycle_type": "Res = Park",
+                     "closed": "PASS" if modules.restricts else "FAIL"}]
+    return records, modules.closed == chi and modules.restricts
 
 
 def _frobenius_record(name: str, module: reptheory.PermutationModule) -> dict:

@@ -169,6 +169,21 @@ def tree_series(m: int, order: int) -> ExactSeries:
     return ExactSeries([fuss_catalan(m, k) for k in range(order + 1)], order)
 
 
+def _substituted_tree_series(m: int, n_max: int) -> ExactSeries:
+    """The tree series with u = (-1)^m t substituted, truncated at n_max:
+    the start of both DT routes, which check their order here."""
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
+    if n_max > MAX_SERIES_ORDER:
+        raise BudgetExceededError(
+            f"series order {n_max} exceeds cap {MAX_SERIES_ORDER}"
+        )
+    sign_t = -1 if m % 2 else 1
+    return ExactSeries(
+        [fuss_catalan(m, k) * sign_t**k for k in range(n_max + 1)], n_max
+    )
+
+
 def dt_via_euler_product(m: int, n_max: int) -> dict[int, int]:
     """DT invariants extracted from the signed Euler product of the tree
     series, by sequential factor extraction.
@@ -179,16 +194,7 @@ def dt_via_euler_product(m: int, n_max: int) -> dict[int, int]:
     The step multiplies by the one binomial factor (1 - u^k)^(f_k), so
     every coefficient stays an integer.
     """
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
-    if n_max > MAX_SERIES_ORDER:
-        raise BudgetExceededError(
-            f"series order {n_max} exceeds cap {MAX_SERIES_ORDER}"
-        )
-    sign_t = -1 if m % 2 else 1
-    remaining = ExactSeries(
-        [fuss_catalan(m, k) * sign_t**k for k in range(n_max + 1)], n_max
-    )
+    remaining = _substituted_tree_series(m, n_max)
     table: dict[int, int] = {}
     for k in range(1, n_max + 1):
         f_k = remaining[k]
@@ -209,17 +215,7 @@ def dt_via_formal_log(m: int, n_max: int) -> dict[int, int]:
     Moebius inversion of M*L_M = sum over k | M of k*f_k."""
     from fractions import Fraction
 
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
-    if n_max > MAX_SERIES_ORDER:
-        raise BudgetExceededError(
-            f"series order {n_max} exceeds cap {MAX_SERIES_ORDER}"
-        )
-    sign_t = -1 if m % 2 else 1
-    g = ExactSeries(
-        [fuss_catalan(m, k) * sign_t**k for k in range(n_max + 1)], n_max
-    )
-    logs = g.log()
+    logs = _substituted_tree_series(m, n_max).log()
     table: dict[int, int] = {}
     for k in range(1, n_max + 1):
         acc = Fraction(0)

@@ -489,14 +489,16 @@ def g_parking_bruteforce(graph: Multigraph, q: int, values: Sequence[int]) -> bo
 
 def enumerate_break_divisors(
     graph: Multigraph, budget: int = DEFAULT_ENUM_BUDGET
-) -> list[tuple[int, ...]]:
-    """All break divisors, sorted lexicographically.
+) -> Iterator[tuple[int, ...]]:
+    """An iterator over all break divisors in lexicographic order.
 
-    Raises BudgetExceededError if n exceeds SUBSET_VERTEX_CAP or the
-    number of compositions of the genus into n parts exceeds the budget.
-    A depth-first search over vertices 0..n-1 then carries the packed
-    subset sums of d_v + 1 one vertex at a time, as in
-    `is_break_divisor`: at vertex k the masks with top bit k fix the
+    On call, before the first item, the graph must be connected, and
+    BudgetExceededError is raised if n exceeds SUBSET_VERTEX_CAP or the
+    number of compositions of the genus into n parts exceeds the budget;
+    the packed subset table is built then too.  A depth-first search
+    over vertices 0..n-1 then carries the packed subset sums of d_v + 1
+    one vertex at a time, as in `is_break_divisor`, and yields each
+    divisor as it is read: at vertex k the masks with top bit k fix the
     least admissible d_k, so a failing prefix is never extended and
     shared prefixes are summed once.
     """
@@ -513,7 +515,6 @@ def enumerate_break_divisors(
     guards = [x << (w - 1) for x in ones]
     # |E(G[S])| for the masks S with top bit k, in lane S - 2^k
     levels = [(table >> (w << k)) & ((1 << (w << k)) - 1) for k in range(n)]
-    out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def extend(k: int, sums: int, remaining: int):
@@ -524,7 +525,7 @@ def enumerate_break_divisors(
         margin = (sums | guard) - levels[k]
         if k == n - 1:
             if (margin + remaining * one) & guard == guard:
-                out.append((*prefix, remaining))
+                yield (*prefix, remaining)
             return
         least = 0
         while least <= remaining and (margin + least * one) & guard != guard:
@@ -532,11 +533,10 @@ def enumerate_break_divisors(
         shift = w << k
         for x in range(least, remaining + 1):
             prefix.append(x)
-            extend(k + 1, sums | (sums + (x + 1) * one) << shift, remaining - x)
+            yield from extend(k + 1, sums | (sums + (x + 1) * one) << shift, remaining - x)
             prefix.pop()
 
-    extend(0, 0, g)
-    return out
+    return extend(0, 0, g)
 
 
 def _as_divisor(graph: Multigraph, divisor: Sequence[int]) -> tuple[int, ...]:

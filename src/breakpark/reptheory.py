@@ -7,15 +7,18 @@ goes through character inner products against it.
 
 An S_n-invariant set of vectors is a permutation module, and all of its
 Frobenius data comes from its orbit representatives
-(`permutation_module`).  The per-tuple fixed-point scans
-(`character_*_bruteforce`) read the candidate-scan oracles of `knm`, so
-they stay independent of both the closed formula and the orbit route.
+(`permutation_module`); `knm_modules` holds both K_n^m modules, the
+closed character and the restriction verdict.  The per-tuple
+fixed-point scans (`character_*_bruteforce`) read the candidate-scan
+oracles of `knm`, so they stay independent of both the closed formula
+and the orbit route.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
@@ -48,10 +51,7 @@ def partitions_of(n: int) -> list[Partition]:
 
 def _z(lam: Partition) -> int:
     z = 1
-    mult: Dict[int, int] = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    for part, cnt in mult.items():
+    for part, cnt in Counter(lam).items():
         z *= part**cnt * math.factorial(cnt)
     return z
 
@@ -196,24 +196,18 @@ def _degree(chi: ClassFunction) -> int:
 
 def restrict_character(chi: ClassFunction) -> ClassFunction:
     """Restriction from S_n to S_{n-1}: append a fixed point to each
-    cycle type of S_{n-1} and read off the S_n value."""
+    cycle type of S_{n-1} (a part 1 goes last in a decreasing partition)
+    and read off the S_n value."""
     n = _degree(chi)
     if n < 2:
         raise PreconditionError("restriction needs n >= 2")
-    out: ClassFunction = {}
-    for mu in partitions_of(n - 1):
-        extended = tuple(sorted(mu + (1,), reverse=True))
-        out[mu] = chi[extended]
-    return out
+    return {mu: chi[mu + (1,)] for mu in partitions_of(n - 1)}
 
 
 def orbit_multiplicity_partition(rep: Sequence[int]) -> Partition:
     """The h-index of an orbit: partition of multiplicities of the
     repeated values in a representative."""
-    counts: Dict[int, int] = {}
-    for v in rep:
-        counts[v] = counts.get(v, 0) + 1
-    return tuple(sorted(counts.values(), reverse=True))
+    return tuple(sorted(Counter(rep).values(), reverse=True))
 
 
 def perm_module_h_expansion(
@@ -221,11 +215,7 @@ def perm_module_h_expansion(
 ) -> Dict[Partition, int]:
     """Frobenius characteristic of a permutation module as a sum of
     complete homogeneous symmetric functions, one h per orbit."""
-    coeffs: Dict[Partition, int] = {}
-    for rep in orbit_reps:
-        mu = orbit_multiplicity_partition(rep)
-        coeffs[mu] = coeffs.get(mu, 0) + 1
-    return dict(sorted(coeffs.items()))
+    return dict(sorted(Counter(map(orbit_multiplicity_partition, orbit_reps)).items()))
 
 
 @lru_cache(maxsize=None)
@@ -253,13 +243,10 @@ def h_module_character(coeffs: Dict[Partition, int], n: int) -> ClassFunction:
     fixed by sigma exactly when each row is a union of cycles, so the
     value on class nu counts distributions of the cycles of nu among
     blocks of sizes mu."""
-    values: ClassFunction = {}
-    for nu in partitions_of(n):
-        values[nu] = sum(
-            c * _distributions(tuple(nu), tuple(mu))
-            for mu, c in coeffs.items()
-        )
-    return values
+    return {
+        nu: sum(c * _distributions(nu, mu) for mu, c in coeffs.items())
+        for nu in partitions_of(n)
+    }
 
 
 def schur_expansion(chi: ClassFunction) -> Dict[Partition, int]:
@@ -304,6 +291,27 @@ def permutation_module(
         raise PreconditionError(f"orbit representatives must have length {n}")
     chi = h_module_character(h, n)
     return PermutationModule(h, chi, schur_expansion(chi))
+
+
+class KnmModules(NamedTuple):
+    closed: ClassFunction  # `character_break`
+    breaks: PermutationModule  # S_n on Break
+    parks: PermutationModule | None  # S_{n-1} on Park; None at n = 1
+    restricts: bool  # closed restricts to parks.character; True at n = 1
+
+
+def knm_modules(p: knm.KnmParams, budget: int = knm.DEFAULT_SET_BUDGET) -> KnmModules:
+    """Both module statements of the paper on K_n^m, from generated orbit
+    representatives: S_n on Break against the closed character, and its
+    restriction to S_{n-1} against Park.  |Break| is checked against the
+    budget on call, as in every knm enumerator."""
+    knm._check_budget(knm.break_count(p), budget, "Break")
+    closed = character_break(p.m, p.n)
+    breaks = permutation_module(knm.break_orbit_reps(p), p.n)
+    if p.n == 1:
+        return KnmModules(closed, breaks, None, True)
+    parks = permutation_module(knm.parking_orbit_reps(p), p.n - 1)
+    return KnmModules(closed, breaks, parks, restrict_character(closed) == parks.character)
 
 
 def trivial_multiplicity(chi: ClassFunction) -> int:

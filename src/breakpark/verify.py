@@ -53,11 +53,17 @@ def random_connected_multigraph(
     return multigraph.Multigraph(mult)
 
 
-def _counterexample(g: multigraph.Multigraph, case: str, values) -> str:
-    """A failing case named by the graph in file format, the input and
-    the (function name, value) pairs that disagree on it."""
-    found = ", ".join(f"{name} {value}" for name, value in values)
-    return f"graph {multigraph.format_graph_file(g)!r}, {case}: {found}"
+def _disagreement(case: str, values) -> str | None:
+    """The case and its (function name, value) pairs if the values are
+    not all equal, else None."""
+    if len({value for _, value in values}) < 2:
+        return None
+    return f"{case}: " + ", ".join(f"{name} {value}" for name, value in values)
+
+
+def _counterexample(g: multigraph.Multigraph, case: str, values) -> str | None:
+    """A disagreement on a case named by the graph in file format."""
+    return _disagreement(f"graph {multigraph.format_graph_file(g)!r}, {case}", values)
 
 
 def _first_disagreement(g, divisors, fast, slow) -> str | None:
@@ -84,7 +90,7 @@ def break_oracle_counterexample(g: multigraph.Multigraph) -> str | None:
 
 def break_count_counterexample(g: multigraph.Multigraph) -> str | None:
     """The break count and the spanning-tree count of g if they differ."""
-    breaks = len(multigraph.enumerate_break_divisors(g))
+    breaks = sum(1 for _ in multigraph.enumerate_break_divisors(g))
     trees = multigraph.spanning_tree_count(g)
     if breaks == trees:
         return None
@@ -94,10 +100,12 @@ def break_count_counterexample(g: multigraph.Multigraph) -> str | None:
     )
 
 
-def _detail(scope: str, counterexample: str | None) -> str:
+def _check(name: str, scope: str, counterexample: str | None, ok=True) -> Check:
+    """A check that passes when ok and no counterexample was found; the
+    detail is its scope, then the first counterexample if there is one."""
     if counterexample is None:
-        return scope
-    return f"{scope}; first counterexample: {counterexample}"
+        return name, ok, scope
+    return name, False, f"{scope}; first counterexample: {counterexample}"
 
 
 def suite_random_graphs(seed: int = 0, samples: int = 100) -> list[Check]:
@@ -107,16 +115,8 @@ def suite_random_graphs(seed: int = 0, samples: int = 100) -> list[Check]:
     oracle_cx = next(filter(None, map(break_oracle_counterexample, graphs)), None)
     count_cx = next(filter(None, map(break_count_counterexample, graphs)), None)
     return [
-        (
-            "break-equals-orientability-on-random-graphs",
-            oracle_cx is None,
-            _detail(scope, oracle_cx),
-        ),
-        (
-            "break-count-equals-spanning-trees",
-            count_cx is None,
-            _detail(scope, count_cx),
-        ),
+        _check("break-equals-orientability-on-random-graphs", scope, oracle_cx),
+        _check("break-count-equals-spanning-trees", scope, count_cx),
     ]
 
 
@@ -203,16 +203,9 @@ def suite_subset_kernel(seed: int = 0, samples: int = 50) -> list[Check]:
             g, divisors, multigraph.is_break_divisor, multigraph.break_subset_bruteforce
         )
     return [
-        (
-            "packed-orientable-vs-orientation-scan",
-            orient_cx is None,
-            _detail(f"{samples} graphs with at most 12 edges, seed {seed}", orient_cx),
-        ),
-        (
-            "packed-break-vs-subset-list",
-            break_cx is None,
-            _detail(f"{samples} graphs, seed {seed}", break_cx),
-        ),
+        _check("packed-orientable-vs-orientation-scan",
+               f"{samples} graphs with at most 12 edges, seed {seed}", orient_cx),
+        _check("packed-break-vs-subset-list", f"{samples} graphs, seed {seed}", break_cx),
     ]
 
 
@@ -335,10 +328,8 @@ def suite_knm_vs_multigraph(m_max: int = 2, n_max: int = 4) -> list[Check]:
                         [("is_parking_mn", x), ("is_g_parking", y)],
                     )
     return [
-        ("break-dominance-vs-subset-test", ok and break_cx is None,
-         _detail(scope, break_cx)),
-        ("parking-vector-vs-subset-test", ok and park_cx is None,
-         _detail(scope, park_cx)),
+        _check("break-dominance-vs-subset-test", scope, break_cx, ok),
+        _check("parking-vector-vs-subset-test", scope, park_cx, ok),
     ]
 
 
@@ -369,58 +360,72 @@ def suite_dt_two_routes(
     return [("dt-euler-product-vs-closed-form", ok, scope)]
 
 
+def _first_class_disagreement(case: str, named) -> str | None:
+    """The first cycle type on which the (name, class function) pairs
+    differ, named with every value, or None."""
+    return next(filter(None, (
+        _disagreement(f"{case}, cycle type {lam}", [(k, chi[lam]) for k, chi in named])
+        for lam in named[0][1]
+    )), None)
+
+
 def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
-    """The closed character formula and the orbit route (the `character`
-    command's bruteforce column) against per-tuple fixed-point scans."""
-    scope, closed_ok = _scope(m_max, n_max)
-    orbit_ok = closed_ok
+    """The closed character formula and the orbit route of
+    `reptheory.knm_modules` (the `character` command's bruteforce
+    column) against per-tuple fixed-point scans."""
+    scope, ok = _scope(m_max, n_max)
+    closed_cx = orbit_cx = None
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
-            reps = knm.break_orbit_reps(knm.KnmParams(m, n))
-            orbit_chi = reptheory.permutation_module(reps, n).character
-            for lam in reptheory.partitions_of(n):
-                scanned = reptheory.character_break_bruteforce(m, n, lam)
-                if reptheory.character_break_closed(m, n, lam) != scanned:
-                    closed_ok = False
-                if orbit_chi[lam] != scanned:
-                    orbit_ok = False
+            modules, case = reptheory.knm_modules(knm.KnmParams(m, n)), f"m {m}, n {n}"
+            scanned = ("character_break_bruteforce", {
+                lam: reptheory.character_break_bruteforce(m, n, lam) for lam in modules.closed
+            })
+            closed_cx = closed_cx or _first_class_disagreement(
+                case, [("character_break_closed", modules.closed), scanned])
+            orbit_cx = orbit_cx or _first_class_disagreement(
+                case, [("permutation_module", modules.breaks.character), scanned])
     return [
-        ("closed-character-vs-bruteforce", closed_ok, scope),
-        ("orbit-character-vs-bruteforce", orbit_ok, scope),
+        _check("closed-character-vs-bruteforce", scope, closed_cx, ok),
+        _check("orbit-character-vs-bruteforce", scope, orbit_cx, ok),
     ]
 
 
 def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
     """Break module == shift-class module; restriction == parking module,
     scanned and by its orbits; trivial multiplicity == DT invariant ==
-    orbits of the scanned break divisors == dominated-partition count."""
-    scope, iso_ok = _scope(m_max, n_max, 2)
-    res_ok = triv_ok = iso_ok
+    orbits of the scanned break divisors == dominated-partition count.
+    The closed character, the restriction verdict and the parking orbit
+    character are those of `reptheory.knm_modules`."""
+    scope, ok = _scope(m_max, n_max, 2)
+    iso_cx = res_cx = triv_cx = None
     for m in range(1, m_max + 1):
         for n in range(2, n_max + 1):
-            chi = reptheory.character_break(m, n)
-            if chi != reptheory.character_shift_classes_bruteforce(m, n):
-                iso_ok = False
-            p = knm.KnmParams(m, n)
-            park_chi = reptheory.character_parking(m, n)
-            park_orbit_chi = reptheory.permutation_module(
-                knm.parking_orbit_reps(p), n - 1
-            ).character
-            if not reptheory.restrict_character(chi) == park_chi == park_orbit_chi:
-                res_ok = False
+            p, case = knm.KnmParams(m, n), f"m {m}, n {n}"
+            # the |D| scan first, so an over-budget run names |D|
+            shift_chi = reptheory.character_shift_classes_bruteforce(m, n)
+            modules = reptheory.knm_modules(p)
+            chi, park_chi = modules.closed, reptheory.character_parking(m, n)
+            iso_cx = iso_cx or _first_class_disagreement(case, [
+                ("character_break", chi), ("character_shift_classes_bruteforce", shift_chi)])
+            if not (modules.restricts and park_chi == modules.parks.character):
+                # by a cycle type of S_(n-1), else by (m, n): a FAIL never passes
+                res_cx = res_cx or _first_class_disagreement(case, [
+                    ("restrict_character", reptheory.restrict_character(chi)),
+                    ("character_parking", park_chi),
+                    ("permutation_module", modules.parks.character),
+                ]) or case
             breaks = knm.enumerate_break_bruteforce(p)
-            orbit_keys = {knm.sort_orbit_key(b) for b in breaks}
-            if not (
-                reptheory.trivial_multiplicity(chi)
-                == counting.dt_invariant(m, n)
-                == len(orbit_keys)
-                == reptheory.dominated_partition_count(m, n)
-            ):
-                triv_ok = False
+            triv_cx = triv_cx or _disagreement(case, [
+                ("trivial_multiplicity", reptheory.trivial_multiplicity(chi)),
+                ("dt_invariant", counting.dt_invariant(m, n)),
+                ("scanned break orbits", len({knm.sort_orbit_key(b) for b in breaks})),
+                ("dominated_partition_count", reptheory.dominated_partition_count(m, n)),
+            ])
     return [
-        ("break-module-vs-shift-class-module", iso_ok, scope),
-        ("restriction-equals-parking-module", res_ok, scope),
-        ("trivial-multiplicity-equals-dt", triv_ok, scope),
+        _check("break-module-vs-shift-class-module", scope, iso_cx, ok),
+        _check("restriction-equals-parking-module", scope, res_cx, ok),
+        _check("trivial-multiplicity-equals-dt", scope, triv_cx, ok),
     ]
 
 

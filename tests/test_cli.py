@@ -224,6 +224,66 @@ def test_enumerate_stdout_is_byte_stable(set_name, m, n, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `character --m M --n N --format F` stdout, recorded before
+# `reptheory.knm_modules` took over assembling the Frobenius data from
+# the CLI; every byte must stay.
+CHARACTER_DIGESTS = [
+    (2, 3, "json", "87446f78759311c3e2ef1a316a2ea1b274d97f7549fa0a7bfe11606f3f806b6a"),
+    (2, 3, "csv", "560b68bf87e64ae060980ba6d7f1dba314208d9e2fc9b7f8b43c356784abdfc0"),
+    (2, 3, "pretty", "ca5b87ca6dc231acad60ca63a66a60fe24c49fc0583d807e59497f2e780ec3bb"),
+    (2, 6, "json", "0a445349ae0e87f1708a8c4cf49a47f35e50bbee0a7a3779ea27acf4c360e46d"),
+    (2, 6, "csv", "a20e4abdd7da2b25cc870fd335f5a3750fd9a3de671a5cd3d0dcae4e554108c2"),
+    (2, 6, "pretty", "4bc4f852d4e83d1bf29ebe9813c35db5d628cac7901da3333269c81126da3e2b"),
+    (5, 5, "json", "4053d64c4ac5f04ab3eeea2e6d604c83da564cf738c42e2a69ff5e35c8a66b2f"),
+    (5, 5, "csv", "a9ef38415073b380f4233abeba3c86e1cb2686843f8f1b9934872abb06438360"),
+    (5, 5, "pretty", "d59ae166c9056158d862355f690486ff22713536b7d1624477dd5265ed7e7ca4"),
+    (3, 5, "json", "eae3d9a5e2bfc63a74f0d155ffed7c47ccdd33d18f81f4773b2681ec61b30d9a"),
+    (3, 5, "csv", "17d08206ff9c29579142c093ea72e2882215b49df15330f6dfba786d902a3877"),
+    (3, 5, "pretty", "b7ec2fc643080ee35298f26faebf828984b2cbb7873f80bd2b61fce28212e6a5"),
+    (1, 1, "json", "c1bc42cb7293623768bc6620bd7d6dbcd6fcbf24bb866243035c5aae80ab2946"),
+    (1, 1, "csv", "e6a190b95babae859605e06d0f75daf0e38b3987cc070d5c3a87901ee31143fc"),
+    (1, 1, "pretty", "6ca0c2dcd07e60e6ae2fcd61fa7d79cdefb8fee09663f0496644e1259d11aa61"),
+    (3, 2, "json", "eb51a7e4088c2731559be3552a5d779aa0571b01769c6a652c587aa9b457d6cd"),
+    (3, 2, "csv", "6c005eb933091972dd7d967c687e066b91ab7706848380d1e2381497b61f9162"),
+    (3, 2, "pretty", "215c5271e79749b717e69d4f8df145b8e7d7a948887d378337fb54fc37987201"),
+]
+
+
+@pytest.mark.parametrize(
+    "m, n, fmt, digest", CHARACTER_DIGESTS,
+    ids=[f"{m}-{n}-{f}" for m, n, f, _ in CHARACTER_DIGESTS],
+)
+def test_character_stdout_is_byte_stable(m, n, fmt, digest):
+    code, out = run_cli(["character", "--m", str(m), "--n", str(n), "--format", fmt])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_character_over_budget_is_byte_stable(capsys):
+    code, out = run_cli(
+        ["character", "--m", "2", "--n", "4", "--budget", "10", "--format", "json"]
+    )
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "141555c8e193c8bf210204d1f3e1fd19a44627dd1e5eaaea126cd0bcdd947a45"
+    )
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "dd92f89db69f39bca0474b45d98f1842339b55a813debeb8ba1bd146a033a2b8"
+    )
+
+
+def test_module_suites_stdout_is_byte_stable():
+    code, out = run_cli(
+        ["verify", "--only", "characters", "--only", "module-isomorphisms",
+         "--m", "2", "--n", "5", "--format", "json"]
+    )
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "30fefeda05f59ea8e1743b5c577bc190747280c3d21a99d6a3081bb9210e2d1a"
+    )
+
+
 # A fixed connected simple graph on 7 vertices with genus 6: a 7-cycle
 # plus five chords.
 GRAPH7 = (
@@ -620,6 +680,53 @@ class TestVerify:
             "divisor (0, 0): is_break_mn True, is_break_divisor False",
         )
         assert parking == ("parking-vector-vs-subset-test", True, "m <= 2, n <= 4")
+
+    def test_characters_fail_names_the_first_counterexample(self, monkeypatch):
+        real = reptheory.character_break_closed
+        monkeypatch.setattr(
+            reptheory, "character_break_closed",
+            lambda m, n, lam: real(m, n, lam) + ((m, n) == (2, 3)),
+        )
+        code, out = run_cli(["verify", "--only", "characters", "--format", "json"])
+        assert code == cli.EXIT_VERIFY
+        assert json.loads(out) == [
+            {"invariant": "closed-character-vs-bruteforce", "verdict": "FAIL",
+             "detail": "m <= 3, n <= 6; first counterexample: m 2, n 3, "
+             "cycle type (3,): character_break_closed 1, character_break_bruteforce 0"},
+            {"invariant": "orbit-character-vs-bruteforce", "verdict": "PASS",
+             "detail": "m <= 3, n <= 6"},
+        ]
+
+    def test_restriction_fail_names_the_first_counterexample(self, monkeypatch):
+        real = reptheory.character_parking
+
+        def character_parking(m, n):
+            chi = real(m, n)
+            if (m, n) == (2, 3):
+                chi[(1, 1)] += 1
+            return chi
+
+        monkeypatch.setattr(reptheory, "character_parking", character_parking)
+        iso, res, triv = verify.suite_module_isomorphisms()
+        assert iso == ("break-module-vs-shift-class-module", True, "m <= 2, n <= 4")
+        assert res == (
+            "restriction-equals-parking-module", False,
+            "m <= 2, n <= 4; first counterexample: m 2, n 3, cycle type (1, 1): "
+            "restrict_character 12, character_parking 13, permutation_module 12",
+        )
+        assert triv == ("trivial-multiplicity-equals-dt", True, "m <= 2, n <= 4")
+
+    def test_trivial_multiplicity_fail_names_every_value(self, monkeypatch):
+        real = counting.dt_invariant
+        monkeypatch.setattr(
+            counting, "dt_invariant", lambda m, n: real(m, n) + ((m, n) == (2, 3))
+        )
+        triv = verify.suite_module_isomorphisms()[2]
+        assert triv == (
+            "trivial-multiplicity-equals-dt", False,
+            "m <= 2, n <= 4; first counterexample: m 2, n 3: trivial_multiplicity 3, "
+            "dt_invariant 4, scanned break orbits 3, dominated_partition_count 3",
+        )
 
     def test_subset_kernel_suite(self):
         code, out = run_cli(["verify", "--only", "subset-kernel", "--format", "json"])
