@@ -238,13 +238,14 @@ def cmd_character(args) -> tuple[list[dict], bool]:
     """The rows of `reptheory.knm_modules`: the closed character against
     fixed points on the generated orbits (the `bruteforce` column), then
     Frob(Break), Frob(Park) and `Res = Park`, which the verdict reads
-    with every row.  Over budget, only the closed column prints."""
+    with every row.  When |Break| is over budget only the closed column
+    prints, and when the partitions of n are too, nothing does."""
     try:
         modules = reptheory.knm_modules(knm.KnmParams(args.m, args.n), args.budget)
     except BudgetExceededError as exc:
+        closed = reptheory.character_break(args.m, args.n, args.budget)
         print(f"note: {exc}; bruteforce, Frob(Break), Frob(Park) and "
               "Res = Park left out", file=sys.stderr)
-        closed = reptheory.character_break(args.m, args.n)
         return [{"cycle_type": _fmt_tuple(lam), "closed": v}
                 for lam, v in closed.items()], True
     chi = modules.breaks.character

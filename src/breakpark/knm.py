@@ -149,9 +149,20 @@ def is_parking_mn(p: KnmParams, a: Sequence[int]) -> bool:
     return True
 
 
+_EXACT_SIZE_LIMIT = 10**100
+
+
 def _check_budget(size: int, budget: int, what: str):
+    """Raise BudgetExceededError if size > budget.  Writing a huge int
+    in decimal takes time quadratic in its length, so a size of 10^100
+    or more is named by a power of ten below it, from its bit length:
+    10^k <= 2^(b-1) <= size for k = floor((b-1) * 0.3010)."""
     if size > budget:
-        raise BudgetExceededError(f"|{what}| = {size} exceeds budget {budget}")
+        if size < _EXACT_SIZE_LIMIT:
+            shown = f"= {size}"
+        else:
+            shown = f"> 10^{(size.bit_length() - 1) * 3010 // 10000}"
+        raise BudgetExceededError(f"|{what}| {shown} exceeds budget {budget}")
 
 
 def break_orbit_reps(p: KnmParams) -> list[tuple[int, ...]]:

@@ -426,8 +426,7 @@ def break_via_orientability(graph: Multigraph, divisor: Sequence[int]) -> bool:
 
 
 def _parking_values(graph: Multigraph, q: int, values: Sequence[int]) -> dict[int, int]:
-    if not graph.is_connected():
-        raise PreconditionError("graph must be connected")
+    _require_connected(graph)
     if not 0 <= q < graph.n:
         raise PreconditionError(f"vertex {q} out of range")
     others = [v for v in range(graph.n) if v != q]
@@ -551,8 +550,7 @@ def _as_divisor(graph: Multigraph, divisor: Sequence[int]) -> tuple[int, ...]:
 def spanning_tree_count(graph: Multigraph) -> int:
     """Matrix-Tree count via fraction-free (Bareiss) elimination on the
     reduced Laplacian.  Exact integers throughout."""
-    if not graph.is_connected():
-        raise PreconditionError("graph must be connected")
+    _require_connected(graph)
     n = graph.n
     if n == 1:
         return 1

@@ -16,15 +16,14 @@ and the orbit route.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from functools import lru_cache
 from operator import itemgetter
-from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 from . import knm
-from .errors import InternalInvariantError, PreconditionError
+from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
 
 Partition = Tuple[int, ...]
 ClassFunction = Dict[Partition, int]
@@ -47,6 +46,21 @@ def partitions_of(n: int) -> list[Partition]:
 
     rec(n, n, [])
     return out
+
+
+def partition_counts(n: int) -> Iterator[int]:
+    """p(0), p(1), ..., p(n), in integers, by Euler's pentagonal number
+    recurrence: p(k) is the sum over j >= 1 of (-1)^(j+1) times
+    p(k - j(3j-1)/2) + p(k - j(3j+1)/2)."""
+    p: list[int] = []
+    for k in range(n + 1):
+        total, j = int(k == 0), 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += term if j % 2 else -term
+            j += 1
+        p.append(total)
+        yield total
 
 
 def _z(lam: Partition) -> int:
@@ -149,8 +163,17 @@ def character_break_bruteforce(m: int, n: int, lam: Partition) -> int:
     return _fixed_count(knm.enumerate_break_bruteforce(knm.KnmParams(m, n)), perm)
 
 
-def character_break(m: int, n: int) -> ClassFunction:
-    """The closed-form class function on every cycle type of S_n."""
+def character_break(
+    m: int, n: int, budget: int = knm.DEFAULT_SET_BUDGET
+) -> ClassFunction:
+    """The closed-form class function on every cycle type of S_n.  The
+    number of partitions of n is checked against the budget on call,
+    before any is listed; the count stops at the first p(k) > budget,
+    since p(n) >= p(k), so the check is cheap at any n."""
+    for count in partition_counts(n):
+        if count > budget:
+            raise BudgetExceededError(
+                f"|partitions of {n}| >= {count} exceeds budget {budget}")
     return {
         lam: character_break_closed(m, n, lam) for lam in partitions_of(n)
     }
@@ -218,23 +241,30 @@ def perm_module_h_expansion(
     return dict(sorted(Counter(map(orbit_multiplicity_partition, orbit_reps)).items()))
 
 
-@lru_cache(maxsize=None)
 def _distributions(cycles: Partition, blocks: Partition) -> int:
     """Ways to assign the (labeled) cycles to the ordered blocks so each
-    block's assigned lengths sum to its size."""
-    if not blocks:
-        return 1 if not cycles else 0
-    block = blocks[0]
-    rest_blocks = blocks[1:]
+    block's assigned lengths sum to its size; 0 when the sizes differ."""
+    if sum(cycles) != sum(blocks):
+        return 0
+    return _placements(tuple(cycles), tuple(sorted(blocks)))
+
+
+@lru_cache(maxsize=None)
+def _placements(cycles: Partition, rooms: Partition) -> int:
+    """Ways to put the labeled cycles into blocks with these rooms
+    (sorted, nonzero, summing to the cycles) so each fills exactly.  The
+    first cycle goes into a block with room for it; blocks of equal room
+    leave the same rooms behind, so each distinct room is tried once and
+    counted as often as it occurs."""
+    if not cycles:
+        return 1
+    c, rest = cycles[0], cycles[1:]
     total = 0
-    k = len(cycles)
-    for r in range(k + 1):
-        for combo in itertools.combinations(range(k), r):
-            if sum(cycles[i] for i in combo) != block:
-                continue
-            chosen = set(combo)
-            rest = tuple(cycles[i] for i in range(k) if i not in chosen)
-            total += _distributions(rest, rest_blocks)
+    for i, room in enumerate(rooms):
+        if room < c or (i and rooms[i - 1] == room):
+            continue
+        left = rooms[:i] + rooms[i + 1:] + ((room - c,) if room > c else ())
+        total += rooms.count(room) * _placements(rest, tuple(sorted(left)))
     return total
 
 
@@ -306,7 +336,7 @@ def knm_modules(p: knm.KnmParams, budget: int = knm.DEFAULT_SET_BUDGET) -> KnmMo
     restriction to S_{n-1} against Park.  |Break| is checked against the
     budget on call, as in every knm enumerator."""
     knm._check_budget(knm.break_count(p), budget, "Break")
-    closed = character_break(p.m, p.n)
+    closed = character_break(p.m, p.n, budget)
     breaks = permutation_module(knm.break_orbit_reps(p), p.n)
     if p.n == 1:
         return KnmModules(closed, breaks, None, True)

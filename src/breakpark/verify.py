@@ -1,9 +1,13 @@
 """Named invariant suites: every closed formula cross-checked against a
 brute-force oracle.
 
-Each check returns (name, passed, detail).  The CLI `verify` subcommand
-runs them and exits nonzero on any failure; the test suite runs the
-same code.
+Every check is a (name, passed, detail) built by `_check`.  A PASS
+detail is the scope, such as "m <= 3, n <= 5"; a FAIL detail names the
+first counterexample with every value compared, "<scope>; first
+counterexample: <case>: <name> <value>, ...", where the case is (m, n)
+and the entry, class or cycle type that differs, or a graph in file
+format.  The CLI `verify` subcommand runs the suites and exits nonzero
+on any failure; the test suite runs the same code.
 """
 
 from __future__ import annotations
@@ -28,6 +32,19 @@ def _scope(m_max: int, n_max: int, n_min: int = 1) -> tuple[str, bool]:
         f"empty scope: 1 <= m <= {m_max}, {n_min} <= n <= {n_max} holds no case",
         False,
     )
+
+
+def _cases(m_max: int, n_max: int, n_min: int = 1):
+    """(m, n, KnmParams(m, n), "m M, n N") for 1 <= m <= m_max and
+    n_min <= n <= n_max."""
+    for m in range(1, m_max + 1):
+        for n in range(n_min, n_max + 1):
+            yield m, n, knm.KnmParams(m, n), f"m {m}, n {n}"
+
+
+def _first(counterexamples: Iterable[str | None]) -> str | None:
+    """The first counterexample that is not None, or None."""
+    return next(filter(None, counterexamples), None)
 
 
 def random_connected_multigraph(
@@ -112,8 +129,8 @@ def suite_random_graphs(seed: int = 0, samples: int = 100) -> list[Check]:
     rng = random.Random(seed)
     graphs = [random_connected_multigraph(rng) for _ in range(samples)]
     scope = f"{samples} graphs, seed {seed}"
-    oracle_cx = next(filter(None, map(break_oracle_counterexample, graphs)), None)
-    count_cx = next(filter(None, map(break_count_counterexample, graphs)), None)
+    oracle_cx = _first(map(break_oracle_counterexample, graphs))
+    count_cx = _first(map(break_count_counterexample, graphs))
     return [
         _check("break-equals-orientability-on-random-graphs", scope, oracle_cx),
         _check("break-count-equals-spanning-trees", scope, count_cx),
@@ -209,97 +226,84 @@ def suite_subset_kernel(seed: int = 0, samples: int = 50) -> list[Check]:
     ]
 
 
+def _first_entry_disagreement(case: str, named) -> str | None:
+    """The first index at which the two (name, sequence) pairs differ,
+    named with both entries (None past the end of the shorter), or None."""
+    (a_name, a), (b_name, b) = named
+    return _first(_disagreement(f"{case}, entry {i}", [(a_name, x), (b_name, y)])
+                  for i, (x, y) in enumerate(itertools.zip_longest(a, b)))
+
+
+def _class_counterexample(p: knm.KnmParams, case: str, cls) -> str | None:
+    """How one shift class fails to be n sorted members closed under the
+    shift, with one break member and one parking projection that the
+    direct representatives find, or None."""
+    n, key, case = p.n, cls[0], f"{case}, class {cls[0]}"
+    breaks = [a for a in cls if knm.is_break_mn(p, a)]
+    parks = [a[: n - 1] for a in cls if knm.is_parking_mn(p, a[: n - 1])]
+    return (
+        _disagreement(case, [("class size", len(cls)), ("n", n)])
+        or _disagreement(case, [("members", tuple(cls)), ("sorted", tuple(sorted(cls))),
+                                ("shifted", tuple(sorted(knm.shift(p, a) for a in cls)))])
+        or _disagreement(case, [("break members", len(breaks)),
+                                ("parking projections", len(parks)), ("one per class", 1)])
+        or _disagreement(case, [("break_representative", knm.break_representative(p, key)),
+                                ("break member", breaks[0])])
+        or _disagreement(case, [
+            ("parking_representative", knm.parking_representative(p, key)),
+            ("parking projection", parks[0])])
+    )
+
+
 def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
     """The shift classes partition D into |Break| = N^(n-1)/n classes,
     each of size n, closed under the shift, listed in key order, with one
     break member and one parking projection.  No check reads the key rule
-    that `shift_classes` generates the classes by."""
+    that `shift_classes` generates the classes by.  `knm.shift` validates
+    every member, so N^(n-1) distinct members are all of D."""
     scope, ok = _scope(m_max, n_max)
-    detail = []
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            p = knm.KnmParams(m, n)
-            classes = list(knm.shift_classes(p))
-            if len(classes) != knm.break_count(p):
-                ok = False
-                detail.append(f"class count off at ({m},{n})")
-                continue
-            keys = [cls[0] for cls in classes]
-            if keys != sorted(keys) or any(list(c) != sorted(c) for c in classes):
-                ok = False
-                detail.append(f"classes or members out of order at ({m},{n})")
-            covered = set()
-            for cls in classes:
-                if len(cls) != n:
-                    ok = False
-                    detail.append(f"class size off at ({m},{n})")
-                    break
-                members = set(cls)
-                if {knm.shift(p, a) for a in cls} != members:
-                    ok = False
-                    detail.append(f"class not closed under shift at ({m},{n})")
-                    break
-                if members & covered:
-                    ok = False
-                    detail.append(f"classes overlap at ({m},{n})")
-                    break
-                covered |= members
-                breaks = [a for a in cls if knm.is_break_mn(p, a)]
-                parks = [
-                    a for a in cls if knm.is_parking_mn(p, a[: n - 1])
-                ]
-                if len(breaks) != 1 or len(parks) != 1:
-                    ok = False
-                    detail.append(f"representative not unique at ({m},{n})")
-                    break
-                # the scanning representatives must match the direct ones
-                if knm.break_representative(p, cls[0]) != breaks[0]:
-                    ok = False
-                    detail.append(f"break representative mismatch at ({m},{n})")
-                    break
-                if knm.parking_representative(p, cls[0]) != parks[0][: n - 1]:
-                    ok = False
-                    detail.append(f"parking representative mismatch at ({m},{n})")
-                    break
-            else:
-                if len(covered) != knm.residue_count(p):
-                    ok = False
-                    detail.append(f"classes cover {len(covered)} of |D| at ({m},{n})")
-    return [("shift-class-structure", ok, "; ".join(detail) or scope)]
+    cx = None
+    for _, _, p, case in _cases(m_max, n_max):
+        classes = list(knm.shift_classes(p))
+        keys = [cls[0] for cls in classes]
+        members = [a for cls in classes for a in cls]
+        cx = cx or (
+            _disagreement(case, [
+                ("shift_classes", len(classes)), ("break_count", knm.break_count(p))])
+            or _first_entry_disagreement(case, [("keys", keys), ("sorted", sorted(keys))])
+            or _first(_class_counterexample(p, case, cls) for cls in classes)
+            or _disagreement(case, [
+                ("members", len(members)), ("distinct members", len(set(members))),
+                ("residue_count", knm.residue_count(p))])
+        )
+    return [_check("shift-class-structure", scope, cx, ok)]
 
 
 def suite_cardinalities(m_max: int = 3, n_max: int = 5) -> list[Check]:
     """The closed counts, and the orbit-generated enumerations against
     the candidate scans, list for list.  |D| is counted off the stream."""
     scope, ok = _scope(m_max, n_max)
-    detail = []
-    scan_ok = ok
-    scan_detail = []
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            p = knm.KnmParams(m, n)
-            expected = knm.break_count(p)
-            breaks = list(knm.enumerate_break(p))
-            parks = list(knm.enumerate_parking(p))
-            if len(breaks) != expected:
-                ok = False
-                detail.append(f"|Break| off at ({m},{n})")
-            if len(parks) != expected:
-                ok = False
-                detail.append(f"|Park| off at ({m},{n})")
-            residues = sum(1 for _ in knm.enumerate_residue_tuples(p))
-            if residues != knm.residue_count(p):
-                ok = False
-                detail.append(f"|D| off at ({m},{n})")
-            if breaks != list(knm.enumerate_break_bruteforce(p)):
-                scan_ok = False
-                scan_detail.append(f"Break differs from the scan at ({m},{n})")
-            if parks != list(knm.enumerate_parking_bruteforce(p)):
-                scan_ok = False
-                scan_detail.append(f"Park differs from the scan at ({m},{n})")
+    count_cx = scan_cx = None
+    for _, _, p, case in _cases(m_max, n_max):
+        breaks = list(knm.enumerate_break(p))
+        parks = list(knm.enumerate_parking(p))
+        count_cx = count_cx or _disagreement(case, [
+            ("break_count", knm.break_count(p)),
+            ("enumerate_break", len(breaks)), ("enumerate_parking", len(parks)),
+        ]) or _disagreement(case, [
+            ("residue_count", knm.residue_count(p)),
+            ("enumerate_residue_tuples", sum(1 for _ in knm.enumerate_residue_tuples(p))),
+        ])
+        scan_cx = scan_cx or _first_entry_disagreement(case, [
+            ("enumerate_break", breaks),
+            ("enumerate_break_bruteforce", knm.enumerate_break_bruteforce(p)),
+        ]) or _first_entry_disagreement(case, [
+            ("enumerate_parking", parks),
+            ("enumerate_parking_bruteforce", knm.enumerate_parking_bruteforce(p)),
+        ])
     return [
-        ("cardinalities", ok, "; ".join(detail) or scope),
-        ("orbit-enumeration-equals-scan", scan_ok, "; ".join(scan_detail) or scope),
+        _check("cardinalities", scope, count_cx, ok),
+        _check("orbit-enumeration-equals-scan", scope, scan_cx, ok),
     ]
 
 
@@ -308,25 +312,21 @@ def suite_knm_vs_multigraph(m_max: int = 2, n_max: int = 4) -> list[Check]:
     K_n^m, and likewise for the two parking predicates."""
     scope, ok = _scope(m_max, n_max, 2)
     break_cx = park_cx = None
-    for m in range(1, m_max + 1):
-        for n in range(2, n_max + 1):
-            p = knm.KnmParams(m, n)
-            g = multigraph.complete_multigraph(m, n)
-            for d in knm.compositions(p.genus, n, p.genus):
-                a, b = knm.is_break_mn(p, d), multigraph.is_break_divisor(g, d)
-                if a != b and break_cx is None:
-                    break_cx = _counterexample(
-                        g, f"divisor {d}",
-                        [("is_break_mn", a), ("is_break_divisor", b)],
-                    )
-            bound = m * (n - 1)
-            for a in itertools.product(range(bound + 1), repeat=n - 1):
-                x, y = knm.is_parking_mn(p, a), multigraph.is_g_parking(g, n - 1, a)
-                if x != y and park_cx is None:
-                    park_cx = _counterexample(
-                        g, f"q {n - 1} (0-based), values {a}",
-                        [("is_parking_mn", x), ("is_g_parking", y)],
-                    )
+    for m, n, p, _ in _cases(m_max, n_max, 2):
+        g = multigraph.complete_multigraph(m, n)
+        for d in knm.compositions(p.genus, n, p.genus):
+            a, b = knm.is_break_mn(p, d), multigraph.is_break_divisor(g, d)
+            if a != b and break_cx is None:
+                break_cx = _counterexample(
+                    g, f"divisor {d}", [("is_break_mn", a), ("is_break_divisor", b)]
+                )
+        for a in itertools.product(range(m * (n - 1) + 1), repeat=n - 1):
+            x, y = knm.is_parking_mn(p, a), multigraph.is_g_parking(g, n - 1, a)
+            if x != y and park_cx is None:
+                park_cx = _counterexample(
+                    g, f"q {n - 1} (0-based), values {a}",
+                    [("is_parking_mn", x), ("is_g_parking", y)],
+                )
     return [
         _check("break-dominance-vs-subset-test", scope, break_cx, ok),
         _check("parking-vector-vs-subset-test", scope, park_cx, ok),
@@ -335,14 +335,12 @@ def suite_knm_vs_multigraph(m_max: int = 2, n_max: int = 4) -> list[Check]:
 
 def suite_orbit_counts(m_max: int = 4, n_max: int = 12) -> list[Check]:
     scope, ok = _scope(m_max, n_max)
-    ok = ok and all(
-        counting.orbit_count_D(m, n)
-        == counting.orbit_count_D_von_sterneck(m, n)
-        == counting.orbit_count_D_split(m, n)
-        for m in range(1, m_max + 1)
-        for n in range(1, n_max + 1)
+    routes = ("orbit_count_D", "orbit_count_D_von_sterneck", "orbit_count_D_split")
+    cx = _first(
+        _disagreement(case, [(name, getattr(counting, name)(m, n)) for name in routes])
+        for m, n, _, case in _cases(m_max, n_max)
     )
-    return [("orbit-count-three-routes", ok, scope)]
+    return [_check("orbit-count-three-routes", scope, cx, ok)]
 
 
 def suite_dt_two_routes(
@@ -351,22 +349,24 @@ def suite_dt_two_routes(
     """Both series routes against the closed form, by default over the
     whole series order the `dt` command serves."""
     scope, ok = _scope(m_max, n_max)
+    cx = None
     for m in range(1, m_max + 1):
         table = counting.dt_via_euler_product(m, n_max)
         log_table = counting.dt_via_formal_log(m, n_max)
-        for n in range(1, n_max + 1):
-            if not table[n] == log_table[n] == counting.dt_invariant(m, n):
-                ok = False
-    return [("dt-euler-product-vs-closed-form", ok, scope)]
+        cx = cx or _first(_disagreement(f"m {m}, n {n}", [
+            ("dt_via_euler_product", table[n]), ("dt_via_formal_log", log_table[n]),
+            ("dt_invariant", counting.dt_invariant(m, n)),
+        ]) for n in range(1, n_max + 1))
+    return [_check("dt-euler-product-vs-closed-form", scope, cx, ok)]
 
 
 def _first_class_disagreement(case: str, named) -> str | None:
     """The first cycle type on which the (name, class function) pairs
     differ, named with every value, or None."""
-    return next(filter(None, (
+    return _first(
         _disagreement(f"{case}, cycle type {lam}", [(k, chi[lam]) for k, chi in named])
         for lam in named[0][1]
-    )), None)
+    )
 
 
 def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
@@ -375,16 +375,15 @@ def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
     column) against per-tuple fixed-point scans."""
     scope, ok = _scope(m_max, n_max)
     closed_cx = orbit_cx = None
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            modules, case = reptheory.knm_modules(knm.KnmParams(m, n)), f"m {m}, n {n}"
-            scanned = ("character_break_bruteforce", {
-                lam: reptheory.character_break_bruteforce(m, n, lam) for lam in modules.closed
-            })
-            closed_cx = closed_cx or _first_class_disagreement(
-                case, [("character_break_closed", modules.closed), scanned])
-            orbit_cx = orbit_cx or _first_class_disagreement(
-                case, [("permutation_module", modules.breaks.character), scanned])
+    for m, n, p, case in _cases(m_max, n_max):
+        modules = reptheory.knm_modules(p)
+        scanned = ("character_break_bruteforce", {
+            lam: reptheory.character_break_bruteforce(m, n, lam) for lam in modules.closed
+        })
+        closed_cx = closed_cx or _first_class_disagreement(
+            case, [("character_break_closed", modules.closed), scanned])
+        orbit_cx = orbit_cx or _first_class_disagreement(
+            case, [("permutation_module", modules.breaks.character), scanned])
     return [
         _check("closed-character-vs-bruteforce", scope, closed_cx, ok),
         _check("orbit-character-vs-bruteforce", scope, orbit_cx, ok),
@@ -399,29 +398,27 @@ def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
     character are those of `reptheory.knm_modules`."""
     scope, ok = _scope(m_max, n_max, 2)
     iso_cx = res_cx = triv_cx = None
-    for m in range(1, m_max + 1):
-        for n in range(2, n_max + 1):
-            p, case = knm.KnmParams(m, n), f"m {m}, n {n}"
-            # the |D| scan first, so an over-budget run names |D|
-            shift_chi = reptheory.character_shift_classes_bruteforce(m, n)
-            modules = reptheory.knm_modules(p)
-            chi, park_chi = modules.closed, reptheory.character_parking(m, n)
-            iso_cx = iso_cx or _first_class_disagreement(case, [
-                ("character_break", chi), ("character_shift_classes_bruteforce", shift_chi)])
-            if not (modules.restricts and park_chi == modules.parks.character):
-                # by a cycle type of S_(n-1), else by (m, n): a FAIL never passes
-                res_cx = res_cx or _first_class_disagreement(case, [
-                    ("restrict_character", reptheory.restrict_character(chi)),
-                    ("character_parking", park_chi),
-                    ("permutation_module", modules.parks.character),
-                ]) or case
-            breaks = knm.enumerate_break_bruteforce(p)
-            triv_cx = triv_cx or _disagreement(case, [
-                ("trivial_multiplicity", reptheory.trivial_multiplicity(chi)),
-                ("dt_invariant", counting.dt_invariant(m, n)),
-                ("scanned break orbits", len({knm.sort_orbit_key(b) for b in breaks})),
-                ("dominated_partition_count", reptheory.dominated_partition_count(m, n)),
-            ])
+    for m, n, p, case in _cases(m_max, n_max, 2):
+        # the |D| scan first, so an over-budget run names |D|
+        shift_chi = reptheory.character_shift_classes_bruteforce(m, n)
+        modules = reptheory.knm_modules(p)
+        chi, park_chi = modules.closed, reptheory.character_parking(m, n)
+        iso_cx = iso_cx or _first_class_disagreement(case, [
+            ("character_break", chi), ("character_shift_classes_bruteforce", shift_chi)])
+        if not (modules.restricts and park_chi == modules.parks.character):
+            # by a cycle type of S_(n-1), else by (m, n): a FAIL never passes
+            res_cx = res_cx or _first_class_disagreement(case, [
+                ("restrict_character", reptheory.restrict_character(chi)),
+                ("character_parking", park_chi),
+                ("permutation_module", modules.parks.character),
+            ]) or case
+        breaks = knm.enumerate_break_bruteforce(p)
+        triv_cx = triv_cx or _disagreement(case, [
+            ("trivial_multiplicity", reptheory.trivial_multiplicity(chi)),
+            ("dt_invariant", counting.dt_invariant(m, n)),
+            ("scanned break orbits", len({knm.sort_orbit_key(b) for b in breaks})),
+            ("dominated_partition_count", reptheory.dominated_partition_count(m, n)),
+        ])
     return [
         _check("break-module-vs-shift-class-module", scope, iso_cx, ok),
         _check("restriction-equals-parking-module", scope, res_cx, ok),

@@ -145,6 +145,14 @@ class TestEnumerate:
         assert code == cli.EXIT_BUDGET
         assert out == ""
 
+    def test_huge_set_budget_error_is_short(self, capsys):
+        code, out = run_cli(["enumerate", "--set", "break", "--m", "2", "--n", "20000"])
+        assert code == cli.EXIT_BUDGET
+        assert out == ""
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 200
+        assert err == "error: |Break| > 10^92022 exceeds budget 2000000\n"
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     @pytest.mark.parametrize("source", ["break", "park", "residue", "classes", "graph"])
     def test_over_budget_writes_nothing(self, tmp_path, capsys, source, fmt):
@@ -281,6 +289,19 @@ def test_module_suites_stdout_is_byte_stable():
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "30fefeda05f59ea8e1743b5c577bc190747280c3d21a99d6a3081bb9210e2d1a"
+    )
+
+
+# sha256 of the four K_n^m suites whose verdicts moved onto `_check`,
+# recorded before the move; every PASS row must keep its bytes.
+def test_knm_suites_stdout_is_byte_stable():
+    code, out = run_cli(
+        ["verify", "--only", "shift-classes", "--only", "cardinalities",
+         "--only", "orbit-counts", "--only", "dt-two-routes", "--format", "json"]
+    )
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4e433a60d8953af82f2db92fec5341c5f7a833c1ca981fa27eb792de4b6b6fc6"
     )
 
 
@@ -474,6 +495,22 @@ class TestCharacter:
         assert len(err) == 1 and err[0].startswith("note: ")
         assert "|Break| = 128 exceeds budget 10" in err[0]
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [(["--m", "1", "--n", "30", "--budget", "1000"],
+          "|partitions of 30| >= 1002 exceeds budget 1000"),
+         (["--m", "2", "--n", "100"],
+          "|partitions of 100| >= 2012558 exceeds budget 2000000"),
+         (["--m", "2", "--n", "3", "--budget", "0"],
+          "|partitions of 3| >= 1 exceeds budget 0")],
+        ids=["n30-budget1000", "n100", "budget0"],
+    )
+    def test_partitions_over_budget_print_nothing(self, capsys, flags, error):
+        code, out = run_cli(["character", *flags])
+        assert code == cli.EXIT_BUDGET
+        assert out == ""
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_within_budget_prints_no_note(self, capsys):
         run_cli(["character", "--m", "2", "--n", "4", "--format", "json"])
         assert capsys.readouterr().err == ""
@@ -556,10 +593,11 @@ class TestVerify:
 
     def test_library_suites_fail_on_m_below_1(self):
         results = verify.run_suites(
-            only=["shift-classes", "cardinalities", "orbit-counts", "characters"],
+            only=["shift-classes", "cardinalities", "orbit-counts", "characters",
+                  "dt-two-routes"],
             m_max=0,
         )
-        assert len(results) == 6
+        assert len(results) == 7
         for _, ok, detail in results:
             assert not ok
             assert detail.startswith("empty scope: 1 <= m <= 0")
@@ -727,6 +765,72 @@ class TestVerify:
             "m <= 2, n <= 4; first counterexample: m 2, n 3: trivial_multiplicity 3, "
             "dt_invariant 4, scanned break orbits 3, dominated_partition_count 3",
         )
+
+    def test_shift_class_fail_names_the_class_and_both_members(self, monkeypatch):
+        real = knm.break_representative
+
+        def break_representative(p, x):
+            if (p.m, p.n) == (2, 3):
+                return knm.shift_class(p, x)[-1]
+            return real(p, x)
+
+        monkeypatch.setattr(knm, "break_representative", break_representative)
+        assert verify.suite_shift_classes() == [(
+            "shift-class-structure", False,
+            "m <= 3, n <= 5; first counterexample: m 2, n 3, class (0, 0, 4): "
+            "break_representative (4, 4, 2), break member (2, 2, 0)",
+        )]
+
+    def test_cardinalities_fail_names_every_count(self, monkeypatch):
+        real = knm.break_count
+        monkeypatch.setattr(knm, "break_count", lambda p: real(p) + ((p.m, p.n) == (2, 3)))
+        assert verify.suite_cardinalities() == [
+            ("cardinalities", False,
+             "m <= 3, n <= 5; first counterexample: m 2, n 3: "
+             "break_count 13, enumerate_break 12, enumerate_parking 12"),
+            ("orbit-enumeration-equals-scan", True, "m <= 3, n <= 5"),
+        ]
+
+    def test_scan_fail_names_the_first_differing_entry(self, monkeypatch):
+        real = knm.enumerate_parking_bruteforce
+
+        def enumerate_parking_bruteforce(p, budget=knm.DEFAULT_SET_BUDGET):
+            parks = real(p, budget)
+            return parks[1:] if (p.m, p.n) == (2, 3) else parks
+
+        monkeypatch.setattr(knm, "enumerate_parking_bruteforce", enumerate_parking_bruteforce)
+        assert verify.suite_cardinalities() == [
+            ("cardinalities", True, "m <= 3, n <= 5"),
+            ("orbit-enumeration-equals-scan", False,
+             "m <= 3, n <= 5; first counterexample: m 2, n 3, entry 0: "
+             "enumerate_parking (0, 0), enumerate_parking_bruteforce (0, 1)"),
+        ]
+
+    def test_orbit_count_fail_names_all_three_routes(self, monkeypatch):
+        real = counting.orbit_count_D_split
+        monkeypatch.setattr(
+            counting, "orbit_count_D_split", lambda m, n: real(m, n) + ((m, n) == (2, 3))
+        )
+        code, out = run_cli(["verify", "--only", "orbit-counts", "--format", "json"])
+        assert code == cli.EXIT_VERIFY
+        assert json.loads(out) == [
+            {"invariant": "orbit-count-three-routes", "verdict": "FAIL",
+             "detail": "m <= 4, n <= 12; first counterexample: m 2, n 3: orbit_count_D 9, "
+             "orbit_count_D_von_sterneck 9, orbit_count_D_split 10"},
+        ]
+
+    def test_dt_fail_names_both_routes_and_the_closed_form(self, monkeypatch):
+        real = counting.dt_via_formal_log
+
+        def dt_via_formal_log(m, n_max):
+            return {n: v + ((m, n) == (2, 3)) for n, v in real(m, n_max).items()}
+
+        monkeypatch.setattr(counting, "dt_via_formal_log", dt_via_formal_log)
+        assert verify.suite_dt_two_routes() == [(
+            "dt-euler-product-vs-closed-form", False,
+            f"m <= 3, n <= {counting.MAX_SERIES_ORDER}; first counterexample: m 2, n 3: "
+            "dt_via_euler_product 3, dt_via_formal_log 4, dt_invariant 3",
+        )]
 
     def test_subset_kernel_suite(self):
         code, out = run_cli(["verify", "--only", "subset-kernel", "--format", "json"])

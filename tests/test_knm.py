@@ -176,6 +176,27 @@ class TestEnumerations:
         with pytest.raises(BudgetExceededError):
             knm.enumerate_residue_tuples(params(3, 5), budget=100)
 
+    @pytest.mark.parametrize(
+        "size, message",
+        [(101, "|D| = 101 exceeds budget 100"),
+         (10**100 - 1, f"|D| = {10**100 - 1} exceeds budget 100"),
+         (10**100, "|D| > 10^99 exceeds budget 100"),
+         (2**10000, "|D| > 10^3010 exceeds budget 100")],
+        ids=["small", "below-limit", "at-limit", "2^10000"],
+    )
+    def test_budget_error_names_an_exact_size_or_a_bound(self, size, message):
+        with pytest.raises(BudgetExceededError) as exc:
+            knm._check_budget(size, 100, "D")
+        assert str(exc.value) == message
+
+    def test_budget_error_bound_is_below_the_size_and_close(self):
+        for bits in range(334, 4000, 7):  # 2^333 is the least power of 2 over 10^100
+            size = 1 << (bits - 1)  # the least size of that bit length
+            with pytest.raises(BudgetExceededError) as exc:
+                knm._check_budget(size, 0, "D")
+            k = int(str(exc.value).split("^")[1].split()[0])
+            assert 10**k < size < 10 ** (k + 2)
+
 
 ORACLE_RANGE = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4, 5)] + [(2, 6)]
 

@@ -327,6 +327,10 @@ class TestSpanningTrees:
             m ** (n - 1) * n ** (n - 2)
         )
 
+    def test_disconnected_rejected(self):
+        with pytest.raises(PreconditionError, match="graph must be connected"):
+            mg.spanning_tree_count(mg.Multigraph([[0, 0], [0, 0]]))
+
     def test_matches_break_count(self):
         rng = random.Random(11)
         for _ in range(15):

@@ -1,10 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from breakpark import counting, knm, reptheory as rt
-from breakpark.errors import InternalInvariantError, PreconditionError
+from breakpark.errors import BudgetExceededError, InternalInvariantError, PreconditionError
 
 
 def reference_character_break_closed(m, n, lam):
@@ -38,6 +40,41 @@ class TestPartitions:
     def test_reverse_lex_order(self):
         parts = rt.partitions_of(6)
         assert parts == sorted(parts, reverse=True)
+
+    def test_counts_by_pentagonal_recurrence(self):
+        counts = [len(rt.partitions_of(k)) for k in range(41)]
+        assert list(rt.partition_counts(40)) == counts
+
+
+@lru_cache(maxsize=None)
+def distributions_by_subsets(cycles, blocks):
+    """The subset scan `_distributions` replaced: fill the first block
+    with every subset of the cycles that sums to it, then the rest."""
+    if not blocks:
+        return 1 if not cycles else 0
+    total, k = 0, len(cycles)
+    for r in range(k + 1):
+        for combo in itertools.combinations(range(k), r):
+            if sum(cycles[i] for i in combo) == blocks[0]:
+                rest = tuple(cycles[i] for i in range(k) if i not in combo)
+                total += distributions_by_subsets(rest, blocks[1:])
+    return total
+
+
+class TestDistributions:
+    @pytest.mark.parametrize("n", range(11))
+    def test_equals_subset_scan(self, n):
+        parts = rt.partitions_of(n)
+        for nu in parts:
+            for mu in parts:
+                assert rt._distributions(nu, mu) == distributions_by_subsets(nu, mu)
+
+    @pytest.mark.parametrize(
+        "cycles, blocks", [((2, 1), (2,)), ((1,), (1, 1)), ((), (1,)), ((3,), ())]
+    )
+    def test_sizes_differ(self, cycles, blocks):
+        assert rt._distributions(cycles, blocks) == 0
+        assert distributions_by_subsets(cycles, blocks) == 0
 
 
 class TestClassSize:
@@ -95,6 +132,12 @@ class TestMurnaghanNakayama:
 
 
 class TestCharacterBreak:
+    def test_budget_on_the_partitions(self):
+        with pytest.raises(BudgetExceededError, match=r"^\|partitions of 30\| >= 1002 "
+                           "exceeds budget 1000$"):
+            rt.character_break(1, 30, budget=1000)
+        assert len(rt.character_break(1, 30, budget=5604)) == 5604
+
     def test_identity_class_is_cardinality(self):
         assert rt.character_break_closed(2, 3, (1, 1, 1)) == 12
 
