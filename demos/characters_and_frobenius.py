@@ -4,7 +4,9 @@ Computes the character of the permutation action on break divisors by
 closed formula and by brute-force fixed-point counting, then reads the
 Frobenius characteristics of Break and Park in the h- and s-bases, and
 the check that restriction to the smaller symmetric group gives the
-parking-function module, from one `knm_modules` call.
+parking-function module, from one `knm_modules` call.  Its h-expansions
+come from counting the orbits by multiplicity partition, with no orbit
+listed; the demo prints them beside those of the listed orbits.
 
 Run:  python3 demos/characters_and_frobenius.py
 """
@@ -12,12 +14,15 @@ Run:  python3 demos/characters_and_frobenius.py
 from breakpark import (
     KnmParams,
     break_orbit_reps,
+    break_orbit_types,
     character_break_bruteforce,
     character_parking,
     enumerate_break,
     enumerate_parking,
     knm_modules,
     parking_orbit_reps,
+    parking_orbit_types,
+    perm_module_h_expansion,
     restrict_character,
     sort_orbit_key,
 )
@@ -38,10 +43,19 @@ for lam, value in modules.closed.items():
 orbit_reps = break_orbit_reps(p)
 print("break orbit representatives:", orbit_reps)
 assert orbit_reps == sorted({sort_orbit_key(d) for d in enumerate_break(p)})
+
+# The h-expansion counts the orbits by the multiplicities of their
+# values.  A DP over the values counts them without listing an orbit;
+# it agrees with the count over the listed representatives.
+print("Break orbits by type, counted:", break_orbit_types(p))
+print("Break orbits by type, listed: ", perm_module_h_expansion(orbit_reps))
 print("Frob(Break) in h:", modules.breaks.h)
 print("Frob(Break) in s:", modules.breaks.s)
 
-assert parking_orbit_reps(p) == sorted({sort_orbit_key(a) for a in enumerate_parking(p)})
+park_reps = parking_orbit_reps(p)
+assert park_reps == sorted({sort_orbit_key(a) for a in enumerate_parking(p)})
+print("Park orbits by type, counted:", parking_orbit_types(p))
+print("Park orbits by type, listed: ", perm_module_h_expansion(park_reps))
 print("Frob(Park) in h:", modules.parks.h)
 print("Frob(Park) in s:", modules.parks.s)
 

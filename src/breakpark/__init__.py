@@ -24,6 +24,7 @@ from .knm import (
     KnmParams,
     break_count,
     break_orbit_reps,
+    break_orbit_types,
     break_representative,
     circular_park,
     class_key,
@@ -35,6 +36,7 @@ from .knm import (
     is_break_mn,
     is_parking_mn,
     parking_orbit_reps,
+    parking_orbit_types,
     parking_representative,
     residue_count,
     shift,
@@ -61,6 +63,7 @@ from .reptheory import (
     character_break_closed,
     character_parking,
     class_size,
+    h_module,
     knm_modules,
     murnaghan_nakayama,
     partitions_of,

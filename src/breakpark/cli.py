@@ -23,6 +23,12 @@ cached per length.  A `classes` record takes its representatives from
 `knm.break_representative` and `knm.parking_representative`, which
 rebuild the class from its key.
 
+`character` lists no orbit: `reptheory.knm_modules` counts the orbits
+of Break and Park by multiplicity partition (`knm.break_orbit_types`,
+`knm.parking_orbit_types`), and the `bruteforce` column is the fixed
+points counted from those orbit types, still independent of the closed
+formula.
+
 Every command pays for the imports at start-up, so the modules it loads
 keep `dataclasses`, `inspect`, `fractions` and `csv` off that path: each
 is imported only by the code that uses it (`csv` by `emit` for --format
@@ -236,10 +242,11 @@ def cmd_count(args) -> tuple[list[dict], bool]:
 
 def cmd_character(args) -> tuple[list[dict], bool]:
     """The rows of `reptheory.knm_modules`: the closed character against
-    fixed points on the generated orbits (the `bruteforce` column), then
-    Frob(Break), Frob(Park) and `Res = Park`, which the verdict reads
-    with every row.  When |Break| is over budget only the closed column
-    prints, and when the partitions of n are too, nothing does."""
+    fixed points counted from the orbit types (the `bruteforce` column,
+    still independent of the closed formula), then Frob(Break),
+    Frob(Park) and `Res = Park`, which the verdict reads with every row.
+    When |Break| is over budget only the closed column prints, and when
+    the partitions of n are too, nothing does."""
     try:
         modules = reptheory.knm_modules(knm.KnmParams(args.m, args.n), args.budget)
     except BudgetExceededError as exc:
@@ -359,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd_character,
         [budget],
         "character table and Frobenius data; the bruteforce column "
-        "counts fixed points on the generated orbits, independently of the "
+        "counts fixed points from the orbit types, independently of the "
         "closed formula",
     )
     sp.add_argument("--m", type=_positive_int, required=True,

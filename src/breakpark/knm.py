@@ -15,6 +15,22 @@ Break and Park are unions of symmetric-group orbits, so both are
 generated from their orbit representatives (weakly decreasing vectors);
 the candidate scans they replaced are kept as `*_bruteforce` oracles.
 
+Every S_n-invariant quantity depends only on how many orbits have each
+multiplicity partition mu (the h-expansion), and `break_orbit_types` and
+`parking_orbit_types` count these by a DP over the values, one run of
+equal entries per value, without listing an orbit.  The prefix sums of
+delta are concave, so a Break run needs only its last entry checked
+against them.  Each DP checks the size of its state space against the
+budget on call: (g+1) * (p(0) + ... + p(n)) for Break and
+m(n-1) * (p(0) + ... + p(n-1)) for Park, with p the partition counts.
+`break_orbit_reps` and `parking_orbit_reps` check the exact orbit count
+from these DPs against their budget before they list an orbit; the set
+enumerators, whose |Break| check already bounds the orbits, list them
+directly.  Every state a DP holds is a prefix of an orbit
+representative, so a |Break| check bounds the DP as well, and
+`count_break_types` and `count_parking_types` run it without a check of
+their own.
+
 The set enumerators `enumerate_break`, `enumerate_parking`,
 `enumerate_residue_tuples` and `shift_classes` return iterators.  Each
 checks its budget when it is called, before the first item, and then
@@ -152,24 +168,173 @@ def is_parking_mn(p: KnmParams, a: Sequence[int]) -> bool:
 _EXACT_SIZE_LIMIT = 10**100
 
 
-def _check_budget(size: int, budget: int, what: str):
+def _check_budget(size: int, budget: int, what: str, exact: bool = True):
     """Raise BudgetExceededError if size > budget.  Writing a huge int
     in decimal takes time quadratic in its length, so a size of 10^100
     or more is named by a power of ten below it, from its bit length:
-    10^k <= 2^(b-1) <= size for k = floor((b-1) * 0.3010)."""
+    10^k <= 2^(b-1) <= size for k = floor((b-1) * 0.3010).  A size that
+    is only a lower bound (exact false) is named with ">="."""
     if size > budget:
-        if size < _EXACT_SIZE_LIMIT:
-            shown = f"= {size}"
-        else:
+        if size >= _EXACT_SIZE_LIMIT:
             shown = f"> 10^{(size.bit_length() - 1) * 3010 // 10000}"
+        else:
+            shown = f"{'=' if exact else '>='} {size}"
         raise BudgetExceededError(f"|{what}| {shown} exceeds budget {budget}")
 
 
-def break_orbit_reps(p: KnmParams) -> list[tuple[int, ...]]:
+def partition_counts(n: int) -> Iterator[int]:
+    """p(0), p(1), ..., p(n), in integers, by Euler's pentagonal number
+    recurrence: p(k) is the sum over j >= 1 of (-1)^(j+1) times
+    p(k - j(3j-1)/2) + p(k - j(3j+1)/2)."""
+    p: list[int] = []
+    for k in range(n + 1):
+        total, j = int(k == 0), 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += term if j % 2 else -term
+            j += 1
+        p.append(total)
+        yield total
+
+
+def _check_states(width: int, parts: int, budget: int, what: str):
+    """Check width * (p(0) + ... + p(parts)), the size of an orbit-type
+    state space, against the budget.  The sum stops at the first partial
+    sum over budget, which is then named as a lower bound, so the check
+    is cheap at any size."""
+    total = 0
+    for count in partition_counts(parts):
+        total += width * count
+        if total > budget:
+            _check_budget(total, budget, what, exact=False)
+
+
+def _check_break_states(p: KnmParams, budget: int):
+    """Check (g+1) * (p(0) + ... + p(n)), the size of the state space of
+    `break_orbit_types`, against the budget."""
+    _check_states(p.genus + 1, p.n, budget, "Break orbit-type state space")
+
+
+def break_orbit_types(
+    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
+) -> dict[tuple[int, ...], int]:
+    """{mu: number of S_n-orbits of Break_{m,n} whose representative has
+    value multiplicities mu}, in sorted order, without listing an orbit.
+
+    A representative is weakly decreasing, so it is a run of equal
+    values for each value from delta[0] down to 0.  A state is (entries
+    placed i, their sum t, the run lengths mu so far).  A run of k copies
+    of v after a state is allowed iff its last entry keeps the prefix
+    bound, t + k*v <= delta_prefix[i+k-1]: the prefix sums of delta are
+    concave (delta decreases) and the run adds v per entry, so the bound
+    minus the running sum is concave on i-1, ..., i+k-1 and nonnegative
+    at both ends, hence in between; for the same reason no longer run
+    fits once one fails.  A state whose n - i entries left, each at most
+    the next value, cannot reach g is dropped.
+
+    A state waits in `waiting`, keyed by the largest value its next run
+    can take (below the run's value and within the prefix bound), until
+    the sweep reaches that value; it is then `active` until the sum is
+    out of reach, so the sweep passes over no state that cannot take the
+    value.  `active`, and `waiting` over all its rows, each hold a state
+    (i, t, mu), with 0 <= i <= n, 0 <= t <= g and mu a partition of i, at
+    most once, so (g + 1) * (p(0) + ... + p(n)) bounds each, and the sweep
+    has delta[0] + 1 <= g + 1 steps.  The bound is checked against the
+    budget on call, before the first state."""
+    _check_break_states(p, budget)
+    return count_break_types(p)
+
+
+def count_break_types(p: KnmParams) -> dict[tuple[int, ...], int]:
+    """`break_orbit_types` without its budget check.  Every state it
+    holds is a prefix of an orbit representative: filling the rest
+    greedily, each entry as large as the previous entry and the prefix
+    bound allow, reaches g, so at most n + 1 states per orbit.  A
+    |Break| check therefore bounds its states as it bounds the orbits."""
+    n, g, bounds = p.n, p.genus, p.delta_prefix
+    waiting: dict[int, dict[tuple, int]] = {bounds[0]: {(0, 0, ()): 1}}
+    active: dict[tuple, int] = {}
+    types: dict[tuple[int, ...], int] = {}
+    for v in range(bounds[0], -1, -1):
+        for state, c in waiting.pop(v, {}).items():
+            active[state] = active.get(state, 0) + c
+        for state, c in list(active.items()):
+            i, t, mu = state
+            if t + (n - i) * v < g:  # the rest, each <= v, falls short of g
+                del active[state]
+                continue
+            k = 1
+            while i + k <= n and t + k * v <= bounds[i + k - 1]:
+                j, s = i + k, t + k * v
+                nu = tuple(sorted(mu + (k,), reverse=True))
+                if j == n:
+                    if s == g:
+                        types[nu] = types.get(nu, 0) + c
+                else:
+                    top = min(v - 1, bounds[j] - s)
+                    if top >= 0 and s + (n - j) * top >= g:
+                        row = waiting.setdefault(top, {})
+                        row[(j, s, nu)] = row.get((j, s, nu), 0) + c
+                k += 1
+    return dict(sorted(types.items()))
+
+
+def parking_orbit_types(
+    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
+) -> dict[tuple[int, ...], int]:
+    """{mu: number of S_(n-1)-orbits of Park_{m,n} whose representative
+    has value multiplicities mu}, in sorted order, without listing an
+    orbit.
+
+    The increasing sort a~ is a run of equal values for each value from
+    0 up to m(n-1)-1.  A state is (entries placed i, the run lengths mu
+    so far); a run of v may start at i only if v <= m(i+1) - 1, the bound
+    on its first entry, since the bounds grow along the run.  A state
+    with i < n-1 that cannot take the value is dropped: no later value
+    fits either.  The sweep visits at most m(n-1) * (p(0) + ... +
+    p(n-1)) (value, state) pairs, the bound checked against the budget on
+    call, before the first state."""
+    _check_states(p.m * (p.n - 1), p.n - 1, budget, "Park orbit-type state space")
+    return count_parking_types(p)
+
+
+def count_parking_types(p: KnmParams) -> dict[tuple[int, ...], int]:
+    """`parking_orbit_types` without its budget check.  Every state it
+    holds is a prefix of an orbit representative (every entry left can
+    take the next value), and the sweep has m(n-1) <= |Park| steps, so a
+    |Break| check bounds its work as it bounds the orbits."""
+    m, n = p.m, p.n
+    active: dict[tuple, int] = {(0, ()): 1}
+    types: dict[tuple[int, ...], int] = {(): 1} if n == 1 else {}
+    for v in range(m * (n - 1)):
+        for state, c in list(active.items()):
+            i, mu = state
+            if v > m * (i + 1) - 1:
+                del active[state]
+                continue
+            for k in range(1, n - i):
+                nu = tuple(sorted(mu + (k,), reverse=True))
+                if i + k == n - 1:
+                    types[nu] = types.get(nu, 0) + c
+                else:
+                    active[(i + k, nu)] = active.get((i + k, nu), 0) + c
+    return dict(sorted(types.items()))
+
+
+def break_orbit_reps(
+    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
+) -> list[tuple[int, ...]]:
     """The S_n-orbit representatives of Break_{m,n}: the weakly
     decreasing vectors of sum g whose prefix sums stay within those of
     delta, in lexicographic order.  Their number is DT_n of the
-    (m+1)-loop quiver."""
+    (m+1)-loop quiver; it is counted by `break_orbit_types` and checked
+    against the budget on call, before the first is listed."""
+    orbits = sum(break_orbit_types(p, budget).values())
+    _check_budget(orbits, budget, "Break orbits")
+    return _list_break_orbits(p)
+
+
+def _list_break_orbits(p: KnmParams) -> list[tuple[int, ...]]:
     n, g, bounds = p.n, p.genus, p.delta_prefix
     out = []
 
@@ -189,10 +354,20 @@ def break_orbit_reps(p: KnmParams) -> list[tuple[int, ...]]:
     return out
 
 
-def parking_orbit_reps(p: KnmParams) -> list[tuple[int, ...]]:
+def parking_orbit_reps(
+    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
+) -> list[tuple[int, ...]]:
     """The S_{n-1}-orbit representatives of Park_{m,n} in sort_orbit_key
     form: the weakly increasing a~ with a~_i <= m*i - 1, each reversed,
-    in lexicographic order."""
+    in lexicographic order.  Their number is counted by
+    `parking_orbit_types` and checked against the budget on call, before
+    the first is listed."""
+    orbits = sum(parking_orbit_types(p, budget).values())
+    _check_budget(orbits, budget, "Park orbits")
+    return _list_parking_orbits(p)
+
+
+def _list_parking_orbits(p: KnmParams) -> list[tuple[int, ...]]:
     n, m = p.n, p.m
     out = []
 
@@ -263,18 +438,20 @@ def enumerate_break(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> Iterator[tuple[int, ...]]:
     """An iterator over all of Break_{m,n} in lexicographic order: the
-    rearrangements of break_orbit_reps.  The budget is checked on call."""
+    rearrangements of break_orbit_reps.  The budget is checked on call,
+    on |Break|, which is at least the number of orbits."""
     _check_budget(break_count(p), budget, "Break")
-    return _distinct_permutations(break_orbit_reps(p))
+    return _distinct_permutations(_list_break_orbits(p))
 
 
 def enumerate_parking(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> Iterator[tuple[int, ...]]:
     """An iterator over all of Park_{m,n} in lexicographic order: the
-    rearrangements of parking_orbit_reps.  The budget is checked on call."""
+    rearrangements of parking_orbit_reps.  The budget is checked on call,
+    on |Park|, which is at least the number of orbits."""
     _check_budget(break_count(p), budget, "Park")
-    return _distinct_permutations(parking_orbit_reps(p))
+    return _distinct_permutations(_list_parking_orbits(p))
 
 
 def compositions(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]]:

@@ -6,12 +6,17 @@ is the Murnaghan-Nakayama border-strip recursion; h-to-s conversion
 goes through character inner products against it.
 
 An S_n-invariant set of vectors is a permutation module, and all of its
-Frobenius data comes from its orbit representatives
-(`permutation_module`); `knm_modules` holds both K_n^m modules, the
-closed character and the restriction verdict.  The per-tuple
-fixed-point scans (`character_*_bruteforce`) read the candidate-scan
-oracles of `knm`, so they stay independent of both the closed formula
-and the orbit route.
+Frobenius data comes from its h-expansion, the number of orbits whose
+vectors have each multiplicity partition mu (`h_module`;
+`permutation_module` reads it off listed orbit representatives).
+`knm_modules` holds both K_n^m modules, the closed character and the
+restriction verdict.  It takes the h-expansions from the orbit-type
+counts `knm.break_orbit_types` and `knm.parking_orbit_types`, which list
+no orbit: their work grows with the orbit types, at most
+(g+1) * (p(0) + ... + p(n)) states for Break, and not with the orbits.
+The per-tuple fixed-point scans (`character_*_bruteforce`) read the
+candidate-scan oracles of `knm`, so they stay independent of both the
+closed formula and the orbit-type route.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ import math
 from collections import Counter
 from functools import lru_cache
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
 
 from . import knm
-from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
+from .errors import InternalInvariantError, PreconditionError
+from .knm import partition_counts
 
 Partition = Tuple[int, ...]
 ClassFunction = Dict[Partition, int]
@@ -46,21 +52,6 @@ def partitions_of(n: int) -> list[Partition]:
 
     rec(n, n, [])
     return out
-
-
-def partition_counts(n: int) -> Iterator[int]:
-    """p(0), p(1), ..., p(n), in integers, by Euler's pentagonal number
-    recurrence: p(k) is the sum over j >= 1 of (-1)^(j+1) times
-    p(k - j(3j-1)/2) + p(k - j(3j+1)/2)."""
-    p: list[int] = []
-    for k in range(n + 1):
-        total, j = int(k == 0), 1
-        while (g := j * (3 * j - 1) // 2) <= k:
-            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
-            total += term if j % 2 else -term
-            j += 1
-        p.append(total)
-        yield total
 
 
 def _z(lam: Partition) -> int:
@@ -171,9 +162,7 @@ def character_break(
     before any is listed; the count stops at the first p(k) > budget,
     since p(n) >= p(k), so the check is cheap at any n."""
     for count in partition_counts(n):
-        if count > budget:
-            raise BudgetExceededError(
-                f"|partitions of {n}| >= {count} exceeds budget {budget}")
+        knm._check_budget(count, budget, f"partitions of {n}", exact=False)
     return {
         lam: character_break_closed(m, n, lam) for lam in partitions_of(n)
     }
@@ -316,7 +305,12 @@ def permutation_module(
 ) -> PermutationModule:
     """Frobenius data of the S_n-permutation module on the orbits of the
     given length-n representatives, one per orbit."""
-    h = perm_module_h_expansion(orbit_reps)
+    return h_module(perm_module_h_expansion(orbit_reps), n)
+
+
+def h_module(h: Dict[Partition, int], n: int) -> PermutationModule:
+    """Frobenius data of the S_n-permutation module with h-expansion h:
+    h[mu] orbits, each that of a vector with value multiplicities mu."""
     if any(sum(mu) != n for mu in h):
         raise PreconditionError(f"orbit representatives must have length {n}")
     chi = h_module_character(h, n)
@@ -331,16 +325,19 @@ class KnmModules(NamedTuple):
 
 
 def knm_modules(p: knm.KnmParams, budget: int = knm.DEFAULT_SET_BUDGET) -> KnmModules:
-    """Both module statements of the paper on K_n^m, from generated orbit
-    representatives: S_n on Break against the closed character, and its
-    restriction to S_{n-1} against Park.  |Break| is checked against the
-    budget on call, as in every knm enumerator."""
+    """Both module statements of the paper on K_n^m, from the orbit
+    types that `knm.break_orbit_types` and `knm.parking_orbit_types`
+    count without listing an orbit: S_n on Break against the closed
+    character, and its restriction to S_{n-1} against Park.  |Break| is
+    checked against the budget on call, as in every knm enumerator; it
+    bounds the states of both counts too (`knm.count_break_types`), so
+    they run without a check of their own."""
     knm._check_budget(knm.break_count(p), budget, "Break")
     closed = character_break(p.m, p.n, budget)
-    breaks = permutation_module(knm.break_orbit_reps(p), p.n)
+    breaks = h_module(knm.count_break_types(p), p.n)
     if p.n == 1:
         return KnmModules(closed, breaks, None, True)
-    parks = permutation_module(knm.parking_orbit_reps(p), p.n - 1)
+    parks = h_module(knm.count_parking_types(p), p.n - 1)
     return KnmModules(closed, breaks, parks, restrict_character(closed) == parks.character)
 
 
@@ -356,5 +353,7 @@ def trivial_multiplicity(chi: ClassFunction) -> int:
 
 def dominated_partition_count(m: int, n: int) -> int:
     """Partitions of the genus with at most n parts dominated by
-    (m(n-1)-1, ..., m-1, 0); these index the orbits of break divisors."""
-    return len(knm.break_orbit_reps(knm.KnmParams(m, n)))
+    (m(n-1)-1, ..., m-1, 0); these index the orbits of break divisors,
+    so this is the sum of `knm.break_orbit_types`, whose state space is
+    checked against the default budget."""
+    return sum(knm.break_orbit_types(knm.KnmParams(m, n)).values())

@@ -370,7 +370,7 @@ def _first_class_disagreement(case: str, named) -> str | None:
 
 
 def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
-    """The closed character formula and the orbit route of
+    """The closed character formula and the orbit-type route of
     `reptheory.knm_modules` (the `character` command's bruteforce
     column) against per-tuple fixed-point scans."""
     scope, ok = _scope(m_max, n_max)
@@ -383,7 +383,7 @@ def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
         closed_cx = closed_cx or _first_class_disagreement(
             case, [("character_break_closed", modules.closed), scanned])
         orbit_cx = orbit_cx or _first_class_disagreement(
-            case, [("permutation_module", modules.breaks.character), scanned])
+            case, [("break_orbit_types", modules.breaks.character), scanned])
     return [
         _check("closed-character-vs-bruteforce", scope, closed_cx, ok),
         _check("orbit-character-vs-bruteforce", scope, orbit_cx, ok),
@@ -410,7 +410,7 @@ def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
             res_cx = res_cx or _first_class_disagreement(case, [
                 ("restrict_character", reptheory.restrict_character(chi)),
                 ("character_parking", park_chi),
-                ("permutation_module", modules.parks.character),
+                ("parking_orbit_types", modules.parks.character),
             ]) or case
         breaks = knm.enumerate_break_bruteforce(p)
         triv_cx = triv_cx or _disagreement(case, [
@@ -426,6 +426,44 @@ def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
     ]
 
 
+def suite_theorems_by_orbit_types(m_max: int = 3, n_max: int = 12) -> list[Check]:
+    """The module theorems past the reach of enumeration, from the orbit
+    types that `knm` counts without listing an orbit: Break has DT_n
+    orbits, the character of the h-expansion of Break is the closed
+    character, and the closed character restricts (n >= 2) to that of
+    Park.  The largest case costs the most, so its costs are checked
+    against the budget before the first case: the Break orbit-type state
+    space, which bounds that of Park, and the pairs of a cycle type and
+    an orbit type that a character sums over, at most p(n)^2."""
+    scope, ok = _scope(m_max, n_max)
+    res_scope, res_ok = _scope(m_max, n_max, 2)
+    if ok:
+        knm._check_break_states(knm.KnmParams(m_max, n_max), knm.DEFAULT_SET_BUDGET)
+        *_, types = knm.partition_counts(n_max)
+        knm._check_budget(types * types, knm.DEFAULT_SET_BUDGET,
+                          f"partitions of {n_max} x partitions of {n_max}")
+    dt_cx = chi_cx = res_cx = None
+    for m, n, p, case in _cases(m_max, n_max):
+        h = knm.break_orbit_types(p)
+        closed = reptheory.character_break(m, n)
+        dt_cx = dt_cx or _disagreement(case, [
+            ("break_orbit_types", sum(h.values())),
+            ("dt_invariant", counting.dt_invariant(m, n))])
+        chi_cx = chi_cx or _first_class_disagreement(case, [
+            ("break_orbit_types", reptheory.h_module_character(h, n)),
+            ("character_break", closed)])
+        if n > 1:
+            parks = reptheory.h_module_character(knm.parking_orbit_types(p), n - 1)
+            res_cx = res_cx or _first_class_disagreement(case, [
+                ("restrict_character", reptheory.restrict_character(closed)),
+                ("parking_orbit_types", parks)])
+    return [
+        _check("orbit-types-count-dt", scope, dt_cx, ok),
+        _check("orbit-type-character-equals-closed", scope, chi_cx, ok),
+        _check("orbit-type-restriction-equals-parking", res_scope, res_cx, res_ok),
+    ]
+
+
 SUITES: dict[str, Callable[..., list[Check]]] = {
     "random-graphs": suite_random_graphs,
     "shift-classes": suite_shift_classes,
@@ -436,6 +474,7 @@ SUITES: dict[str, Callable[..., list[Check]]] = {
     "dt-two-routes": suite_dt_two_routes,
     "characters": suite_characters,
     "module-isomorphisms": suite_module_isomorphisms,
+    "theorems-by-orbit-types": suite_theorems_by_orbit_types,
 }
 
 

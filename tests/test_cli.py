@@ -267,6 +267,27 @@ def test_character_stdout_is_byte_stable(m, n, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+ORBIT_TYPE_ROUTE = [d for d in CHARACTER_DIGESTS if d[:2] in {(2, 6), (5, 5), (3, 5)}]
+
+
+@pytest.mark.parametrize(
+    "m, n, fmt, digest", ORBIT_TYPE_ROUTE,
+    ids=[f"{m}-{n}-{f}" for m, n, f, _ in ORBIT_TYPE_ROUTE],
+)
+def test_character_lists_no_orbit(monkeypatch, m, n, fmt, digest):
+    # the same bytes when listing an orbit, or reading the h-expansion
+    # off listed representatives, would raise
+    def refuse(*args, **kwargs):
+        raise AssertionError("character listed the orbits")
+
+    monkeypatch.setattr(knm, "break_orbit_reps", refuse)
+    monkeypatch.setattr(knm, "parking_orbit_reps", refuse)
+    monkeypatch.setattr(reptheory, "perm_module_h_expansion", refuse)
+    code, out = run_cli(["character", "--m", str(m), "--n", str(n), "--format", fmt])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_character_over_budget_is_byte_stable(capsys):
     code, out = run_cli(
         ["character", "--m", "2", "--n", "4", "--budget", "10", "--format", "json"]
@@ -515,6 +536,26 @@ class TestCharacter:
         run_cli(["character", "--m", "2", "--n", "4", "--format", "json"])
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "m, n, flags",
+        [(1, 1, ["--budget", "1"]), (2, 3, ["--budget", "12"]),
+         (1000, 2, ["--budget", "1000"]), (10**6, 2, [])],
+        ids=["n1-budget1", "n3-budget12", "n2-budget1000", "n2-m1000000"],
+    )
+    def test_break_within_budget_prints_every_column(self, capsys, m, n, flags):
+        # |Break| <= budget (|Break| = m at n = 2), so the orbit-type
+        # counts run too, though their state-space bounds exceed |Break|
+        code, out = run_cli(
+            ["character", "--m", str(m), "--n", str(n), *flags, "--format", "json"]
+        )
+        assert code == 0
+        records = json.loads(out)
+        rows = [r for r in records if r["cycle_type"].startswith("(")]
+        assert len(rows) == len(reptheory.partitions_of(n))
+        assert all(r["bruteforce"] == r["closed"] for r in rows)
+        assert len(records) == len(rows) + (1 if n == 1 else 3)
+        assert capsys.readouterr().err == ""
+
 
 class TestDt:
     def test_table_24(self):
@@ -750,7 +791,7 @@ class TestVerify:
         assert res == (
             "restriction-equals-parking-module", False,
             "m <= 2, n <= 4; first counterexample: m 2, n 3, cycle type (1, 1): "
-            "restrict_character 12, character_parking 13, permutation_module 12",
+            "restrict_character 12, character_parking 13, parking_orbit_types 12",
         )
         assert triv == ("trivial-multiplicity-equals-dt", True, "m <= 2, n <= 4")
 
@@ -831,6 +872,82 @@ class TestVerify:
             f"m <= 3, n <= {counting.MAX_SERIES_ORDER}; first counterexample: m 2, n 3: "
             "dt_via_euler_product 3, dt_via_formal_log 4, dt_invariant 3",
         )]
+
+    def test_theorems_by_orbit_types_suite(self):
+        code, out = run_cli(
+            ["verify", "--only", "theorems-by-orbit-types", "--format", "json"]
+        )
+        assert code == cli.EXIT_OK
+        assert json.loads(out) == [
+            {"invariant": name, "verdict": "PASS", "detail": "m <= 3, n <= 12"}
+            for name in ("orbit-types-count-dt", "orbit-type-character-equals-closed",
+                         "orbit-type-restriction-equals-parking")
+        ]
+
+    def test_theorems_by_orbit_types_honour_m_and_n(self):
+        dt, chi, res = verify.run_suites(
+            only=["theorems-by-orbit-types"], m_max=1, n_max=16)
+        assert dt == ("orbit-types-count-dt", True, "m <= 1, n <= 16")
+        assert chi[1] and res[1]
+
+    @pytest.mark.parametrize(
+        "n, error",
+        [("40", "|Break orbit-type state space| >= 2013788 exceeds budget 2000000"),
+         ("24", "|partitions of 24 x partitions of 24| = 2480625 exceeds budget 2000000")],
+        ids=["state-space", "character-pairs"],
+    )
+    def test_theorems_by_orbit_types_over_budget_fails_at_once(self, n, error):
+        # the largest case is checked before the first, so no case runs
+        code, out = run_cli(
+            ["verify", "--only", "theorems-by-orbit-types", "--only", "orbit-counts",
+             "--m", "1", "--n", n, "--format", "json"]
+        )
+        assert code == cli.EXIT_VERIFY
+        assert json.loads(out) == [
+            {"invariant": "theorems-by-orbit-types", "verdict": "FAIL",
+             "detail": f"over budget: {error}"},
+            {"invariant": "orbit-count-three-routes", "verdict": "PASS",
+             "detail": f"m <= 1, n <= {n}"},
+        ]
+
+    def test_theorems_by_orbit_types_fail_names_every_value(self, monkeypatch):
+        real_closed, real_dt = reptheory.character_break_closed, counting.dt_invariant
+        monkeypatch.setattr(
+            reptheory, "character_break_closed",
+            lambda m, n, lam: real_closed(m, n, lam) + ((m, n, lam) == (2, 9, (3, 3, 3))),
+        )
+        monkeypatch.setattr(
+            counting, "dt_invariant", lambda m, n: real_dt(m, n) + ((m, n) == (3, 11))
+        )
+        dt, chi, res = verify.suite_theorems_by_orbit_types()
+        assert dt == (
+            "orbit-types-count-dt", False,
+            "m <= 3, n <= 12; first counterexample: m 3, n 11: "
+            f"break_orbit_types {real_dt(3, 11)}, dt_invariant {real_dt(3, 11) + 1}",
+        )
+        assert chi == (
+            "orbit-type-character-equals-closed", False,
+            "m <= 3, n <= 12; first counterexample: m 2, n 9, cycle type (3, 3, 3): "
+            "break_orbit_types 0, character_break 1",
+        )
+        assert res == ("orbit-type-restriction-equals-parking", True, "m <= 3, n <= 12")
+
+    def test_theorems_by_orbit_types_restriction_fail(self, monkeypatch):
+        real = knm.parking_orbit_types
+
+        def parking_orbit_types(p, budget=knm.DEFAULT_SET_BUDGET):
+            h = real(p, budget)
+            if (p.m, p.n) == (1, 12):
+                h[(11,)] += 1
+            return h
+
+        monkeypatch.setattr(knm, "parking_orbit_types", parking_orbit_types)
+        _, _, res = verify.suite_theorems_by_orbit_types()
+        assert res == (
+            "orbit-type-restriction-equals-parking", False,
+            "m <= 3, n <= 12; first counterexample: m 1, n 12, cycle type (11,): "
+            "restrict_character 1, parking_orbit_types 2",
+        )
 
     def test_subset_kernel_suite(self):
         code, out = run_cli(["verify", "--only", "subset-kernel", "--format", "json"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from breakpark import counting, knm
+from breakpark.reptheory import perm_module_h_expansion
 from breakpark import multigraph as mg
 from breakpark.errors import (
     BudgetExceededError,
@@ -284,6 +285,133 @@ def params_within_scan_reach(draw):
 def test_streamed_enumerations_equal_scans(p):
     assert list(knm.enumerate_break(p)) == list(knm.enumerate_break_bruteforce(p))
     assert list(knm.enumerate_parking(p)) == list(knm.enumerate_parking_bruteforce(p))
+
+
+@st.composite
+def params_with_listable_orbits(draw):
+    """(m, n) with m <= 4, n <= 7 whose orbits are few enough to list."""
+    return params(draw(st.integers(1, 4)), draw(st.integers(1, 7)))
+
+
+def listed_types(p):
+    """The h-expansions of the listed Break and Park representatives."""
+    return (perm_module_h_expansion(knm.break_orbit_reps(p)),
+            perm_module_h_expansion(knm.parking_orbit_reps(p)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(params_with_listable_orbits())
+def test_orbit_types_equal_the_listed_orbits(p):
+    # the same keys in the same (sorted) order, with the same counts
+    break_types, park_types = listed_types(p)
+    assert list(knm.break_orbit_types(p).items()) == list(break_types.items())
+    assert list(knm.parking_orbit_types(p).items()) == list(park_types.items())
+
+
+class TestOrbitTypes:
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_n1(self, m):
+        p = params(m, 1)
+        assert knm.break_orbit_types(p) == {(1,): 1}  # the divisor (0)
+        assert knm.parking_orbit_types(p) == {(): 1}  # the empty tuple
+        assert listed_types(p) == ({(1,): 1}, {(): 1})
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8])
+    def test_n2(self, m):
+        # Break: (a, m-1-a) with a >= m-1-a, a pair of equal entries when
+        # m is odd; Park: (v,) for every v <= m-1
+        p = params(m, 2)
+        pairs = {(2,): 1} if m % 2 else {}
+        if m > 1:
+            pairs[(1, 1)] = (m - 1) // 2 + (m % 2 == 0)
+        assert knm.break_orbit_types(p) == dict(sorted(pairs.items()))
+        assert knm.parking_orbit_types(p) == {(1,): m}
+        assert listed_types(p) == (knm.break_orbit_types(p), {(1,): m})
+
+    def test_break_23(self):
+        # (2,1,1), (2,2,0) and (3,1,0)
+        assert knm.break_orbit_types(params(2, 3)) == {(1, 1, 1): 1, (2, 1): 2}
+
+    def test_orbit_count_is_dt_past_enumeration(self):
+        for m in range(1, 4):
+            for n in range(1, 15):
+                assert sum(knm.break_orbit_types(params(m, n)).values()) == (
+                    counting.dt_invariant(m, n)
+                ), (m, n)
+
+    def test_parking_orbits_at_n14(self):
+        # S_(n-1)-orbits of Park: weakly increasing a~ with a~_i <= m*i - 1,
+        # a ballot count; at m = 1 the Catalan number C_(n-1)
+        assert sum(knm.parking_orbit_types(params(1, 14)).values()) == 742900
+
+    @pytest.mark.parametrize(
+        "orbit_types, m, n, message",
+        [(knm.break_orbit_types, 2, 10**6,
+          "|Break orbit-type state space| >= 999998000002 exceeds budget 2000000"),
+         (knm.break_orbit_types, 1, 40,
+          "|Break orbit-type state space| >= 2013788 exceeds budget 2000000"),
+         (knm.parking_orbit_types, 10**9, 2,
+          "|Park orbit-type state space| >= 1000000000 exceeds budget 2000000"),
+         (knm.parking_orbit_types, 1, 80,
+          "|Park orbit-type state space| >= 2261691 exceeds budget 2000000")],
+        ids=["break-wide", "break-long", "park-wide", "park-long"],
+    )
+    def test_state_space_checked_before_the_first_state(
+        self, orbit_types, m, n, message
+    ):
+        # each sweep would run for hours; the check stops it at once and
+        # reads no delta: the prefix sums of n = 10^6 are never built
+        p = params(m, n)
+        with pytest.raises(BudgetExceededError) as exc:
+            orbit_types(p)
+        assert str(exc.value) == message
+        assert "delta_prefix" not in vars(p)
+
+    def test_state_space_bound_holds_at_the_budget(self):
+        # (2,14): (g + 1) * (p(0) + ... + p(14)) = 170 * 508
+        p = params(2, 14)
+        assert sum(knm.break_orbit_types(p, budget=170 * 508).values()) == 89898151
+        with pytest.raises(BudgetExceededError, match="state space"):
+            knm.break_orbit_types(p, budget=170 * 508 - 1)
+
+    @pytest.mark.parametrize(
+        "orbit_reps, lister, m, n, message",
+        [(knm.break_orbit_reps, "_list_break_orbits", 2, 14,
+          "|Break orbits| = 89898151 exceeds budget 2000000"),
+         (knm.parking_orbit_reps, "_list_parking_orbits", 2, 12,
+          "|Park orbits| = 23841480 exceeds budget 2000000")],
+        ids=["break", "park"],
+    )
+    def test_orbit_reps_check_the_orbit_count_before_listing(
+        self, monkeypatch, orbit_reps, lister, m, n, message
+    ):
+        def refuse(p):
+            raise AssertionError("listed the orbits")
+
+        monkeypatch.setattr(knm, lister, refuse)
+        with pytest.raises(BudgetExceededError) as exc:
+            orbit_reps(params(m, n))
+        assert str(exc.value) == message
+
+    def test_orbit_reps_budget_is_the_exact_orbit_count(self):
+        # at (2,8) both state spaces, 3350 and 630, are below the orbit counts
+        p = params(2, 8)
+        assert len(knm.break_orbit_reps(p, budget=3828)) == 3828
+        assert len(knm.parking_orbit_reps(p, budget=21318)) == 21318
+        with pytest.raises(BudgetExceededError, match=r"\|Break orbits\| = 3828 "):
+            knm.break_orbit_reps(p, budget=3827)
+        with pytest.raises(BudgetExceededError, match=r"\|Park orbits\| = 21318 "):
+            knm.parking_orbit_reps(p, budget=21317)
+
+    def test_enumerators_keep_their_set_check(self):
+        # |Break| bounds the orbits, so the enumerators run no DP and
+        # name the set, not its orbits
+        p = params(3, 6)
+        for enumerate_set, name in ((knm.enumerate_break, "Break"),
+                                    (knm.enumerate_parking, "Park")):
+            with pytest.raises(BudgetExceededError) as exc:
+                enumerate_set(p, budget=100)
+            assert str(exc.value) == f"|{name}| = 314928 exceeds budget 100"
 
 
 SET_ENUMERATORS = (

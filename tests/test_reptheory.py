@@ -216,6 +216,55 @@ class TestPermutationModule:
     def test_wrong_length_rejected(self):
         with pytest.raises(PreconditionError):
             rt.permutation_module([(1, 0)], 3)
+        with pytest.raises(PreconditionError):
+            rt.h_module({(2,): 1}, 3)
+
+    def test_h_module_is_the_module_of_the_listed_reps(self):
+        p = knm.KnmParams(3, 4)
+        reps = knm.break_orbit_reps(p)
+        assert rt.h_module(rt.perm_module_h_expansion(reps), 4) == (
+            rt.permutation_module(reps, 4)
+        )
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("listed the orbits")
+
+
+class TestKnmModules:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equal_the_modules_of_the_listed_reps(self, m, n):
+        p = knm.KnmParams(m, n)
+        modules = rt.knm_modules(p)
+        assert modules.breaks == rt.permutation_module(knm.break_orbit_reps(p), n)
+        if n > 1:
+            assert modules.parks == rt.permutation_module(
+                knm.parking_orbit_reps(p), n - 1
+            )
+
+    def test_list_no_orbit(self, monkeypatch):
+        for name in ("break_orbit_reps", "parking_orbit_reps",
+                     "_list_break_orbits", "_list_parking_orbits"):
+            monkeypatch.setattr(knm, name, refuse)
+        monkeypatch.setattr(rt, "perm_module_h_expansion", refuse)
+        modules = rt.knm_modules(knm.KnmParams(2, 7))
+        assert sum(modules.breaks.h.values()) == 791
+        assert modules.restricts
+
+    @pytest.mark.parametrize("m, n, budget", [(1, 1, 1), (2, 3, 12), (1000, 2, 1000)])
+    def test_budget_is_on_break_alone(self, m, n, budget):
+        # |Break| = budget; the state-space bounds of the orbit-type
+        # counts, (g + 1) * (p(0) + ... + p(n)) for Break, exceed it
+        p = knm.KnmParams(m, n)
+        assert knm.break_count(p) == budget
+        with pytest.raises(BudgetExceededError, match="state space"):
+            knm.break_orbit_types(p, budget)
+        modules = rt.knm_modules(p, budget)
+        assert modules.breaks.h == knm.break_orbit_types(p)
+        assert modules.restricts
+        with pytest.raises(BudgetExceededError, match=r"^\|Break\| = "):
+            rt.knm_modules(p, budget - 1)
 
 
 class TestCharacterBreakClosedInIntegers:
@@ -355,6 +404,16 @@ class TestTrivialMultiplicity:
 class TestDominatedCount:
     def test_24_paper_value(self):
         assert rt.dominated_partition_count(2, 4) == 10
+
+    def test_past_enumeration_lists_no_orbit(self, monkeypatch):
+        monkeypatch.setattr(knm, "break_orbit_reps", refuse)
+        monkeypatch.setattr(knm, "_list_break_orbits", refuse)
+        assert rt.dominated_partition_count(2, 14) == 89898151
+        assert counting.dt_invariant(2, 14) == 89898151
+
+    def test_budget_is_on_the_state_space(self):
+        with pytest.raises(BudgetExceededError, match="Break orbit-type state space"):
+            rt.dominated_partition_count(1, 40)
 
     @pytest.mark.parametrize("m,n", [(1, 5), (2, 5), (3, 4), (2, 6)])
     def test_matches_partition_scan(self, m, n):
