@@ -17,11 +17,14 @@ subcommand's own usage line.
 `enumerate` streams: --budget is checked before the first byte is
 written, and then the set is generated as it is written, never held.
 Its records are built one at a time and json and csv write each as it
-comes (pretty first reads them all, for its column widths).  Each tuple
-in a record is formatted by one `%` with a "(%d,...,%d)" template
-cached per length.  A `classes` record takes its representatives from
-`knm.break_representative` and `knm.parking_representative`, which
-rebuild the class from its key.
+comes (pretty first reads them all, for its column widths).  Each set
+declares its record layout once, as `Rows`: its fields and their tuple
+arities, and a record is one flat tuple of ints.  json formats each
+record by one `%` with the layout's row template, built from the
+"(%d,...,%d)" templates cached per length; csv and pretty print the
+dict records projected from the same rows.  A `classes` record takes
+its representatives from `knm.break_representative` and
+`knm.parking_representative`, which rebuild the class from its key.
 
 `character` lists no orbit: `reptheory.knm_modules` counts the orbits
 of Break and Park by multiplicity partition (`knm.break_orbit_types`,
@@ -30,9 +33,10 @@ points counted from those orbit types, still independent of the closed
 formula.
 
 Every command pays for the imports at start-up, so the modules it loads
-keep `dataclasses`, `inspect`, `fractions` and `csv` off that path: each
-is imported only by the code that uses it (`csv` by `emit` for --format
-csv, `fractions` only where the series code divides).
+keep `dataclasses`, `inspect`, `fractions`, `csv` and `json` off that
+path: each is imported only by the code that uses it (`csv` by `emit`
+for --format csv, `json` by `emit` for json records that are not
+`Rows`, `fractions` only where the series code divides).
 
 --m, --n and --n-max must be at least 1 and --budget at least 0, else
 the run is a usage error.
@@ -49,10 +53,10 @@ nothing on stderr and exits with its verdict code, 0 or 4.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from . import counting, knm, multigraph, reptheory, verify
 from .errors import (
@@ -87,6 +91,40 @@ def _fmt_tuple(t) -> str:
     return _TUPLE_FORMATS[len(t)] % t
 
 
+class Rows:
+    """The records of one `enumerate` set, each a flat tuple of ints.
+
+    `fields` is the record layout in JSON key order, which is sorted:
+    (name, arity, parts) for a field of `parts` tuples of `arity` ints
+    joined by ";", taken from the next arity * parts ints of a row.
+    `columns` names the fields in the order csv and pretty print them.
+
+    `json_row` is the `%` template of one JSON record, built once from
+    the `_TUPLE_FORMATS` pieces, such as '{"divisor": "(%d,%d,%d)",
+    "orbit_key": "(%d,%d,%d)"}'.  A row formatted by it is the record's
+    `json.dumps(..., sort_keys=True)`: the keys are fixed ASCII names in
+    sorted order, and `%d` of an int prints only digits and "-", nothing
+    JSON escapes.  Iterating a Rows gives the dict records, keys in
+    column order, that csv and pretty print."""
+
+    def __init__(self, fields, columns, rows: Iterable[tuple[int, ...]]):
+        self.rows = rows
+        formats, start = {}, 0
+        for name, arity, parts in fields:
+            formats[name] = (";".join([_TUPLE_FORMATS[arity]] * parts),
+                             slice(start, start + arity * parts))
+            start += arity * parts
+        self.json_row = "{" + ", ".join(
+            f'"{name}": "{template}"' for name, (template, _) in formats.items()
+        ) + "}"
+        self.columns = [(name, *formats[name]) for name in columns]
+
+    def __iter__(self) -> Iterator[dict]:
+        columns = self.columns
+        for row in self.rows:
+            yield {name: template % row[part] for name, template, part in columns}
+
+
 def _fmt_expansion(coeffs, basis: str) -> str:
     if not coeffs:
         return "0"
@@ -97,16 +135,29 @@ def _fmt_expansion(coeffs, basis: str) -> str:
     return " + ".join(terms)
 
 
-def emit(records: Iterable[dict], fmt: str, stream=None):
+def emit(records: Iterable[dict] | Rows, fmt: str, stream=None):
     """Write `records`, a list or any iterable of dicts with the same
-    keys, to `stream` (stdout by default).  json and csv write each record
-    as it comes, so a generator of records is never held whole, and the
-    json bytes are those of `json.dump(list(records), stream,
-    sort_keys=True)` plus a newline.  pretty needs the column widths over
-    all records, so it alone reads them into a list first.  No records
-    print `[]` in json and nothing in csv and pretty."""
+    keys, or the `Rows` of one layout, to `stream` (stdout by default).
+    json and csv write each record as it comes, so a generator of
+    records is never held whole, and the json bytes are those of
+    `json.dump(list(records), stream, sort_keys=True)` plus a newline.
+    json writes each row of a `Rows` with one `%` of its row template,
+    building no dict; csv and pretty print its dict records.  pretty
+    needs the column widths over all records, so it alone reads them
+    into a list first.  No records print `[]` in json and nothing in csv
+    and pretty."""
     stream = stream or sys.stdout
-    if fmt == "json":
+    if fmt == "json" and isinstance(records, Rows):
+        # Record by record: the stream's own buffer batches the writes.
+        write, row_format = stream.write, "[" + records.json_row
+        next_format = ", " + records.json_row
+        for row in records.rows:
+            write(row_format % row)
+            row_format = next_format
+        write("[]\n" if row_format[0] == "[" else "]\n")
+    elif fmt == "json":
+        import json
+
         # encode() runs the C encoder; json.dump runs the Python one.
         encode = json.JSONEncoder(sort_keys=True).encode
         sep = "["
@@ -156,45 +207,46 @@ def _graph_or_knm(args, set_name: str = "break"):
         return multigraph.parse_graph_file(fh.read()), None
 
 
-def cmd_enumerate(args) -> tuple[Iterator[dict], bool]:
-    """A generator of the records of the chosen set.  The budget is
-    checked here, before the first record is built, so an over-budget run
-    writes nothing to stdout; the set is then generated as its records
-    are written, never held whole."""
+def cmd_enumerate(args) -> tuple[Rows, bool]:
+    """The rows of the chosen set, in its record layout.  The budget is
+    checked here, before the first row is built, so an over-budget run
+    writes nothing to stdout; the set is then generated as its rows are
+    written, never held whole.  A row concatenates its fields in the
+    layout's JSON key order."""
     g, p = _graph_or_knm(args, args.set)
     if g is not None:
         divisors = multigraph.enumerate_break_divisors(g, budget=args.budget)
-        return ({"divisor": _fmt_tuple(d)} for d in divisors), True
+        return Rows([("divisor", g.n, 1)], ["divisor"], divisors), True
+    n = p.n
     if args.set == "break":
-        records = (
-            {"divisor": _fmt_tuple(d), "orbit_key": _fmt_tuple(knm.sort_orbit_key(d))}
-            for d in knm.enumerate_break(p, budget=args.budget)
+        rows = Rows(
+            [("divisor", n, 1), ("orbit_key", n, 1)], ["divisor", "orbit_key"],
+            (d + knm.sort_orbit_key(d)
+             for d in knm.enumerate_break(p, budget=args.budget)),
         )
     elif args.set == "park":
-        records = (
-            {"parking": _fmt_tuple(a), "orbit_key": _fmt_tuple(knm.sort_orbit_key(a))}
-            for a in knm.enumerate_parking(p, budget=args.budget)
+        rows = Rows(
+            [("orbit_key", n - 1, 1), ("parking", n - 1, 1)], ["parking", "orbit_key"],
+            (knm.sort_orbit_key(a) + a
+             for a in knm.enumerate_parking(p, budget=args.budget)),
         )
     elif args.set == "residue":
-        records = (
-            {
-                "tuple": _fmt_tuple(x),
-                "class_key": _fmt_tuple(knm.class_key(p, x)),
-                "orbit_key": _fmt_tuple(knm.sort_orbit_key(x)),
-            }
-            for x in knm.enumerate_residue_tuples(p, budget=args.budget)
+        rows = Rows(
+            [("class_key", n, 1), ("orbit_key", n, 1), ("tuple", n, 1)],
+            ["tuple", "class_key", "orbit_key"],
+            (knm.class_key(p, x) + knm.sort_orbit_key(x) + x
+             for x in knm.enumerate_residue_tuples(p, budget=args.budget)),
         )
-    else:  # classes
-        records = (
-            {
-                "class_key": _fmt_tuple(cls[0]),
-                "members": ";".join(_fmt_tuple(x) for x in cls),
-                "break_rep": _fmt_tuple(knm.break_representative(p, cls[0])),
-                "parking_rep": _fmt_tuple(knm.parking_representative(p, cls[0])),
-            }
-            for cls in knm.shift_classes(p, budget=args.budget)
+    else:  # classes; a class lists its key first
+        rows = Rows(
+            [("break_rep", n, 1), ("class_key", n, 1), ("members", n, n),
+             ("parking_rep", n - 1, 1)],
+            ["class_key", "members", "break_rep", "parking_rep"],
+            ((*knm.break_representative(p, cls[0]), *cls[0], *chain.from_iterable(cls),
+              *knm.parking_representative(p, cls[0]))
+             for cls in knm.shift_classes(p, budget=args.budget)),
         )
-    return records, True
+    return rows, True
 
 
 def cmd_count(args) -> tuple[list[dict], bool]:

@@ -23,6 +23,8 @@ delta are concave, so a Break run needs only its last entry checked
 against them.  Each DP checks the size of its state space against the
 budget on call: (g+1) * (p(0) + ... + p(n)) for Break and
 m(n-1) * (p(0) + ... + p(n-1)) for Park, with p the partition counts.
+The Break sweep revisits its active states at each of its delta[0] + 1
+values, so its work can exceed the checked state count by that factor.
 `break_orbit_reps` and `parking_orbit_reps` check the exact orbit count
 from these DPs against their budget before they list an orbit; the set
 enumerators, whose |Break| check already bounds the orbits, list them
@@ -239,8 +241,14 @@ def break_orbit_types(
     value.  `active`, and `waiting` over all its rows, each hold a state
     (i, t, mu), with 0 <= i <= n, 0 <= t <= g and mu a partition of i, at
     most once, so (g + 1) * (p(0) + ... + p(n)) bounds each, and the sweep
-    has delta[0] + 1 <= g + 1 steps.  The bound is checked against the
-    budget on call, before the first state."""
+    has delta[0] + 1 <= g + 1 steps.  That bound on the states held is
+    checked against the budget on call, before the first state.  It does
+    not bound the work: a state stays active over every value it can
+    still take, and each step of the sweep revisits every active state,
+    so the work is up to delta[0] + 1 times the states.  At n = 12 the
+    count takes about 2.2 s at m = 10, 10.6 s at m = 20 and 70.8 s at
+    m = 50 (in one process, Python 3.11, a shared 2-core Xeon VM), all
+    within the default budget."""
     _check_break_states(p, budget)
     return count_break_types(p)
 

@@ -154,6 +154,13 @@ def character_break_bruteforce(m: int, n: int, lam: Partition) -> int:
     return _fixed_count(knm.enumerate_break_bruteforce(knm.KnmParams(m, n)), perm)
 
 
+def _check_partitions(n: int, budget: int = knm.DEFAULT_SET_BUDGET):
+    """Check the number of partitions of n against the budget, stopping
+    at the first p(k) over it, which is named as a lower bound."""
+    for count in partition_counts(n):
+        knm._check_budget(count, budget, f"partitions of {n}", exact=False)
+
+
 def character_break(
     m: int, n: int, budget: int = knm.DEFAULT_SET_BUDGET
 ) -> ClassFunction:
@@ -161,8 +168,7 @@ def character_break(
     number of partitions of n is checked against the budget on call,
     before any is listed; the count stops at the first p(k) > budget,
     since p(n) >= p(k), so the check is cheap at any n."""
-    for count in partition_counts(n):
-        knm._check_budget(count, budget, f"partitions of {n}", exact=False)
+    _check_partitions(n, budget)
     return {
         lam: character_break_closed(m, n, lam) for lam in partitions_of(n)
     }

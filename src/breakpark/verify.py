@@ -13,6 +13,7 @@ on any failure; the test suite runs the same code.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Callable, Iterable, Sequence
 
@@ -40,6 +41,41 @@ def _cases(m_max: int, n_max: int, n_min: int = 1):
     for m in range(1, m_max + 1):
         for n in range(n_min, n_max + 1):
             yield m, n, knm.KnmParams(m, n), f"m {m}, n {n}"
+
+
+def _check_budgets_first(m_max: int, n_max: int, n_min: int, *checks) -> None:
+    """Walk a suite's cases once, before its first case, and make on each
+    the budget checks `check(p, budget)` that the suite's calls make on
+    it, in the same order.  A suite over budget then fails at once, with
+    the error its first case over budget raises, and not after the work
+    of every case before that one."""
+    for _, _, p, _ in _cases(m_max, n_max, n_min):
+        for check in checks:
+            check(p, knm.DEFAULT_SET_BUDGET)
+
+
+def _break_budget(p: knm.KnmParams, budget: int):
+    """|Break|, as the Break and Park enumerators and scans check it."""
+    knm._check_budget(knm.break_count(p), budget, "Break")
+
+
+def _d_budget(p: knm.KnmParams, budget: int):
+    """|D|, as `enumerate_residue_tuples` and `shift_classes` check it."""
+    knm._check_budget(knm.residue_count(p), budget, "D")
+
+
+def _partitions_budget(p: knm.KnmParams, budget: int):
+    reptheory._check_partitions(p.n, budget)
+
+
+def _scan_budget(p: knm.KnmParams, budget: int):
+    """The candidates `suite_knm_vs_multigraph` scans: the compositions
+    of g into n parts, C(g+n-1, n-1), and [0, m(n-1)]^(n-1)."""
+    g, n = p.genus, p.n
+    knm._check_budget(math.comb(g + n - 1, n - 1), budget,
+                      f"compositions of {g} into {n} parts")
+    knm._check_budget((p.m * (n - 1) + 1) ** (n - 1), budget,
+                      f"[0, {p.m * (n - 1)}]^{n - 1}")
 
 
 def _first(counterexamples: Iterable[str | None]) -> str | None:
@@ -262,6 +298,7 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
     that `shift_classes` generates the classes by.  `knm.shift` validates
     every member, so N^(n-1) distinct members are all of D."""
     scope, ok = _scope(m_max, n_max)
+    _check_budgets_first(m_max, n_max, 1, _d_budget)
     cx = None
     for _, _, p, case in _cases(m_max, n_max):
         classes = list(knm.shift_classes(p))
@@ -283,6 +320,7 @@ def suite_cardinalities(m_max: int = 3, n_max: int = 5) -> list[Check]:
     """The closed counts, and the orbit-generated enumerations against
     the candidate scans, list for list.  |D| is counted off the stream."""
     scope, ok = _scope(m_max, n_max)
+    _check_budgets_first(m_max, n_max, 1, _break_budget, _d_budget)
     count_cx = scan_cx = None
     for _, _, p, case in _cases(m_max, n_max):
         breaks = list(knm.enumerate_break(p))
@@ -311,6 +349,7 @@ def suite_knm_vs_multigraph(m_max: int = 2, n_max: int = 4) -> list[Check]:
     """The sorted-dominance and subset-quantified break tests agree on
     K_n^m, and likewise for the two parking predicates."""
     scope, ok = _scope(m_max, n_max, 2)
+    _check_budgets_first(m_max, n_max, 2, _scan_budget)
     break_cx = park_cx = None
     for m, n, p, _ in _cases(m_max, n_max, 2):
         g = multigraph.complete_multigraph(m, n)
@@ -374,6 +413,7 @@ def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
     `reptheory.knm_modules` (the `character` command's bruteforce
     column) against per-tuple fixed-point scans."""
     scope, ok = _scope(m_max, n_max)
+    _check_budgets_first(m_max, n_max, 1, _break_budget, _partitions_budget)
     closed_cx = orbit_cx = None
     for m, n, p, case in _cases(m_max, n_max):
         modules = reptheory.knm_modules(p)
@@ -397,6 +437,8 @@ def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
     The closed character, the restriction verdict and the parking orbit
     character are those of `reptheory.knm_modules`."""
     scope, ok = _scope(m_max, n_max, 2)
+    _check_budgets_first(m_max, n_max, 2, _d_budget, _break_budget,
+                         _partitions_budget, knm._check_break_states)
     iso_cx = res_cx = triv_cx = None
     for m, n, p, case in _cases(m_max, n_max, 2):
         # the |D| scan first, so an over-budget run names |D|
@@ -434,7 +476,11 @@ def suite_theorems_by_orbit_types(m_max: int = 3, n_max: int = 12) -> list[Check
     Park.  The largest case costs the most, so its costs are checked
     against the budget before the first case: the Break orbit-type state
     space, which bounds that of Park, and the pairs of a cycle type and
-    an orbit type that a character sums over, at most p(n)^2."""
+    an orbit type that a character sums over, at most p(n)^2.  These
+    checks bound the states, not the work of the Break sweep, which
+    revisits them at each of up to delta[0] + 1 values: `--m 50` passes
+    them and then runs for minutes (`knm.break_orbit_types` alone takes
+    about 71 s at (50, 12))."""
     scope, ok = _scope(m_max, n_max)
     res_scope, res_ok = _scope(m_max, n_max, 2)
     if ok:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -165,32 +166,115 @@ class TestEnumerate:
         assert out == ""
         assert capsys.readouterr().err.startswith("error: ")
 
+    # The knm functions each set's records are built from: the enumerator,
+    # called once, and the helpers, called once or more per record, the
+    # first of which the fault test makes fail.  The benchmark's tracer
+    # wraps them by module attribute, so `cli` must call them through it.
+    ROUTES = {
+        "break": ("enumerate_break", ["sort_orbit_key"]),
+        "park": ("enumerate_parking", ["sort_orbit_key"]),
+        "residue": ("enumerate_residue_tuples", ["class_key", "sort_orbit_key"]),
+        "classes": ("shift_classes", ["parking_representative", "break_representative"]),
+    }
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_fault_mid_stream_exits_5_after_a_prefix(self, monkeypatch, capsys, fmt):
-        args = ["enumerate", "--set", "classes", "--m", "2", "--n", "3", "--format", fmt]
-        _, full = run_cli(args)
-        calls = []
-        real = knm.parking_representative
+        for set_name, (_, [helper, *_]) in self.ROUTES.items():
+            args = ["enumerate", "--set", set_name, "--m", "2", "--n", "3",
+                    "--format", fmt]
+            _, full = run_cli(args)
+            calls = []
+            real = getattr(knm, helper)
 
-        def third_call_fails(p, x):
-            calls.append(x)
-            if len(calls) == 3:
-                raise InternalInvariantError("parking representative out of range")
-            return real(p, x)
+            def third_call_fails(*args):
+                calls.append(args)
+                if len(calls) == 3:
+                    raise InternalInvariantError(f"{helper} out of range")
+                return real(*args)
 
-        monkeypatch.setattr(knm, "parking_representative", third_call_fails)
-        capsys.readouterr()
-        code, out = run_cli(args)
-        assert code == cli.EXIT_INTERNAL
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: internal invariant violated: ")
-        assert "Traceback" not in err
-        # The two records before the fault, and nothing of the third.
-        if fmt == "json":
-            assert out == json.dumps(json.loads(full)[:2], sort_keys=True)[:-1]
-        else:
-            assert out == "".join(full.splitlines(keepends=True)[:3])
+            capsys.readouterr()
+            with monkeypatch.context() as patch:
+                patch.setattr(knm, helper, third_call_fails)
+                code, out = run_cli(args)
+            assert code == cli.EXIT_INTERNAL, set_name
+            err = capsys.readouterr().err
+            assert err == f"error: internal invariant violated: {helper} out of range\n"
+            # The two records before the fault, and nothing of the third.
+            if fmt == "json":
+                assert out == json.dumps(json.loads(full)[:2], sort_keys=True)[:-1]
+            else:
+                assert out == "".join(full.splitlines(keepends=True)[:3])
+
+    @pytest.mark.parametrize("set_name", sorted(ROUTES))
+    def test_records_are_built_through_the_knm_attributes(self, monkeypatch, set_name):
+        enumerator, helpers = self.ROUTES[set_name]
+        calls = {name: 0 for name in [enumerator, *helpers]}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(knm, name, counted(name, getattr(knm, name)))
+        code, out = run_cli(["enumerate", "--set", set_name, "--m", "2", "--n", "3",
+                             "--format", "json"])
+        assert code == cli.EXIT_OK
+        records = len(json.loads(out))
+        assert calls[enumerator] == 1
+        for name in helpers:
+            assert calls[name] >= records > 0
+
+
+def reference_enumerate_records(set_name, p):
+    """The dict records `enumerate` built, one by one, before it wrote
+    rows, with the tuple formatting of `reference_fmt_tuple`."""
+    fmt = reference_fmt_tuple
+    if set_name == "break":
+        return [{"divisor": fmt(d), "orbit_key": fmt(knm.sort_orbit_key(d))}
+                for d in knm.enumerate_break(p)]
+    if set_name == "park":
+        return [{"parking": fmt(a), "orbit_key": fmt(knm.sort_orbit_key(a))}
+                for a in knm.enumerate_parking(p)]
+    if set_name == "residue":
+        return [{"tuple": fmt(x), "class_key": fmt(knm.class_key(p, x)),
+                 "orbit_key": fmt(knm.sort_orbit_key(x))}
+                for x in knm.enumerate_residue_tuples(p)]
+    return [{"class_key": fmt(cls[0]), "members": ";".join(fmt(x) for x in cls),
+             "break_rep": fmt(knm.break_representative(p, cls[0])),
+             "parking_rep": fmt(knm.parking_representative(p, cls[0]))}
+            for cls in knm.shift_classes(p)]
+
+
+@pytest.mark.parametrize("set_name", ["break", "park", "residue", "classes"])
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 4) for n in range(1, 5)])
+def test_enumerate_rows_equal_the_dict_records(set_name, m, n):
+    """Every format of the row layouts against the dict records, over
+    every K_n^m with m <= 3 and n <= 4: the edge cases n = 1 (an empty
+    parking tuple) and n = 2 among them."""
+    records = reference_enumerate_records(set_name, knm.KnmParams(m, n))
+    for fmt, reference in REFERENCES.items():
+        code, out = run_cli(["enumerate", "--set", set_name, "--m", str(m),
+                             "--n", str(n), "--format", fmt])
+        assert code == cli.EXIT_OK
+        assert out == reference(records)
+
+
+@pytest.mark.parametrize("text", [
+    "1\n", "3\n1 2 1\n1 3 1\n2 3 1\n", "4\n1 2 3\n2 3 1\n3 4 2\n1 4 1\n2 4 1\n",
+], ids=["one-vertex", "triangle", "multigraph"])
+def test_enumerate_graph_rows_equal_the_dict_records(tmp_path, text):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    g = multigraph.parse_graph_file(text)
+    records = [{"divisor": reference_fmt_tuple(d)}
+               for d in multigraph.enumerate_break_divisors(g)]
+    assert records
+    for fmt, reference in REFERENCES.items():
+        code, out = run_cli(["enumerate", "--graph", str(path), "--format", fmt])
+        assert code == cli.EXIT_OK
+        assert out == reference(records)
 
 
 # sha256 of `enumerate --set S --m M --n N --format F` stdout, recorded
@@ -669,6 +753,32 @@ class TestVerify:
             {"invariant": "cardinalities", "verdict": "FAIL",
              "detail": "over budget: |D| = 2097152 exceeds budget 2000000"},
         ]
+
+    # The four module suites printed these rows before they checked their
+    # cases' budgets up front, after 1 to over 60 s of work on the cases
+    # within budget.  knm-vs-multigraph had no budget: --n 12 would scan
+    # about 10^12 compositions.
+    @pytest.mark.parametrize("suite, flag, value, size", [
+        ("cardinalities", "--n", "12", "|D| = 2097152"),
+        ("characters", "--n", "12", "|Break| = 4782969"),
+        ("shift-classes", "--n", "12", "|D| = 2097152"),
+        ("module-isomorphisms", "--n", "12", "|D| = 2097152"),
+        ("knm-vs-multigraph", "--n", "12", "|[0, 7]^7| = 2097152"),
+        ("cardinalities", "--m", "50", "|D| = 2560000"),
+        ("characters", "--m", "50", "|Break| = 4050000"),
+        ("shift-classes", "--m", "50", "|D| = 2560000"),
+        ("module-isomorphisms", "--m", "50", "|D| = 2097152"),
+        ("knm-vs-multigraph", "--m", "50", "|compositions of 231 into 4 parts| = 2108184"),
+    ])
+    def test_suite_over_budget_fails_before_its_first_case(self, suite, flag, value, size):
+        start = time.perf_counter()
+        code, out = run_cli(["verify", "--only", suite, flag, value, "--format", "json"])
+        assert time.perf_counter() - start < 2
+        assert code == cli.EXIT_VERIFY
+        assert json.loads(out) == [{
+            "invariant": suite, "verdict": "FAIL",
+            "detail": f"over budget: {size} exceeds budget 2000000",
+        }]
 
     @pytest.mark.parametrize("error", [InternalInvariantError, PreconditionError])
     def test_library_fault_in_a_suite_fails_and_the_run_goes_on(
@@ -1252,6 +1362,27 @@ def test_startup_imports_no_heavy_stdlib():
     assert "breakpark.counting" in report["imported"]
     assert [m for m in HEAVY_STDLIB if m in report["imported"]] == []
     assert "fractions" not in report["ran"]
+
+
+def test_enumerate_json_loads_no_json_module():
+    """`enumerate` writes json by its row templates, so it never loads
+    `json` or `_json`; `IMPORT_GUARD` itself imports `json`, so this
+    child reports on stderr."""
+    script = (
+        "import sys\n"
+        "from breakpark import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.stderr.write(repr([m for m in ('json', '_json') if m in sys.modules]))\n"
+        "sys.exit(code)\n"
+    )
+    for source in (["--set", "break", "--m", "2", "--n", "3"],
+                   ["--set", "classes", "--m", "2", "--n", "3"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "enumerate", *source, "--format", "json"],
+            capture_output=True, text=True, env=cli_env(),
+        )
+        assert proc.returncode == cli.EXIT_OK
+        assert proc.stderr == "[]"
 
 
 def test_graph_verify_suites_import_no_heavy_stdlib():
