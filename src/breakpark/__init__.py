@@ -35,6 +35,7 @@ from .knm import (
     enumerate_residue_tuples,
     is_break_mn,
     is_parking_mn,
+    keyed_residue_tuples,
     parking_orbit_reps,
     parking_orbit_types,
     parking_representative,

@@ -22,9 +22,11 @@ declares its record layout once, as `Rows`: its fields and their tuple
 arities, and a record is one flat tuple of ints.  json formats each
 record by one `%` with the layout's row template, built from the
 "(%d,...,%d)" templates cached per length; csv and pretty print the
-dict records projected from the same rows.  A `classes` record takes
-its representatives from `knm.break_representative` and
-`knm.parking_representative`, which rebuild the class from its key.
+dict records projected from the same rows.  A `residue` record takes
+its key from `knm.keyed_residue_tuples`, which computes the shift back
+once per x_0 and re-checks no tuple it generated.  A `classes` record
+takes its representatives from `knm.break_representative`, which tests
+only the members of sum g, and `knm.parking_representative`.
 
 `character` lists no orbit: `reptheory.knm_modules` counts the orbits
 of Break and Park by multiplicity partition (`knm.break_orbit_types`,
@@ -234,8 +236,8 @@ def cmd_enumerate(args) -> tuple[Rows, bool]:
         rows = Rows(
             [("class_key", n, 1), ("orbit_key", n, 1), ("tuple", n, 1)],
             ["tuple", "class_key", "orbit_key"],
-            (knm.class_key(p, x) + knm.sort_orbit_key(x) + x
-             for x in knm.enumerate_residue_tuples(p, budget=args.budget)),
+            (key + knm.sort_orbit_key(x) + x
+             for key, x in knm.keyed_residue_tuples(p, budget=args.budget)),
         )
     else:  # classes; a class lists its key first
         rows = Rows(

@@ -44,6 +44,9 @@ record, so they stay cheap per call: `is_break_mn` and `is_parking_mn`
 reject a wrong sum or a negative entry in O(n) before they sort, the
 range checks use min/max, `class_key` and `_members` build tuples from
 lists, and `KnmParams` caches its derived quantities, the genus too.
+`keyed_residue_tuples` keys the residue tuples it generated with one
+shift back per x_0 and re-checks none (`class_key` checks its input);
+`break_representative` tests only the members of sum g; and
 `parking_representative` finds the cycle lemma's one valid rotation in
 a single O(n) pass over the block counts.
 
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -574,6 +578,17 @@ def class_key(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
     return tuple([(v - s) % N for v in x])
 
 
+def keyed_residue_tuples(p: KnmParams, budget: int = DEFAULT_SET_BUDGET) -> Iterator:
+    """(class_key(p, x), x) for every x of `enumerate_residue_tuples`, in
+    its order; the budget is checked on call.  x_0 changes only N times,
+    so the shift back s = x_0 - x_0 mod m is computed once per x_0, and
+    no tuple is checked again: each was generated valid."""
+    runs = itertools.groupby(enumerate_residue_tuples(p, budget), itemgetter(0))
+    m, N = p.m, p.N
+    return ((tuple([(v - s) % N for v in x]), x)
+            for x0, run in runs for s in [x0 - x0 % m] for x in run)
+
+
 def _members(p: KnmParams, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The class of `key` in lexicographic order: the key, then its
     shifts, whose first coordinates key_0 + j*m increase without wrapping."""
@@ -588,8 +603,23 @@ def shift_class(p: KnmParams, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def break_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
-    """The unique break divisor in the shift class of x."""
-    hits = [a for a in shift_class(p, x) if is_break_mn(p, a)]
+    """The unique break divisor in the shift class of x.  The shift by
+    j*m adds N*j to the sum and takes N off for each of the w_j entries
+    >= N - j*m, which wrap; only the members with j - w_j = (g - sum(x))
+    / N have sum g, and only they are tested."""
+    x = _check_residue_tuple(p, x)
+    m, n, N = p.m, p.n, p.N
+    want = (p.genus - sum(x)) // N
+    top = sorted(x, reverse=True)
+    hits, wrapped = [], 0
+    for j in range(n):
+        s = j * m
+        while wrapped < n and top[wrapped] >= N - s:
+            wrapped += 1
+        if j - wrapped == want:
+            a = tuple([(v + s) % N for v in x])
+            if is_break_mn(p, a):
+                hits.append(a)
     if len(hits) != 1:
         raise InternalInvariantError(
             f"shift class of {tuple(x)} has {len(hits)} break members"

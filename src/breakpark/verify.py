@@ -296,7 +296,9 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
     each of size n, closed under the shift, listed in key order, with one
     break member and one parking projection.  No check reads the key rule
     that `shift_classes` generates the classes by.  `knm.shift` validates
-    every member, so N^(n-1) distinct members are all of D."""
+    every member, so N^(n-1) distinct members are all of D.  The key
+    `keyed_residue_tuples` gives each residue tuple, from one shift back per
+    x_0, is `class_key`'s."""
     scope, ok = _scope(m_max, n_max)
     _check_budgets_first(m_max, n_max, 1, _d_budget)
     cx = None
@@ -312,6 +314,9 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
             or _disagreement(case, [
                 ("members", len(members)), ("distinct members", len(set(members))),
                 ("residue_count", knm.residue_count(p))])
+            or _first(_disagreement(f"{case}, tuple {x}", [
+                ("keyed_residue_tuples", key), ("class_key", knm.class_key(p, x))])
+                for key, x in knm.keyed_residue_tuples(p))
         )
     return [_check("shift-class-structure", scope, cx, ok)]
 

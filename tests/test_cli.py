@@ -173,7 +173,7 @@ class TestEnumerate:
     ROUTES = {
         "break": ("enumerate_break", ["sort_orbit_key"]),
         "park": ("enumerate_parking", ["sort_orbit_key"]),
-        "residue": ("enumerate_residue_tuples", ["class_key", "sort_orbit_key"]),
+        "residue": ("enumerate_residue_tuples", ["sort_orbit_key"]),
         "classes": ("shift_classes", ["parking_representative", "break_representative"]),
     }
 

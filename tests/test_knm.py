@@ -418,6 +418,7 @@ SET_ENUMERATORS = (
     knm.enumerate_break,
     knm.enumerate_parking,
     knm.enumerate_residue_tuples,
+    knm.keyed_residue_tuples,
     knm.shift_classes,
 )
 
@@ -707,6 +708,45 @@ def test_shift_class_structure_on_random_tuples(case):
     assert {knm.shift(p, a) for a in cls} == set(cls)
     assert all(knm.class_key(p, a) == cls[0] for a in cls)
     assert sum(knm.is_break_mn(p, a) for a in cls) == 1
+
+
+@st.composite
+def residue_tuples_up_to_60_12(draw):
+    p = params(draw(st.integers(1, 60)), draw(st.integers(1, 12)))
+    head = draw(st.lists(st.integers(0, p.N - 1), min_size=p.n - 1, max_size=p.n - 1))
+    return p, (*head, (p.genus - sum(head)) % p.N)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(residue_tuples_up_to_60_12())
+def test_class_key_and_sum_filtered_break_rep_equal_their_references(case):
+    p, x = case
+    shifts = [tuple((v + j * p.m) % p.N for v in x) for j in range(p.n)]
+    assert knm.class_key(p, x) == min(shifts)
+    hits = [a for a in reference_shift_class(p, x) if knm.is_break_mn(p, a)]
+    assert [knm.break_representative(p, x)] == hits
+
+
+class TestKeyedResidueTuples:
+    @pytest.mark.parametrize("m,n", SHIFT_RANGE)
+    def test_keys_are_class_keys_of_the_residue_tuples(self, m, n):
+        p = params(m, n)
+        keyed = list(knm.keyed_residue_tuples(p))
+        assert [x for _, x in keyed] == list(knm.enumerate_residue_tuples(p))
+        assert all(key == knm.class_key(p, x) for key, x in keyed)
+
+    def test_tuples_come_from_the_module_enumerator(self, monkeypatch):
+        calls = []
+        real = knm.enumerate_residue_tuples
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(knm, "enumerate_residue_tuples", counted)
+        keyed = knm.keyed_residue_tuples(params(2, 3))
+        assert len(calls) == 1  # on call, before the first item
+        assert next(keyed) == ((0, 0, 4), (0, 0, 4))
 
 
 class TestSortOrbitKey:
