@@ -28,8 +28,10 @@ for member in shift_class(p, x):
 occupied = circular_park(x[:4], p.N)
 print("occupied spots:", sorted(occupied))
 
-# The cycle lemma picks out the one rotation of the block-occupancy
-# counts whose prefix sums stay ahead; that rotation is the class member
-# projecting to a parking function.
+# The cycle lemma picks out the one rotation of the counts per block of
+# m spots whose prefix sums stay ahead; that rotation is the class member
+# projecting to a parking function.  Counting the preferences or the
+# occupied spots gives the same rotation; `parking_representative`
+# counts the preferences.
 print("parking representative:", parking_representative(p, x))
 print("break representative:  ", break_representative(p, x))

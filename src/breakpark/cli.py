@@ -22,11 +22,10 @@ declares its record layout once, as `Rows`: its fields and their tuple
 arities, and a record is one flat tuple of ints.  json formats each
 record by one `%` with the layout's row template, built from the
 "(%d,...,%d)" templates cached per length; csv and pretty print the
-dict records projected from the same rows.  A `residue` record takes
-its key from `knm.keyed_residue_tuples`, which computes the shift back
-once per x_0 and re-checks no tuple it generated.  A `classes` record
-takes its representatives from `knm.break_representative`, which tests
-only the members of sum g, and `knm.parking_representative`.
+dict records projected from the same rows.  `residue` tuples and keys
+and `classes` members are built a run at a time (`knm._runs`), and a
+`classes` record takes its representatives from
+`knm.break_representative` and `knm.parking_representative`.
 
 `character` lists no orbit: `reptheory.knm_modules` counts the orbits
 of Break and Park by multiplicity partition (`knm.break_orbit_types`,

@@ -42,13 +42,12 @@ generates the set as it is read, so it never holds the whole set; call
 `enumerate` calls the predicates and the class helpers once or more per
 record, so they stay cheap per call: `is_break_mn` and `is_parking_mn`
 reject a wrong sum or a negative entry in O(n) before they sort, the
-range checks use min/max, `class_key` and `_members` build tuples from
-lists, and `KnmParams` caches its derived quantities, the genus too.
-`keyed_residue_tuples` keys the residue tuples it generated with one
-shift back per x_0 and re-checks none (`class_key` checks its input);
-`break_representative` tests only the members of sum g; and
-`parking_representative` finds the cycle lemma's one valid rotation in
-a single O(n) pass over the block counts.
+range checks use min/max, and `KnmParams` caches its derived quantities.
+D, its keys and its classes come from one generator of runs, a fixed
+head with the free coordinate from a range: a record costs two `%` and
+a concatenation.  `break_representative` tests only the members of sum
+g, and `parking_representative` rotates the block counts of the raw
+coordinates in one O(n) pass.
 
 `KnmParams` is a plain read-only value class rather than a dataclass:
 `dataclasses` pulls `inspect` and `ast` into every CLI start-up.
@@ -58,7 +57,6 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -532,18 +530,33 @@ def enumerate_parking_bruteforce(
     return _scan_parking(p.m, p.n)
 
 
+def _runs(p: KnmParams, keys: bool) -> Iterator[tuple[tuple[int, ...], int, int, range]]:
+    """The runs of D, or of its class keys (x_0 < m), in order: (head, c,
+    s, vs) for the tuples head + (v, (c - v) % N), v in vs, where the
+    head is x[:n-2], c = g - sum(head) and s = x_0 - x_0 % m, the shift
+    back to the key.  For n = 2, v is x_0, so a run is a block of m
+    values, where s is fixed.  Requires n >= 2."""
+    m, n, N, g = p.m, p.n, p.N, p.genus
+    top = m if keys else N
+    if n == 2:
+        for s in range(0, top, m):
+            yield (), g, s, range(s, s + m)
+        return
+    for head in itertools.product(range(top), *[range(N)] * (n - 3)):
+        yield head, g - sum(head), head[0] - head[0] % m, range(N)
+
+
 def enumerate_residue_tuples(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> Iterator[tuple[int, ...]]:
     """An iterator over all of D_{m,n}: tuples in [0, N-1]^n with sum = g
     mod N, in lexicographic order, since the last coordinate follows from
-    the head.  The budget is checked on call."""
+    the others.  The budget is checked on call.  For n = 1, D = {(0,)}."""
     _check_budget(residue_count(p), budget, "D")
-    g, N = p.genus, p.N
-    return (
-        head + ((g - sum(head)) % N,)
-        for head in itertools.product(range(N), repeat=p.n - 1)
-    )
+    if p.n == 1:
+        return iter([(0,)])
+    N = p.N
+    return (head + (v, (c - v) % N) for head, c, _, vs in _runs(p, False) for v in vs)
 
 
 def _check_residue_ranges(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
@@ -580,26 +593,26 @@ def class_key(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
 
 def keyed_residue_tuples(p: KnmParams, budget: int = DEFAULT_SET_BUDGET) -> Iterator:
     """(class_key(p, x), x) for every x of `enumerate_residue_tuples`, in
-    its order; the budget is checked on call.  x_0 changes only N times,
-    so the shift back s = x_0 - x_0 mod m is computed once per x_0, and
-    no tuple is checked again: each was generated valid."""
-    runs = itertools.groupby(enumerate_residue_tuples(p, budget), itemgetter(0))
-    m, N = p.m, p.N
-    return ((tuple([(v - s) % N for v in x]), x)
-            for x0, run in runs for s in [x0 - x0 % m] for x in run)
-
-
-def _members(p: KnmParams, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The class of `key` in lexicographic order: the key, then its
-    shifts, whose first coordinates key_0 + j*m increase without wrapping."""
-    m, N = p.m, p.N
-    return tuple([tuple([(v + j * m) % N for v in key]) for j in range(p.n)])
+    its order; the budget is checked on call.  The keys come from the
+    same runs, the head shifted back once per run, and are not checked."""
+    tuples = enumerate_residue_tuples(p, budget)
+    if p.n == 1:
+        return ((x, x) for x in tuples)
+    N = p.N
+    keys = (
+        key_head + ((v - s) % N, (cs - v) % N)
+        for head, c, s, vs in _runs(p, False)
+        for key_head, cs in [(tuple([(u - s) % N for u in head]), c - s)]
+        for v in vs
+    )
+    return zip(keys, tuples)
 
 
 def shift_class(p: KnmParams, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The n members {sh^j(x) : 0 <= j < n} in lexicographic order, the
-    class key first."""
-    return _members(p, class_key(p, x))
+    """The n members {sh^j(x) : 0 <= j < n} in lexicographic order: the
+    key, then its shifts, whose first coordinates key_0 + j*m increase."""
+    key, m, N = class_key(p, x), p.m, p.N
+    return tuple([tuple([(v + j * m) % N for v in key]) for j in range(p.n)])
 
 
 def break_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
@@ -651,19 +664,18 @@ def parking_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
     """The projection of the unique class member whose first n-1
     coordinates form a parking function.
 
-    Parks the projected tuple on N circular spots, counts occupancy in
-    the n blocks of size m, and rotates per the cycle lemma: exactly one
-    rotation has every length-k prefix sum >= k.  With S_i the sum of
-    (count - 1) over the blocks before i, that rotation starts at the
-    first i in [0, n) where S_i is least, found in one O(n) pass.  Never
-    reads x[n-1], so only the coordinate ranges are validated, not the
-    residue sum.
+    Counts the first n-1 coordinates in the n blocks of size m; they are
+    parking iff the first k blocks hold >= k for every k.  The counts sum
+    to n-1 and a shift by j*m rotates them, so by the cycle lemma exactly
+    one rotation passes.  With S_i the sum of (count - 1) over the blocks
+    before i, it starts at the first i in [0, n) where S_i is least.
+    Never reads x[n-1], so only the coordinate ranges are validated.
     """
     x = _check_residue_ranges(p, x)
     m, n, N = p.m, p.n, p.N
     counts = [0] * n
-    for s in circular_park(x[: n - 1], N):
-        counts[s // m] += 1
+    for v in x[: n - 1]:
+        counts[v // m] += 1
     j = least = total = 0
     for i in range(1, n):
         total += counts[i - 1] - 1
@@ -691,13 +703,18 @@ def shift_classes(
     """An iterator over all shift classes of D_{m,n} in shift_class form,
     in key order; the budget, on |D|, is checked on call.
 
-    A class key is the one member with x_0 < m, so the keys in order are
-    h + ((g - sum(h)) mod N,) for h in [0, m-1] x [0, N-1]^(n-2) in
-    lexicographic order: m*N^(n-2) = |Break| of them.  For n = 1 the only
-    class is ((0,),)."""
+    A class key is the one member with x_0 < m, so the keys are the
+    tuples of D with x_0 < m: m*N^(n-2) = |Break| of them.  The n shifts
+    of a run's head are built once per run.  For n = 1 the only class is
+    ((0,),)."""
     _check_budget(residue_count(p), budget, "D")
     if p.n == 1:
         return iter([((0,),)])
-    g, N = p.genus, p.N
-    heads = itertools.product(range(p.m), *[range(N)] * (p.n - 2))
-    return (_members(p, h + ((g - sum(h)) % N,)) for h in heads)
+    m, N = p.m, p.N
+    return (
+        tuple([h + ((v + t) % N, (ct - v) % N) for h, t, ct in shifted])
+        for head, c, _, vs in _runs(p, True)
+        for shifted in [[(tuple([(u + t) % N for u in head]), t, c + t)
+                         for t in range(0, N, m)]]
+        for v in vs
+    )

@@ -298,7 +298,7 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
     that `shift_classes` generates the classes by.  `knm.shift` validates
     every member, so N^(n-1) distinct members are all of D.  The key
     `keyed_residue_tuples` gives each residue tuple, from one shift back per
-    x_0, is `class_key`'s."""
+    run, is `class_key`'s."""
     scope, ok = _scope(m_max, n_max)
     _check_budgets_first(m_max, n_max, 1, _d_budget)
     cx = None

@@ -302,6 +302,16 @@ ENUMERATE_DIGESTS = [
     ("residue", 2, 1, "json", "9611e48d6fe49395b042a652f85abef2e501c144789514b889ac5fc1b4a01377"),
     ("residue", 2, 1, "csv", "98d8b0e6b71cbac0dc785eb270a73991fe19940e9b7ce3fd34f9b5b77942e366"),
     ("residue", 2, 1, "pretty", "c1c01df8e086649a3a59ab0b6337e05f05e3e67e90d09ea4539546d9524f0176"),
+    # recorded before residue and classes were built one head at a time:
+    # at n = 2 the head is empty, at n = 3 it is x_0 alone
+    ("residue", 7, 2, "json", "895f2d65a8a783ab4997999a8eaf695478a15af10a4805faf6110de198ac2786"),
+    ("residue", 7, 2, "csv", "b738aed32e3bb255bc31c95b50651e3035cdd6a6b93e77f8df7ae4318ad7ad5b"),
+    ("residue", 2, 3, "json", "a09b2bb8c44ca2a1d911e117c7c15a9684da5c7781456597dc593a4896def72d"),
+    ("residue", 2, 3, "csv", "44751033762cac357181a8e66ef4bc5e9bd54fd08f9847b0404f30196a4b3814"),
+    ("classes", 7, 2, "json", "4574913a9135ceb153fd3dab720a658f67b57db158dcdea463e094f0302e08ae"),
+    ("classes", 7, 2, "csv", "7f993291896f7f92ccbdbd2986fd8cdc7e800256f858c148ac8c178be250e4f9"),
+    ("classes", 2, 3, "json", "cacefe700a2f2f26581a7d79060aaf1ad4572042dade053dcb9ad4bff9448d33"),
+    ("classes", 2, 3, "csv", "c3ac3239f5bf2d1be0eac8947441f22c47e6708e7a20b1be6a738ddde879713c"),
 ]
 
 
@@ -1291,6 +1301,22 @@ class TestFlatMemory:
                 tracemalloc.stop()
         assert code == 0
         assert peak < limit_mb * 2**20
+
+    def test_residue_generators_copy_nothing_of_size_n(self):
+        # |D| = 2*10^6 is within the default budget; three items each
+        p = knm.KnmParams(10**6, 2)
+        tracemalloc.start()
+        try:
+            for generate in (knm.enumerate_residue_tuples, knm.keyed_residue_tuples,
+                             knm.shift_classes):
+                items = generate(p)
+                for _ in range(3):
+                    next(items)
+                del items
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestDeterminism:

@@ -554,9 +554,16 @@ class TestParkingRepresentativeEqualsRotationScan:
             ) == reference_parking_representative(p, x), x
 
     def test_failed_prefix_test_is_internal_error(self, monkeypatch):
-        # No car parked: every rotation fails, the chosen one included.
-        monkeypatch.setattr(knm, "circular_park", lambda prefs, spots: set())
+        # The range check hands back x without two coordinates: the
+        # projection has n-2 entries, so every rotation of the block counts
+        # fails, the chosen one included.
+        monkeypatch.setattr(knm, "_check_residue_ranges", lambda p, x: tuple(x)[2:])
         with pytest.raises(InternalInvariantError, match="fails the prefix test"):
+            knm.parking_representative(params(2, 3), (2, 2, 0))
+
+    def test_non_parking_projection_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(knm, "is_parking_mn", lambda p, a: False)
+        with pytest.raises(InternalInvariantError, match="non-parking tuple"):
             knm.parking_representative(params(2, 3), (2, 2, 0))
 
 
@@ -624,6 +631,15 @@ def _scanned_shift_classes(p):
 
 
 SHIFT_RANGE = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4, 5)]
+# The edges of the run generator not in SHIFT_RANGE: no head (n = 2), a
+# head of x_0 alone (n = 3), the n = 1 special case, and long heads.
+RUN_EDGES = [(m, n) for n in (1, 2, 3) for m in range(4, 41)] + [(1, 6)]
+
+
+def reference_residue_tuples(p):
+    """D from every head in [0, N-1]^(n-1), the last coordinate from the sum."""
+    return [h + ((p.genus - sum(h)) % p.N,)
+            for h in itertools.product(range(p.N), repeat=p.n - 1)]
 
 
 class TestClassKey:
@@ -664,7 +680,7 @@ class TestClassKey:
         with pytest.raises(BudgetExceededError, match=r"\|D\| = 50625"):
             knm.shift_classes(params(3, 5), budget=20_000)
 
-    @pytest.mark.parametrize("m,n", SHIFT_RANGE + [(2, 6), (4, 5)])
+    @pytest.mark.parametrize("m,n", SHIFT_RANGE + [(2, 6), (4, 5)] + RUN_EDGES)
     def test_key_route_equals_break_route(self, m, n):
         # the route shift_classes took before it generated the keys
         p = params(m, n)
@@ -728,10 +744,11 @@ def test_class_key_and_sum_filtered_break_rep_equal_their_references(case):
 
 
 class TestKeyedResidueTuples:
-    @pytest.mark.parametrize("m,n", SHIFT_RANGE)
+    @pytest.mark.parametrize("m,n", SHIFT_RANGE + RUN_EDGES + [(2, 6)])
     def test_keys_are_class_keys_of_the_residue_tuples(self, m, n):
         p = params(m, n)
         keyed = list(knm.keyed_residue_tuples(p))
+        assert list(knm.enumerate_residue_tuples(p)) == reference_residue_tuples(p)
         assert [x for _, x in keyed] == list(knm.enumerate_residue_tuples(p))
         assert all(key == knm.class_key(p, x) for key, x in keyed)
 
