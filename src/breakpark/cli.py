@@ -25,7 +25,7 @@ record by one `%` with the layout's row template, built from the
 dict records projected from the same rows.  `residue` tuples and keys
 and `classes` members are built a run at a time (`knm._runs`), and a
 `classes` record takes its representatives from
-`knm.break_representative` and `knm.parking_representative`.
+`knm.represented_classes`, which finds them from per-run tables.
 
 `character` lists no orbit: `reptheory.knm_modules` counts the orbits
 of Break and Park by multiplicity partition (`knm.break_orbit_types`,
@@ -243,9 +243,8 @@ def cmd_enumerate(args) -> tuple[Rows, bool]:
             [("break_rep", n, 1), ("class_key", n, 1), ("members", n, n),
              ("parking_rep", n - 1, 1)],
             ["class_key", "members", "break_rep", "parking_rep"],
-            ((*knm.break_representative(p, cls[0]), *cls[0], *chain.from_iterable(cls),
-              *knm.parking_representative(p, cls[0]))
-             for cls in knm.shift_classes(p, budget=args.budget)),
+            ((*brk, *cls[0], *chain.from_iterable(cls), *park)
+             for cls, brk, park in knm.represented_classes(p, budget=args.budget)),
         )
     return rows, True
 

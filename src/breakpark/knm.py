@@ -45,9 +45,11 @@ reject a wrong sum or a negative entry in O(n) before they sort, the
 range checks use min/max, and `KnmParams` caches its derived quantities.
 D, its keys and its classes come from one generator of runs, a fixed
 head with the free coordinate from a range: a record costs two `%` and
-a concatenation.  `break_representative` tests only the members of sum
-g, and `parking_representative` rotates the block counts of the raw
-coordinates in one O(n) pass.
+a concatenation.  `represented_classes` adds each class's break member
+and parking projection from tables built once per run: the sum each
+member needs for g, and the parking member for each block of the free
+coordinate.  A record then tests only its members of sum g with
+`is_break_mn` and its projection with `is_parking_mn`.
 
 `KnmParams` is a plain read-only value class rather than a dataclass:
 `dataclasses` pulls `inspect` and `ast` into every CLI start-up.
@@ -660,22 +662,12 @@ def circular_park(prefs: Sequence[int], spots: int) -> set[int]:
     return occupied
 
 
-def parking_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
-    """The projection of the unique class member whose first n-1
-    coordinates form a parking function.
-
-    Counts the first n-1 coordinates in the n blocks of size m; they are
-    parking iff the first k blocks hold >= k for every k.  The counts sum
-    to n-1 and a shift by j*m rotates them, so by the cycle lemma exactly
-    one rotation passes.  With S_i the sum of (count - 1) over the blocks
-    before i, it starts at the first i in [0, n) where S_i is least.
-    Never reads x[n-1], so only the coordinate ranges are validated.
-    """
-    x = _check_residue_ranges(p, x)
-    m, n, N = p.m, p.n, p.N
-    counts = [0] * n
-    for v in x[: n - 1]:
-        counts[v // m] += 1
+def _parking_start(counts: list[int]) -> int:
+    """The rotation j of the block counts, which sum to n-1, that passes
+    the parking test (the first k blocks hold >= k for every k).  By the
+    cycle lemma exactly one does: with S_i the sum of (count - 1) over
+    the blocks before i, it is the first i in [0, n) where S_i is least."""
+    n = len(counts)
     j = least = total = 0
     for i in range(1, n):
         total += counts[i - 1] - 1
@@ -687,8 +679,26 @@ def parking_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
         prefix += c
         if prefix < k:
             raise InternalInvariantError(
-                f"cycle lemma rotation {j} of {x} fails the prefix test"
+                f"cycle lemma rotation {j} of counts {counts} fails the prefix test"
             )
+    return j
+
+
+def parking_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
+    """The projection of the unique class member whose first n-1
+    coordinates form a parking function.
+
+    Counts the first n-1 coordinates in the n blocks of size m; a shift
+    by j*m rotates the counts, and `_parking_start` finds the rotation
+    that parks.  Never reads x[n-1], so only the coordinate ranges are
+    validated.
+    """
+    x = _check_residue_ranges(p, x)
+    m, n, N = p.m, p.n, p.N
+    counts = [0] * n
+    for v in x[: n - 1]:
+        counts[v // m] += 1
+    j = _parking_start(counts)
     result = tuple((v + (n - j) * m) % N for v in x[: n - 1])
     if not is_parking_mn(p, result):
         raise InternalInvariantError(
@@ -718,3 +728,54 @@ def shift_classes(
                          for t in range(0, N, m)]]
         for v in vs
     )
+
+
+def represented_classes(p: KnmParams, budget: int = DEFAULT_SET_BUDGET) -> Iterator:
+    """(cls, break member, parking projection) for every class of
+    `shift_classes`, in its order; the budget is checked on call.
+
+    Per run (a fixed head, v from a range): wants[j], the sum the last
+    two coordinates of member j need for the member to sum to g, and for
+    each block of v the member that parks, from the block counts of the
+    head plus v.  A record tests its members of sum g with `is_break_mn`
+    and its projection with `is_parking_mn`, and the first class of each
+    run is checked against `break_representative` and
+    `parking_representative`.  A failed check raises
+    InternalInvariantError."""
+    classes = shift_classes(p, budget)
+    if p.n == 1:
+        return ((cls, break_representative(p, cls[0]), parking_representative(p, cls[0]))
+                for cls in classes)
+    return _represent(p, classes)
+
+
+def _represent(p: KnmParams, classes: Iterator) -> Iterator:
+    m, n, N, g = p.m, p.n, p.N, p.genus
+    for head, _, _, vs in _runs(p, True):
+        wants = [g - sum([(u + t) % N for u in head]) for t in range(0, N, m)]
+        counts = [0] * n
+        for u in head:
+            counts[u // m] += 1
+        park_at = []
+        for b in range(n):
+            counts[b] += 1
+            park_at.append((n - _parking_start(counts)) % n)
+            counts[b] -= 1
+        for v, cls in zip(vs, classes):
+            hits = [y for y, want in zip(cls, wants)
+                    if y[-2] + y[-1] == want and is_break_mn(p, y)]
+            if len(hits) != 1:
+                raise InternalInvariantError(
+                    f"shift class of {cls[0]} has {len(hits)} break members")
+            park = cls[park_at[v // m]][: n - 1]
+            if not is_parking_mn(p, park):
+                raise InternalInvariantError(
+                    f"class of {cls[0]} projected to non-parking tuple {park}")
+            if v == vs.start:
+                key = cls[0]
+                reps = break_representative(p, key), parking_representative(p, key)
+                if reps != (hits[0], park):
+                    raise InternalInvariantError(
+                        f"class of {key}: run tables give {hits[0]}, {park}; "
+                        f"the representatives give {reps[0]}, {reps[1]}")
+            yield cls, hits[0], park

@@ -270,10 +270,13 @@ def _first_entry_disagreement(case: str, named) -> str | None:
                   for i, (x, y) in enumerate(itertools.zip_longest(a, b)))
 
 
-def _class_counterexample(p: knm.KnmParams, case: str, cls) -> str | None:
+def _class_counterexample(p: knm.KnmParams, case: str, cls, represented) -> str | None:
     """How one shift class fails to be n sorted members closed under the
     shift, with one break member and one parking projection that the
-    direct representatives find, or None."""
+    direct representatives and the next item of `represented`, from
+    `knm.represented_classes`, find, or None.  `represented` is advanced
+    only once the direct representatives agree, so a fault in them is
+    named before the generator's own cross-check with them raises."""
     n, key, case = p.n, cls[0], f"{case}, class {cls[0]}"
     breaks = [a for a in cls if knm.is_break_mn(p, a)]
     parks = [a[: n - 1] for a in cls if knm.is_parking_mn(p, a[: n - 1])]
@@ -288,17 +291,20 @@ def _class_counterexample(p: knm.KnmParams, case: str, cls) -> str | None:
         or _disagreement(case, [
             ("parking_representative", knm.parking_representative(p, key)),
             ("parking projection", parks[0])])
+        or _disagreement(case, [("represented_classes", next(represented, None)),
+                                ("scanned members", (tuple(cls), breaks[0], parks[0]))])
     )
 
 
 def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
     """The shift classes partition D into |Break| = N^(n-1)/n classes,
     each of size n, closed under the shift, listed in key order, with one
-    break member and one parking projection.  No check reads the key rule
-    that `shift_classes` generates the classes by.  `knm.shift` validates
-    every member, so N^(n-1) distinct members are all of D.  The key
-    `keyed_residue_tuples` gives each residue tuple, from one shift back per
-    run, is `class_key`'s."""
+    break member and one parking projection, which the direct
+    representatives and `represented_classes` both find.  No check reads
+    the key rule that `shift_classes` generates the classes by.
+    `knm.shift` validates every member, so N^(n-1) distinct members are
+    all of D.  The key `keyed_residue_tuples` gives each residue tuple,
+    from one shift back per run, is `class_key`'s."""
     scope, ok = _scope(m_max, n_max)
     _check_budgets_first(m_max, n_max, 1, _d_budget)
     cx = None
@@ -306,11 +312,12 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
         classes = list(knm.shift_classes(p))
         keys = [cls[0] for cls in classes]
         members = [a for cls in classes for a in cls]
+        represented = knm.represented_classes(p)
         cx = cx or (
             _disagreement(case, [
                 ("shift_classes", len(classes)), ("break_count", knm.break_count(p))])
             or _first_entry_disagreement(case, [("keys", keys), ("sorted", sorted(keys))])
-            or _first(_class_counterexample(p, case, cls) for cls in classes)
+            or _first(_class_counterexample(p, case, cls, represented) for cls in classes)
             or _disagreement(case, [
                 ("members", len(members)), ("distinct members", len(set(members))),
                 ("residue_count", knm.residue_count(p))])

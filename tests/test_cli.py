@@ -168,18 +168,23 @@ class TestEnumerate:
 
     # The knm functions each set's records are built from: the enumerator,
     # called once, and the helpers, called once or more per record, the
-    # first of which the fault test makes fail.  The benchmark's tracer
-    # wraps them by module attribute, so `cli` must call them through it.
+    # first of which the fault test makes fail on its third call, after
+    # the given number of whole records.  The benchmark's tracer wraps
+    # them by module attribute, so `cli` must call them through it.  A
+    # `classes` record tests its projection with is_parking_mn and its
+    # members of sum g with is_break_mn; the first class of a run calls
+    # is_parking_mn once more, through its cross-check with
+    # parking_representative, so the third call comes in the second record.
     ROUTES = {
-        "break": ("enumerate_break", ["sort_orbit_key"]),
-        "park": ("enumerate_parking", ["sort_orbit_key"]),
-        "residue": ("enumerate_residue_tuples", ["sort_orbit_key"]),
-        "classes": ("shift_classes", ["parking_representative", "break_representative"]),
+        "break": ("enumerate_break", ["sort_orbit_key"], 2),
+        "park": ("enumerate_parking", ["sort_orbit_key"], 2),
+        "residue": ("enumerate_residue_tuples", ["sort_orbit_key"], 2),
+        "classes": ("represented_classes", ["is_parking_mn", "is_break_mn"], 1),
     }
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_fault_mid_stream_exits_5_after_a_prefix(self, monkeypatch, capsys, fmt):
-        for set_name, (_, [helper, *_]) in self.ROUTES.items():
+        for set_name, (_, [helper, *_], before) in self.ROUTES.items():
             args = ["enumerate", "--set", set_name, "--m", "2", "--n", "3",
                     "--format", fmt]
             _, full = run_cli(args)
@@ -199,15 +204,15 @@ class TestEnumerate:
             assert code == cli.EXIT_INTERNAL, set_name
             err = capsys.readouterr().err
             assert err == f"error: internal invariant violated: {helper} out of range\n"
-            # The two records before the fault, and nothing of the third.
+            # The records before the fault, and nothing of the next one.
             if fmt == "json":
-                assert out == json.dumps(json.loads(full)[:2], sort_keys=True)[:-1]
+                assert out == json.dumps(json.loads(full)[:before], sort_keys=True)[:-1]
             else:
-                assert out == "".join(full.splitlines(keepends=True)[:3])
+                assert out == "".join(full.splitlines(keepends=True)[:before + 1])
 
     @pytest.mark.parametrize("set_name", sorted(ROUTES))
     def test_records_are_built_through_the_knm_attributes(self, monkeypatch, set_name):
-        enumerator, helpers = self.ROUTES[set_name]
+        enumerator, helpers, _ = self.ROUTES[set_name]
         calls = {name: 0 for name in [enumerator, *helpers]}
 
         def counted(name, real):
@@ -312,6 +317,11 @@ ENUMERATE_DIGESTS = [
     ("classes", 7, 2, "csv", "7f993291896f7f92ccbdbd2986fd8cdc7e800256f858c148ac8c178be250e4f9"),
     ("classes", 2, 3, "json", "cacefe700a2f2f26581a7d79060aaf1ad4572042dade053dcb9ad4bff9448d33"),
     ("classes", 2, 3, "csv", "c3ac3239f5bf2d1be0eac8947441f22c47e6708e7a20b1be6a738ddde879713c"),
+    # recorded before the class representatives came from per-run tables
+    ("classes", 5, 4, "json", "9a4e7922b07c36d189fb30ed6ea9129c8056a9cca859500472ef368b16eabdbf"),
+    ("classes", 5, 4, "csv", "ae299169a96a009d2bf8dc56037e4f32ee18a5774bd6ed965cd9b3ee581d5bd0"),
+    ("classes", 1, 7, "json", "440e4ba3f1b9699d277ce36a3071f7a5e3331eb7bbf9fadce3ca4b4d22ae7dd8"),
+    ("classes", 1, 7, "csv", "7c4122eb03f25ab528e8d28ba64d2e67c076004081cace7cd68b722ac1b5c57b"),
 ]
 
 
@@ -942,6 +952,24 @@ class TestVerify:
             "break_representative (4, 4, 2), break member (2, 2, 0)",
         )]
 
+    def test_shift_class_fail_names_the_first_class_the_generator_gets_wrong(
+            self, monkeypatch):
+        real = knm.represented_classes
+
+        def represented_classes(p, budget=knm.DEFAULT_SET_BUDGET):
+            for cls, brk, park in real(p, budget):
+                if (p.m, p.n) == (2, 3) and cls[0] == (0, 1, 3):
+                    brk = cls[-1]
+                yield cls, brk, park
+
+        monkeypatch.setattr(knm, "represented_classes", represented_classes)
+        assert verify.suite_shift_classes() == [(
+            "shift-class-structure", False,
+            "m <= 3, n <= 5; first counterexample: m 2, n 3, class (0, 1, 3): "
+            "represented_classes (((0, 1, 3), (2, 3, 5), (4, 5, 1)), (4, 5, 1), (0, 1)), "
+            "scanned members (((0, 1, 3), (2, 3, 5), (4, 5, 1)), (0, 1, 3), (0, 1))",
+        )]
+
     def test_cardinalities_fail_names_every_count(self, monkeypatch):
         real = knm.break_count
         monkeypatch.setattr(knm, "break_count", lambda p: real(p) + ((p.m, p.n) == (2, 3)))
@@ -1308,7 +1336,7 @@ class TestFlatMemory:
         tracemalloc.start()
         try:
             for generate in (knm.enumerate_residue_tuples, knm.keyed_residue_tuples,
-                             knm.shift_classes):
+                             knm.shift_classes, knm.represented_classes):
                 items = generate(p)
                 for _ in range(3):
                     next(items)

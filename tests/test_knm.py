@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -764,6 +765,97 @@ class TestKeyedResidueTuples:
         keyed = knm.keyed_residue_tuples(params(2, 3))
         assert len(calls) == 1  # on call, before the first item
         assert next(keyed) == ((0, 0, 4), (0, 0, 4))
+
+
+def per_key_triples(p, classes):
+    """(shift_class, break_representative, parking_representative) of the
+    key of each class."""
+    return [(knm.shift_class(p, cls[0]), knm.break_representative(p, cls[0]),
+             knm.parking_representative(p, cls[0])) for cls in classes]
+
+
+class TestRepresentedClasses:
+    @pytest.mark.parametrize("m,n", SHIFT_RANGE + RUN_EDGES + [(2, 6)])
+    def test_triples_equal_the_per_key_functions(self, m, n):
+        p = params(m, n)
+        triples = list(knm.represented_classes(p))
+        assert [cls for cls, _, _ in triples] == list(knm.shift_classes(p))
+        assert triples == per_key_triples(p, knm.shift_classes(p))
+
+    def test_classes_come_from_the_module_enumerator(self, monkeypatch):
+        calls = []
+        real = knm.shift_classes
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(knm, "shift_classes", counted)
+        triples = knm.represented_classes(params(2, 3))
+        assert len(calls) == 1  # on call, before the first item
+        assert next(triples) == (((0, 0, 4), (2, 2, 0), (4, 4, 2)), (2, 2, 0), (0, 0))
+        with pytest.raises(BudgetExceededError, match=r"\|D\| = 50625"):
+            knm.represented_classes(params(3, 5), budget=20_000)
+
+    @pytest.mark.parametrize("accept, hits", [(False, 0), (True, 2)])
+    def test_break_member_count_other_than_one_is_internal_error(
+            self, monkeypatch, accept, hits):
+        # (0, 0, 4) and (2, 2, 0) have sum g = 4; (4, 4, 2) does not
+        monkeypatch.setattr(knm, "is_break_mn", lambda p, d: accept)
+        with pytest.raises(InternalInvariantError,
+                           match=rf"shift class of \(0, 0, 4\) has {hits} break members"):
+            next(knm.represented_classes(params(2, 3)))
+
+    def test_non_parking_projection_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(knm, "is_parking_mn", lambda p, a: False)
+        with pytest.raises(InternalInvariantError, match=r"class of \(0, 0, 4\) "
+                           r"projected to non-parking tuple \(0, 0\)"):
+            next(knm.represented_classes(params(2, 3)))
+
+    @pytest.mark.parametrize("name", ["break_representative", "parking_representative"])
+    def test_first_class_of_each_run_is_cross_checked(self, monkeypatch, name):
+        # at (2, 3) the runs are x_0 = 0 and x_0 = 1, six classes each
+        real, keys = getattr(knm, name), []
+
+        def wrong_on_the_second_run(p, x):
+            keys.append(tuple(x))
+            rep = real(p, x)
+            return rep[::-1] if x[0] == 1 else rep
+
+        monkeypatch.setattr(knm, name, wrong_on_the_second_run)
+        triples = knm.represented_classes(params(2, 3))
+        assert len(list(itertools.islice(triples, 6))) == 6
+        with pytest.raises(InternalInvariantError, match=r"class of \(1, 0, 3\): run "
+                           r"tables give \(1, 0, 3\), \(1, 0\); the representatives give"):
+            next(triples)
+        assert keys == [(0, 0, 4), (1, 0, 3)]
+
+
+@st.composite
+def sampled_key_runs(draw):
+    """K_n^m with m <= 60, 2 <= n <= 8, and one or two of its class-key
+    runs in order, as `_runs(p, True)` gives them: at n = 2 its one run,
+    else heads x[:n-2] with x_0 < m and the free coordinate from [0, N-1]."""
+    p = params(draw(st.integers(1, 60)), draw(st.integers(2, 8)))
+    if p.n == 2:
+        return p, list(knm._runs(p, True))
+    head = st.tuples(st.integers(0, p.m - 1), *[st.integers(0, p.N - 1)] * (p.n - 3))
+    heads = sorted(draw(st.lists(head, min_size=1, max_size=2, unique=True)))
+    return p, [(h, p.genus - sum(h), 0, range(p.N)) for h in heads]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sampled_key_runs())
+def test_represented_classes_of_sampled_runs_equal_the_per_key_functions(case):
+    """Past the exhaustive range: `_runs` yields only the sampled runs, to
+    `shift_classes` and to the per-run tables alike."""
+    p, runs = case
+    with mock.patch.object(knm, "_runs", lambda p, keys: iter(runs)):
+        triples = list(knm.represented_classes(p, budget=knm.residue_count(p)))
+    classes = [cls for cls, _, _ in triples]
+    assert [cls[0] for cls in classes] == [
+        h + (v, (c - v) % p.N) for h, c, _, vs in runs for v in vs]
+    assert triples == per_key_triples(p, classes)
 
 
 class TestSortOrbitKey:
