@@ -61,6 +61,7 @@ from itertools import chain
 
 from . import counting, knm, multigraph, reptheory, verify
 from .errors import (
+    DEFAULT_SET_BUDGET,
     BudgetExceededError,
     GraphFormatError,
     InternalInvariantError,
@@ -139,14 +140,13 @@ def _fmt_expansion(coeffs, basis: str) -> str:
 def emit(records: Iterable[dict] | Rows, fmt: str, stream=None):
     """Write `records`, a list or any iterable of dicts with the same
     keys, or the `Rows` of one layout, to `stream` (stdout by default).
-    json and csv write each record as it comes, so a generator of
-    records is never held whole, and the json bytes are those of
-    `json.dump(list(records), stream, sort_keys=True)` plus a newline.
-    json writes each row of a `Rows` with one `%` of its row template,
-    building no dict; csv and pretty print its dict records.  pretty
-    needs the column widths over all records, so it alone reads them
-    into a list first.  No records print `[]` in json and nothing in csv
-    and pretty."""
+    The json bytes are `json.dumps(list(records), sort_keys=True)` plus
+    a newline.  json writes each row of a `Rows` as it comes, with one
+    `%` of its row template, building no dict; the dict records, the
+    short lists of the other commands, go to `json.dumps` whole.  csv
+    writes each record as it comes; pretty needs the column widths over
+    all records, so it reads them into a list first.  No records print
+    `[]` in json and nothing in csv and pretty."""
     stream = stream or sys.stdout
     if fmt == "json" and isinstance(records, Rows):
         # Record by record: the stream's own buffer batches the writes.
@@ -159,14 +159,7 @@ def emit(records: Iterable[dict] | Rows, fmt: str, stream=None):
     elif fmt == "json":
         import json
 
-        # encode() runs the C encoder; json.dump runs the Python one.
-        encode = json.JSONEncoder(sort_keys=True).encode
-        sep = "["
-        for r in records:
-            stream.write(sep)
-            stream.write(encode(r))
-            sep = ", "
-        stream.write("[]\n" if sep == "[" else "]\n")
+        stream.write(json.dumps(list(records), sort_keys=True) + "\n")
     elif fmt == "csv":
         import csv
 
@@ -204,8 +197,12 @@ def _graph_or_knm(args, set_name: str = "break"):
         raise argparse.ArgumentError(
             None, "--graph excludes --m, --n and a --set other than break"
         )
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        return multigraph.parse_graph_file(fh.read()), None
+    try:
+        with open(args.graph, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{args.graph}: not UTF-8 text ({exc.reason})") from None
+    return multigraph.parse_graph_file(text), None
 
 
 def cmd_enumerate(args) -> tuple[Rows, bool]:
@@ -391,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument(
-        "--budget", type=_nonnegative_int, default=knm.DEFAULT_SET_BUDGET
+        "--budget", type=_nonnegative_int, default=DEFAULT_SET_BUDGET
     )
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--graph", help="graph file instead of --m/--n")

@@ -6,14 +6,21 @@ multiset count, and a parity-split form); DT invariants are that count
 divided by n, and independently the exponents in the signed Euler
 product of the Fuss-Catalan generating series.  Everything is exact;
 every division is asserted to land on an integer.  Only the formal-log
-DT route divides in rationals, so only it imports `fractions`.
+DT route divides in rationals, so only it imports `fractions`.  The
+multiset oracle's size goes through `errors.check_budget`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
+from .errors import (
+    DEFAULT_SET_BUDGET,
+    BudgetExceededError,
+    InternalInvariantError,
+    PreconditionError,
+    check_budget,
+)
 from .knm import KnmParams
 from .series import ExactSeries, one_minus_power
 
@@ -97,8 +104,8 @@ def von_sterneck_bruteforce(a: int, k: int, b: int) -> int:
     """Oracle: enumerate all multisets directly."""
     import itertools
 
-    if math.comb(a + k - 1, k) > 2_000_000:
-        raise BudgetExceededError("multiset oracle budget exceeded")
+    check_budget(math.comb(a + k - 1, k), DEFAULT_SET_BUDGET,
+                 f"multisets of {k} from {a} values")
     return sum(
         1
         for ms in itertools.combinations_with_replacement(range(a), k)
@@ -162,11 +169,6 @@ def fuss_catalan(m: int, n: int) -> int:
     if r != 0:
         raise InternalInvariantError(f"fuss_catalan({m},{n}) not integral")
     return q
-
-
-def tree_series(m: int, order: int) -> ExactSeries:
-    """Generating series of (m+1)-ary trees, truncated at `order`."""
-    return ExactSeries([fuss_catalan(m, k) for k in range(order + 1)], order)
 
 
 def _substituted_tree_series(m: int, n_max: int) -> ExactSeries:

@@ -35,9 +35,9 @@ their own.
 
 The set enumerators `enumerate_break`, `enumerate_parking`,
 `enumerate_residue_tuples` and `shift_classes` return iterators.  Each
-checks its budget when it is called, before the first item, and then
-generates the set as it is read, so it never holds the whole set; call
-`list(...)` on it for a list.
+checks its budget by `errors.check_budget` on call, before the first
+item, and then generates the set as it is read, so it never holds the
+whole set; call `list(...)` on it for a list.
 
 `enumerate` calls the predicates and the class helpers once or more per
 record, so they stay cheap per call: `is_break_mn` and `is_parking_mn`
@@ -62,12 +62,11 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
-    BudgetExceededError,
+    DEFAULT_SET_BUDGET,
     InternalInvariantError,
     PreconditionError,
+    check_budget,
 )
-
-DEFAULT_SET_BUDGET = 2_000_000
 
 
 class KnmParams:
@@ -171,23 +170,6 @@ def is_parking_mn(p: KnmParams, a: Sequence[int]) -> bool:
     return True
 
 
-_EXACT_SIZE_LIMIT = 10**100
-
-
-def _check_budget(size: int, budget: int, what: str, exact: bool = True):
-    """Raise BudgetExceededError if size > budget.  Writing a huge int
-    in decimal takes time quadratic in its length, so a size of 10^100
-    or more is named by a power of ten below it, from its bit length:
-    10^k <= 2^(b-1) <= size for k = floor((b-1) * 0.3010).  A size that
-    is only a lower bound (exact false) is named with ">="."""
-    if size > budget:
-        if size >= _EXACT_SIZE_LIMIT:
-            shown = f"> 10^{(size.bit_length() - 1) * 3010 // 10000}"
-        else:
-            shown = f"{'=' if exact else '>='} {size}"
-        raise BudgetExceededError(f"|{what}| {shown} exceeds budget {budget}")
-
-
 def partition_counts(n: int) -> Iterator[int]:
     """p(0), p(1), ..., p(n), in integers, by Euler's pentagonal number
     recurrence: p(k) is the sum over j >= 1 of (-1)^(j+1) times
@@ -212,7 +194,7 @@ def _check_states(width: int, parts: int, budget: int, what: str):
     for count in partition_counts(parts):
         total += width * count
         if total > budget:
-            _check_budget(total, budget, what, exact=False)
+            check_budget(total, budget, what, exact=False)
 
 
 def _check_break_states(p: KnmParams, budget: int):
@@ -342,7 +324,7 @@ def break_orbit_reps(
     (m+1)-loop quiver; it is counted by `break_orbit_types` and checked
     against the budget on call, before the first is listed."""
     orbits = sum(break_orbit_types(p, budget).values())
-    _check_budget(orbits, budget, "Break orbits")
+    check_budget(orbits, budget, "Break orbits")
     return _list_break_orbits(p)
 
 
@@ -375,7 +357,7 @@ def parking_orbit_reps(
     `parking_orbit_types` and checked against the budget on call, before
     the first is listed."""
     orbits = sum(parking_orbit_types(p, budget).values())
-    _check_budget(orbits, budget, "Park orbits")
+    check_budget(orbits, budget, "Park orbits")
     return _list_parking_orbits(p)
 
 
@@ -452,7 +434,7 @@ def enumerate_break(
     """An iterator over all of Break_{m,n} in lexicographic order: the
     rearrangements of break_orbit_reps.  The budget is checked on call,
     on |Break|, which is at least the number of orbits."""
-    _check_budget(break_count(p), budget, "Break")
+    check_budget(break_count(p), budget, "Break")
     return _distinct_permutations(_list_break_orbits(p))
 
 
@@ -462,7 +444,7 @@ def enumerate_parking(
     """An iterator over all of Park_{m,n} in lexicographic order: the
     rearrangements of parking_orbit_reps.  The budget is checked on call,
     on |Park|, which is at least the number of orbits."""
-    _check_budget(break_count(p), budget, "Park")
+    check_budget(break_count(p), budget, "Park")
     return _distinct_permutations(_list_parking_orbits(p))
 
 
@@ -490,46 +472,26 @@ def compositions(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]
     return rec(total, parts)
 
 
-# The candidate scans below are the oracles for the two enumerations
-# above.  Each keeps the last (m, n) it built and hands back that tuple.
-
-
 @lru_cache(maxsize=1)
-def _scan_break(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    p = KnmParams(m, n)
-    bound = p.delta[0] if n > 1 else 0
-    return tuple(d for d in compositions(p.genus, n, bound) if is_break_mn(p, d))
-
-
-@lru_cache(maxsize=1)
-def _scan_parking(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    p = KnmParams(m, n)
-    if n == 1:
-        return ((),)
-    bound = m * (n - 1) - 1
-    return tuple(
-        a
-        for a in itertools.product(range(bound + 1), repeat=n - 1)
-        if is_parking_mn(p, a)
-    )
-
-
 def enumerate_break_bruteforce(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> tuple[tuple[int, ...], ...]:
     """Break_{m,n} by testing every composition of g into n parts of at
-    most m(n-1)-1 with is_break_mn; sorted."""
-    _check_budget(break_count(p), budget, "Break")
-    return _scan_break(p.m, p.n)
+    most m(n-1)-1 with is_break_mn; sorted.  The last call is cached."""
+    check_budget(break_count(p), budget, "Break")
+    bound = p.delta[0] if p.n > 1 else 0
+    return tuple(d for d in compositions(p.genus, p.n, bound) if is_break_mn(p, d))
 
 
+@lru_cache(maxsize=1)
 def enumerate_parking_bruteforce(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> tuple[tuple[int, ...], ...]:
     """Park_{m,n} by testing every tuple in [0, m(n-1)-1]^(n-1) with
-    is_parking_mn; sorted."""
-    _check_budget(break_count(p), budget, "Park")
-    return _scan_parking(p.m, p.n)
+    is_parking_mn; sorted.  The last call is cached."""
+    check_budget(break_count(p), budget, "Park")
+    candidates = itertools.product(range(p.m * (p.n - 1)), repeat=p.n - 1)
+    return tuple(a for a in candidates if is_parking_mn(p, a))
 
 
 def _runs(p: KnmParams, keys: bool) -> Iterator[tuple[tuple[int, ...], int, int, range]]:
@@ -554,7 +516,7 @@ def enumerate_residue_tuples(
     """An iterator over all of D_{m,n}: tuples in [0, N-1]^n with sum = g
     mod N, in lexicographic order, since the last coordinate follows from
     the others.  The budget is checked on call.  For n = 1, D = {(0,)}."""
-    _check_budget(residue_count(p), budget, "D")
+    check_budget(residue_count(p), budget, "D")
     if p.n == 1:
         return iter([(0,)])
     N = p.N
@@ -666,21 +628,14 @@ def _parking_start(counts: list[int]) -> int:
     """The rotation j of the block counts, which sum to n-1, that passes
     the parking test (the first k blocks hold >= k for every k).  By the
     cycle lemma exactly one does: with S_i the sum of (count - 1) over
-    the blocks before i, it is the first i in [0, n) where S_i is least."""
+    the blocks before i, it is the first i in [0, n) where S_i is least.
+    The callers test the projection it picks with `is_parking_mn`."""
     n = len(counts)
     j = least = total = 0
     for i in range(1, n):
         total += counts[i - 1] - 1
         if total < least:
             j, least = i, total
-    prefix = 0
-    rotated = counts[j:] + counts[:j]
-    for k, c in enumerate(rotated[: n - 1], start=1):
-        prefix += c
-        if prefix < k:
-            raise InternalInvariantError(
-                f"cycle lemma rotation {j} of counts {counts} fails the prefix test"
-            )
     return j
 
 
@@ -717,7 +672,7 @@ def shift_classes(
     tuples of D with x_0 < m: m*N^(n-2) = |Break| of them.  The n shifts
     of a run's head are built once per run.  For n = 1 the only class is
     ((0,),)."""
-    _check_budget(residue_count(p), budget, "D")
+    check_budget(residue_count(p), budget, "D")
     if p.n == 1:
         return iter([((0,),)])
     m, N = p.m, p.N

@@ -28,7 +28,12 @@ from operator import itemgetter
 from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
 
 from . import knm
-from .errors import InternalInvariantError, PreconditionError
+from .errors import (
+    DEFAULT_SET_BUDGET,
+    InternalInvariantError,
+    PreconditionError,
+    check_budget,
+)
 from .knm import partition_counts
 
 Partition = Tuple[int, ...]
@@ -154,15 +159,15 @@ def character_break_bruteforce(m: int, n: int, lam: Partition) -> int:
     return _fixed_count(knm.enumerate_break_bruteforce(knm.KnmParams(m, n)), perm)
 
 
-def _check_partitions(n: int, budget: int = knm.DEFAULT_SET_BUDGET):
+def _check_partitions(n: int, budget: int = DEFAULT_SET_BUDGET):
     """Check the number of partitions of n against the budget, stopping
     at the first p(k) over it, which is named as a lower bound."""
     for count in partition_counts(n):
-        knm._check_budget(count, budget, f"partitions of {n}", exact=False)
+        check_budget(count, budget, f"partitions of {n}", exact=False)
 
 
 def character_break(
-    m: int, n: int, budget: int = knm.DEFAULT_SET_BUDGET
+    m: int, n: int, budget: int = DEFAULT_SET_BUDGET
 ) -> ClassFunction:
     """The closed-form class function on every cycle type of S_n.  The
     number of partitions of n is checked against the budget on call,
@@ -330,7 +335,7 @@ class KnmModules(NamedTuple):
     restricts: bool  # closed restricts to parks.character; True at n = 1
 
 
-def knm_modules(p: knm.KnmParams, budget: int = knm.DEFAULT_SET_BUDGET) -> KnmModules:
+def knm_modules(p: knm.KnmParams, budget: int = DEFAULT_SET_BUDGET) -> KnmModules:
     """Both module statements of the paper on K_n^m, from the orbit
     types that `knm.break_orbit_types` and `knm.parking_orbit_types`
     count without listing an orbit: S_n on Break against the closed
@@ -338,7 +343,7 @@ def knm_modules(p: knm.KnmParams, budget: int = knm.DEFAULT_SET_BUDGET) -> KnmMo
     checked against the budget on call, as in every knm enumerator; it
     bounds the states of both counts too (`knm.count_break_types`), so
     they run without a check of their own."""
-    knm._check_budget(knm.break_count(p), budget, "Break")
+    check_budget(knm.break_count(p), budget, "Break")
     closed = character_break(p.m, p.n, budget)
     breaks = h_module(knm.count_break_types(p), p.n)
     if p.n == 1:

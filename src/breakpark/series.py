@@ -2,8 +2,8 @@
 
 A coefficient is an `int`, or a `Fraction` where a division requires
 one (`reciprocal`, `log`), so integer series stay in integer arithmetic
-through `+`, `-`, `*` and `pow_int` with a nonnegative exponent.  No
-float is ever built.
+through `*` and `pow_int` with a nonnegative exponent.  No float is
+ever built.
 
 `fractions` is imported only by the code that divides (`reciprocal`,
 `log`, and `_exact` on a non-int coefficient), so integer series, the
@@ -58,27 +58,9 @@ class ExactSeries:
     def __repr__(self):
         return f"ExactSeries({self.coeffs}, order={self.order})"
 
-    def _coerce(self, other) -> "ExactSeries":
-        if isinstance(other, ExactSeries):
-            if other.order != self.order:
-                raise PreconditionError("series orders differ")
-            return other
-        return ExactSeries([other], self.order)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return ExactSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return ExactSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
     def __mul__(self, other):
-        other = self._coerce(other)
+        if other.order != self.order:
+            raise PreconditionError("series orders differ")
         out = [0] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:

@@ -18,7 +18,13 @@ import random
 from typing import Callable, Iterable, Sequence
 
 from . import counting, knm, multigraph, reptheory
-from .errors import BudgetExceededError, InternalInvariantError, PreconditionError
+from .errors import (
+    DEFAULT_SET_BUDGET,
+    BudgetExceededError,
+    InternalInvariantError,
+    PreconditionError,
+    check_budget,
+)
 
 Check = tuple[str, bool, str]
 
@@ -51,17 +57,17 @@ def _check_budgets_first(m_max: int, n_max: int, n_min: int, *checks) -> None:
     of every case before that one."""
     for _, _, p, _ in _cases(m_max, n_max, n_min):
         for check in checks:
-            check(p, knm.DEFAULT_SET_BUDGET)
+            check(p, DEFAULT_SET_BUDGET)
 
 
 def _break_budget(p: knm.KnmParams, budget: int):
     """|Break|, as the Break and Park enumerators and scans check it."""
-    knm._check_budget(knm.break_count(p), budget, "Break")
+    check_budget(knm.break_count(p), budget, "Break")
 
 
 def _d_budget(p: knm.KnmParams, budget: int):
     """|D|, as `enumerate_residue_tuples` and `shift_classes` check it."""
-    knm._check_budget(knm.residue_count(p), budget, "D")
+    check_budget(knm.residue_count(p), budget, "D")
 
 
 def _partitions_budget(p: knm.KnmParams, budget: int):
@@ -72,10 +78,10 @@ def _scan_budget(p: knm.KnmParams, budget: int):
     """The candidates `suite_knm_vs_multigraph` scans: the compositions
     of g into n parts, C(g+n-1, n-1), and [0, m(n-1)]^(n-1)."""
     g, n = p.genus, p.n
-    knm._check_budget(math.comb(g + n - 1, n - 1), budget,
-                      f"compositions of {g} into {n} parts")
-    knm._check_budget((p.m * (n - 1) + 1) ** (n - 1), budget,
-                      f"[0, {p.m * (n - 1)}]^{n - 1}")
+    check_budget(math.comb(g + n - 1, n - 1), budget,
+                 f"compositions of {g} into {n} parts")
+    check_budget((p.m * (n - 1) + 1) ** (n - 1), budget,
+                 f"[0, {p.m * (n - 1)}]^{n - 1}")
 
 
 def _first(counterexamples: Iterable[str | None]) -> str | None:
@@ -161,10 +167,13 @@ def _check(name: str, scope: str, counterexample: str | None, ok=True) -> Check:
     return name, False, f"{scope}; first counterexample: {counterexample}"
 
 
-def suite_random_graphs(seed: int = 0, samples: int = 100) -> list[Check]:
+RANDOM_GRAPH_SAMPLES = 100
+
+
+def suite_random_graphs(seed: int = 0) -> list[Check]:
     rng = random.Random(seed)
-    graphs = [random_connected_multigraph(rng) for _ in range(samples)]
-    scope = f"{samples} graphs, seed {seed}"
+    graphs = [random_connected_multigraph(rng) for _ in range(RANDOM_GRAPH_SAMPLES)]
+    scope = f"{RANDOM_GRAPH_SAMPLES} graphs, seed {seed}"
     oracle_cx = _first(map(break_oracle_counterexample, graphs))
     count_cx = _first(map(break_count_counterexample, graphs))
     return [
@@ -230,7 +239,10 @@ def _move_chip(rng: random.Random, d: list[int]) -> list[int]:
     return d
 
 
-def suite_subset_kernel(seed: int = 0, samples: int = 50) -> list[Check]:
+SUBSET_KERNEL_SAMPLES = 50
+
+
+def suite_subset_kernel(seed: int = 0) -> list[Check]:
     """The packed subset predicates against independent oracles on seeded
     random multigraphs: is_orientable against the scan of all
     orientations, on graphs with at most 12 edges, and is_break_divisor
@@ -240,7 +252,7 @@ def suite_subset_kernel(seed: int = 0, samples: int = 50) -> list[Check]:
     random one that mostly fails."""
     rng = random.Random(seed)
     orient_cx = break_cx = None
-    for _ in range(samples):
+    for _ in range(SUBSET_KERNEL_SAMPLES):
         # a spanning tree of at most 6 edges plus at most 6 more
         g = random_connected_multigraph(rng, max_vertices=7, max_extra_edges=6)
         d = _chips_on_endpoints(rng, g, -1)
@@ -255,10 +267,12 @@ def suite_subset_kernel(seed: int = 0, samples: int = 50) -> list[Check]:
         break_cx = break_cx or _first_disagreement(
             g, divisors, multigraph.is_break_divisor, multigraph.break_subset_bruteforce
         )
+    scope = f"{SUBSET_KERNEL_SAMPLES} graphs, seed {seed}"
     return [
         _check("packed-orientable-vs-orientation-scan",
-               f"{samples} graphs with at most 12 edges, seed {seed}", orient_cx),
-        _check("packed-break-vs-subset-list", f"{samples} graphs, seed {seed}", break_cx),
+               f"{SUBSET_KERNEL_SAMPLES} graphs with at most 12 edges, seed {seed}",
+               orient_cx),
+        _check("packed-break-vs-subset-list", scope, break_cx),
     ]
 
 
@@ -496,10 +510,10 @@ def suite_theorems_by_orbit_types(m_max: int = 3, n_max: int = 12) -> list[Check
     scope, ok = _scope(m_max, n_max)
     res_scope, res_ok = _scope(m_max, n_max, 2)
     if ok:
-        knm._check_break_states(knm.KnmParams(m_max, n_max), knm.DEFAULT_SET_BUDGET)
+        knm._check_break_states(knm.KnmParams(m_max, n_max), DEFAULT_SET_BUDGET)
         *_, types = knm.partition_counts(n_max)
-        knm._check_budget(types * types, knm.DEFAULT_SET_BUDGET,
-                          f"partitions of {n_max} x partitions of {n_max}")
+        check_budget(types * types, DEFAULT_SET_BUDGET,
+                     f"partitions of {n_max} x partitions of {n_max}")
     dt_cx = chi_cx = res_cx = None
     for m, n, p, case in _cases(m_max, n_max):
         h = knm.break_orbit_types(p)

@@ -1,0 +1,61 @@
+"""The budget rule has one home: `errors.check_budget` and its default.
+
+This reads the library's source with `ast`, so a second copy of the
+gate, a second default or a hand-written budget error fails here even
+when its message happens to match.  The fixed caps (the subset vertex
+cap, the orientation oracle's edge limit and the series order cap) are
+limits, not budgets, and keep their own raises.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "breakpark"
+
+CAPS = {
+    ("multigraph", "_require_subset_cap"),
+    ("multigraph", "orientable_bruteforce"),
+    ("counting", "_substituted_tree_series"),
+}
+
+
+def scopes():
+    """(module, enclosing function or None, node) for every node of every
+    library module."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        stack = [(tree, None)]
+        while stack:
+            node, function = stack.pop()
+            yield path.stem, function, node
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            stack.extend((child, function) for child in ast.iter_child_nodes(node))
+
+
+def assigned_names(node):
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, (ast.AnnAssign, ast.AugAssign)) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_one_default_and_one_gate_both_in_errors():
+    defaults = [(module, name) for module, _, node in scopes()
+                for name in assigned_names(node)
+                if name.startswith("DEFAULT_") and name.endswith("_BUDGET")]
+    gates = [module for module, _, node in scopes()
+             if isinstance(node, ast.FunctionDef) and node.name == "check_budget"]
+    assert defaults == [("errors", "DEFAULT_SET_BUDGET")]
+    assert gates == ["errors"]
+
+
+def test_budget_errors_are_raised_only_by_the_gate_and_the_caps():
+    raisers = set()
+    for module, function, node in scopes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "BudgetExceededError":
+                raisers.add((module, function))
+    assert raisers == {("errors", "check_budget")} | CAPS

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from breakpark import counting, knm
+from breakpark import counting, errors, knm
 from breakpark.reptheory import perm_module_h_expansion
 from breakpark import multigraph as mg
 from breakpark.errors import (
@@ -188,14 +188,14 @@ class TestEnumerations:
     )
     def test_budget_error_names_an_exact_size_or_a_bound(self, size, message):
         with pytest.raises(BudgetExceededError) as exc:
-            knm._check_budget(size, 100, "D")
+            errors.check_budget(size, 100, "D")
         assert str(exc.value) == message
 
     def test_budget_error_bound_is_below_the_size_and_close(self):
         for bits in range(334, 4000, 7):  # 2^333 is the least power of 2 over 10^100
             size = 1 << (bits - 1)  # the least size of that bit length
             with pytest.raises(BudgetExceededError) as exc:
-                knm._check_budget(size, 0, "D")
+                errors.check_budget(size, 0, "D")
             k = int(str(exc.value).split("^")[1].split()[0])
             assert 10**k < size < 10 ** (k + 2)
 
@@ -255,8 +255,8 @@ class TestOrbitGeneration:
         assert knm.enumerate_break_bruteforce(p) is first
         assert knm.enumerate_parking_bruteforce(p) is knm.enumerate_parking_bruteforce(p)
         knm.enumerate_break_bruteforce(params(2, 3))
-        assert knm._scan_break.cache_info().currsize == 1
-        assert knm._scan_parking.cache_info().maxsize == 1
+        assert knm.enumerate_break_bruteforce.cache_info().currsize == 1
+        assert knm.enumerate_parking_bruteforce.cache_info().maxsize == 1
 
     def test_budget_checked_before_work(self):
         p = params(3, 6)
@@ -553,14 +553,6 @@ class TestParkingRepresentativeEqualsRotationScan:
             assert knm.parking_representative(
                 p, x
             ) == reference_parking_representative(p, x), x
-
-    def test_failed_prefix_test_is_internal_error(self, monkeypatch):
-        # The range check hands back x without two coordinates: the
-        # projection has n-2 entries, so every rotation of the block counts
-        # fails, the chosen one included.
-        monkeypatch.setattr(knm, "_check_residue_ranges", lambda p, x: tuple(x)[2:])
-        with pytest.raises(InternalInvariantError, match="fails the prefix test"):
-            knm.parking_representative(params(2, 3), (2, 2, 0))
 
     def test_non_parking_projection_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(knm, "is_parking_mn", lambda p, a: False)

@@ -47,6 +47,16 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             mg.Multigraph([[0, -1], [-1, 0]])
 
+    @pytest.mark.parametrize("mult", [
+        [[0, 0, 1], [0, 0, 0], [1]],
+        [[0, 1], [1, 0, 0]],
+        [[0, 1, 1], [1, 0, 0], [1]],
+        [[0, 1, 1], [1, 0], [1, 0, 0]],
+    ], ids=["short-last-row", "long-last-row", "short-row-read-early", "short-middle-row"])
+    def test_rejects_ragged(self, mult):
+        with pytest.raises(GraphFormatError, match="multiplicity matrix must be square"):
+            mg.Multigraph(mult)
+
     def test_connectivity(self):
         assert triangle().is_connected()
         assert not mg.Multigraph(
@@ -277,6 +287,17 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             mg.enumerate_break_divisors(g, budget=10)
         assert "subset_edges" not in vars(g)
+
+    def test_default_budget_is_the_set_budget(self):
+        # K_7^2 has genus 36 and C(42, 6) = 5,245,786 candidates, over the
+        # default budget of 2,000,000; no table is built before the check
+        g = mg.complete_multigraph(2, 7)
+        with pytest.raises(BudgetExceededError) as exc:
+            mg.enumerate_break_divisors(g)
+        assert str(exc.value) == (
+            "|compositions of 36 into 7 parts| = 5245786 exceeds budget 2000000"
+        )
+        assert not {"subset_edges", "_packed_subset_edges", "_lane_ones"} & set(vars(g))
 
     def test_single_vertex(self):
         assert list(mg.enumerate_break_divisors(mg.Multigraph([[0]]))) == [(0,)]
