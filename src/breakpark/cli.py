@@ -34,10 +34,19 @@ points counted from those orbit types, still independent of the closed
 formula.
 
 Every command pays for the imports at start-up, so the modules it loads
-keep `dataclasses`, `inspect`, `fractions`, `csv` and `json` off that
-path: each is imported only by the code that uses it (`csv` by `emit`
-for --format csv, `json` by `emit` for json records that are not
-`Rows`, `fractions` only where the series code divides).
+keep `argparse`, `dataclasses`, `inspect`, `fractions`, `csv` and `json`
+off that path: each is imported only by the code that uses it.  Each
+command's flags are declared once, in `COMMANDS`.  `main` reads an argv
+of the form `COMMAND (--flag VALUE)*` from that table itself: exact flag
+names, values that do not start with "-", each converting and in its
+choices as argparse would have it, and every required flag given.  Any
+other argv (-h, an abbreviation, --flag=VALUE, a bad, missing or unknown
+token) goes to the argparse parser `build_parser` builds from the same
+table, so help, usage lines, error messages and exit codes are
+argparse's own; so does a usage error a handler finds (`UsageError`).
+`emit` writes json records of ints and plain ASCII strings itself, and
+imports `json` only for other values; `csv` is imported for --format
+csv, and `fractions` only where the series code divides.
 
 --m, --n and --n-max must be at least 1 and --budget at least 0, else
 the run is a usage error.
@@ -53,11 +62,11 @@ nothing on stderr and exits with its verdict code, 0 or 4.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
+from types import SimpleNamespace
 
 from . import counting, knm, multigraph, reptheory, verify
 from .errors import (
@@ -73,6 +82,11 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 EXIT_INTERNAL = 5
+
+
+class UsageError(Exception):
+    """Flags that parse but do not go together; `main` reports it as
+    argparse reports a usage error, on the subcommand's usage line."""
 
 
 class _TupleFormats(dict):
@@ -137,16 +151,45 @@ def _fmt_expansion(coeffs, basis: str) -> str:
     return " + ".join(terms)
 
 
+def _plain(text) -> bool:
+    """Whether `text` is a str that json writes between quotes as it is:
+    printable ASCII without '"' or backslash."""
+    return (type(text) is str and text.isascii() and text.isprintable()
+            and '"' not in text and "\\" not in text)
+
+
+def _json_records(records: list) -> str | None:
+    """`json.dumps(records, sort_keys=True)` when every record is a dict
+    whose keys are `_plain` strings and whose values are ints or `_plain`
+    strings, the records of every command but `enumerate`; else None."""
+    out = []
+    for record in records:
+        if type(record) is not dict or not all(map(_plain, record)):
+            return None
+        fields = []
+        for key in sorted(record):
+            value = record[key]
+            if type(value) is int:
+                fields.append(f'"{key}": {value}')
+            elif _plain(value):
+                fields.append(f'"{key}": "{value}"')
+            else:
+                return None
+        out.append("{" + ", ".join(fields) + "}")
+    return "[" + ", ".join(out) + "]"
+
+
 def emit(records: Iterable[dict] | Rows, fmt: str, stream=None):
     """Write `records`, a list or any iterable of dicts with the same
     keys, or the `Rows` of one layout, to `stream` (stdout by default).
     The json bytes are `json.dumps(list(records), sort_keys=True)` plus
     a newline.  json writes each row of a `Rows` as it comes, with one
     `%` of its row template, building no dict; the dict records, the
-    short lists of the other commands, go to `json.dumps` whole.  csv
-    writes each record as it comes; pretty needs the column widths over
-    all records, so it reads them into a list first.  No records print
-    `[]` in json and nothing in csv and pretty."""
+    short lists of the other commands, are written whole, by
+    `_json_records` or, for other values, by `json.dumps`.  csv writes
+    each record as it comes; pretty needs the column widths over all
+    records, so it reads them into a list first.  No records print `[]`
+    in json and nothing in csv and pretty."""
     stream = stream or sys.stdout
     if fmt == "json" and isinstance(records, Rows):
         # Record by record: the stream's own buffer batches the writes.
@@ -157,9 +200,13 @@ def emit(records: Iterable[dict] | Rows, fmt: str, stream=None):
             row_format = next_format
         write("[]\n" if row_format[0] == "[" else "]\n")
     elif fmt == "json":
-        import json
+        records = list(records)
+        text = _json_records(records)
+        if text is None:
+            import json
 
-        stream.write(json.dumps(list(records), sort_keys=True) + "\n")
+            text = json.dumps(records, sort_keys=True)
+        stream.write(text + "\n")
     elif fmt == "csv":
         import csv
 
@@ -191,18 +238,18 @@ def _graph_or_knm(args, set_name: str = "break"):
     """(graph read from --graph, None) or (None, KnmParams of --m and --n)."""
     if args.graph is None:
         if args.m is None or args.n is None:
-            raise argparse.ArgumentError(None, "requires --m and --n (or --graph)")
+            raise UsageError("requires --m and --n (or --graph)")
         return None, knm.KnmParams(args.m, args.n)
     if args.m is not None or args.n is not None or set_name != "break":
-        raise argparse.ArgumentError(
-            None, "--graph excludes --m, --n and a --set other than break"
-        )
+        raise UsageError("--graph excludes --m, --n and a --set other than break")
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
             text = fh.read()
+        return multigraph.parse_graph_file(text), None
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{args.graph}: not UTF-8 text ({exc.reason})") from None
-    return multigraph.parse_graph_file(text), None
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{args.graph}: {exc}") from None
 
 
 def cmd_enumerate(args) -> tuple[Rows, bool]:
@@ -359,11 +406,14 @@ def cmd_verify(args) -> tuple[list[dict], bool]:
 def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
+        if value >= low:
+            return value
+        message = f"must be >= {low}, got {value}"
     except ValueError:  # argparse would name this function in the message
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-    return value
+        message = f"invalid int value: {text!r}"
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
 
 
 def _positive_int(text: str) -> int:
@@ -374,86 +424,108 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command: it sets `run` to the command's handler
-    and `parser` to itself, for usage errors the handler finds, and has
-    only the flags that handler reads."""
+# Each command's help and its flags, in the order argparse lists them:
+# (flag, the keywords of argparse's `add_argument`).  The dest of a flag
+# is its name without "--", "-" read as "_".  The handler of command C is
+# the module attribute `cmd_C`, looked up when the command runs.
+_FORMAT = ("--format", {"choices": ("json", "csv", "pretty"), "default": "pretty"})
+_BUDGET = ("--budget", {"type": _nonnegative_int, "default": DEFAULT_SET_BUDGET})
+_M = ("--m", {"type": _positive_int, "help": "edge multiplicity"})
+_N = ("--n", {"type": _positive_int, "help": "vertex count"})
+_SOURCE = (("--graph", {"help": "graph file instead of --m/--n"}), _M, _N)
+COMMANDS = {
+    "enumerate": ("list break/park/residue/class sets", (
+        *_SOURCE, _BUDGET, _FORMAT,
+        ("--set", {"choices": ("break", "park", "residue", "classes"),
+                   "default": "break"}),
+    )),
+    "count": ("cardinalities, orbit counts, DT", (*_SOURCE, _BUDGET, _FORMAT)),
+    "character": (
+        "character table and Frobenius data; the bruteforce column "
+        "counts fixed points from the orbit types, independently of the "
+        "closed formula",
+        (_BUDGET, _FORMAT, ("--m", {**_M[1], "required": True}),
+         ("--n", {**_N[1], "required": True})),
+    ),
+    "dt": ("DT invariants by two routes", (
+        _FORMAT,
+        ("--n-max", {"type": _positive_int, "required": True}),
+        ("--m", {"type": _positive_int, "required": True}),
+    )),
+    "verify": ("run the invariant suites", (
+        _FORMAT,
+        ("--only", {"action": "append", "choices": sorted(verify.SUITES),
+                    "help": "restrict to named suites (repeatable)"}),
+        ("--m", {"type": _positive_int,
+                 "help": "largest m of the suites that take one"}),
+        ("--n", {"type": _positive_int,
+                 "help": "largest n of the suites that take one"}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+}
+
+
+def _parse_table(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives `argv` when `argv` is
+    `COMMAND (--flag VALUE)*` with COMMAND's exact flag names, no VALUE
+    starting with "-", each VALUE converting and in its choices, and
+    every required flag given; else None, and argparse decides."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = COMMANDS[argv[0]][1]
+    table = {flag: (flag[2:].replace("-", "_"), spec) for flag, spec in flags}
+    values = {dest: spec.get("default") for dest, spec in table.values()}
+    seen = set()
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in table or text.startswith("-"):
+            return None
+        dest, spec = table[flag]
+        convert = spec.get("type")
+        try:
+            value = convert(text) if convert else text
+        except Exception:  # argparse converts it again and reports the error
+            return None
+        choices = spec.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        if spec.get("action") == "append":
+            value = [*(values[dest] or ()), value]
+        values[dest] = value
+        seen.add(flag)
+    if any(spec.get("required") and flag not in seen for flag, spec in flags):
+        return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
+def build_parser():
+    """The argparse parser of `COMMANDS`, and its subparsers by command
+    name, each with only the flags its handler reads."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="breakpark",
         description="Break divisors, parking functions, and DT invariants "
         "in exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument(
-        "--budget", type=_nonnegative_int, default=DEFAULT_SET_BUDGET
-    )
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--graph", help="graph file instead of --m/--n")
-    source.add_argument("--m", type=_positive_int, help="edge multiplicity")
-    source.add_argument("--n", type=_positive_int, help="vertex count")
-
-    def add(name, run, parents, help):
-        sp = sub.add_parser(name, help=help, parents=[*parents, fmt])
-        sp.set_defaults(run=run, parser=sp)
-        return sp
-
-    sp = add("enumerate", cmd_enumerate, [source, budget],
-             "list break/park/residue/class sets")
-    sp.add_argument(
-        "--set",
-        choices=("break", "park", "residue", "classes"),
-        default="break",
-    )
-
-    add("count", cmd_count, [source, budget], "cardinalities, orbit counts, DT")
-
-    sp = add(
-        "character",
-        cmd_character,
-        [budget],
-        "character table and Frobenius data; the bruteforce column "
-        "counts fixed points from the orbit types, independently of the "
-        "closed formula",
-    )
-    sp.add_argument("--m", type=_positive_int, required=True,
-                    help="edge multiplicity")
-    sp.add_argument("--n", type=_positive_int, required=True, help="vertex count")
-
-    sp = add("dt", cmd_dt, [], "DT invariants by two routes")
-    sp.add_argument("--n-max", type=_positive_int, required=True)
-    sp.add_argument("--m", type=_positive_int, required=True)
-
-    sp = add("verify", cmd_verify, [], "run the invariant suites")
-    sp.add_argument(
-        "--only",
-        action="append",
-        choices=sorted(verify.SUITES),
-        help="restrict to named suites (repeatable)",
-    )
-    sp.add_argument(
-        "--m", type=_positive_int, help="largest m of the suites that take one"
-    )
-    sp.add_argument(
-        "--n", type=_positive_int, help="largest n of the suites that take one"
-    )
-    sp.add_argument("--seed", type=int, default=0)
-    return parser
+    for name, (help, flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help)
+        for flag, spec in flags:
+            sp.add_argument(flag, **spec)
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.11, 3.10.7
         sys.set_int_max_str_digits(0)  # closed counts may be huge; print them whole
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_table(argv) or build_parser()[0].parse_args(argv)
     try:
-        records, ok = args.run(args)
+        records, ok = globals()["cmd_" + args.command](args)
         emit(records, args.format)
         sys.stdout.flush()  # here, so that a closed pipe is caught below
-    except argparse.ArgumentError as exc:  # flags that parse but do not go together
-        args.parser.error(str(exc))
+    except UsageError as exc:
+        build_parser()[1][args.command].error(str(exc))
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

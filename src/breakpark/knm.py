@@ -35,9 +35,10 @@ their own.
 
 The set enumerators `enumerate_break`, `enumerate_parking`,
 `enumerate_residue_tuples` and `shift_classes` return iterators.  Each
-checks its budget by `errors.check_budget` on call, before the first
-item, and then generates the set as it is read, so it never holds the
-whole set; call `list(...)` on it for a list.
+checks its budget on call, before the first item, by
+`check_break_budget` or `check_d_budget`, and then generates the set as
+it is read, so it never holds the whole set; call `list(...)` on it for
+a list.
 
 `enumerate` calls the predicates and the class helpers once or more per
 record, so they stay cheap per call: `is_break_mn` and `is_parking_mn`
@@ -130,6 +131,20 @@ def break_count(p: KnmParams) -> int:
 def residue_count(p: KnmParams) -> int:
     """|D_{m,n}| = N^(n-1): the last coordinate follows from the others."""
     return p.N ** (p.n - 1)
+
+
+def check_break_budget(p: KnmParams, budget: int, what: str = "Break"):
+    """The budget check on |Break| = |Park| of every Break and Park
+    enumerator and scan, and of `verify`'s up-front checks; `what` names
+    the set in the error."""
+    check_budget(break_count(p), budget, what)
+
+
+def check_d_budget(p: KnmParams, budget: int):
+    """The budget check on |D| of `enumerate_residue_tuples`,
+    `shift_classes` and their keyed forms, and of `verify`'s up-front
+    checks."""
+    check_budget(residue_count(p), budget, "D")
 
 
 def sort_orbit_key(x: Sequence[int]) -> tuple[int, ...]:
@@ -434,7 +449,7 @@ def enumerate_break(
     """An iterator over all of Break_{m,n} in lexicographic order: the
     rearrangements of break_orbit_reps.  The budget is checked on call,
     on |Break|, which is at least the number of orbits."""
-    check_budget(break_count(p), budget, "Break")
+    check_break_budget(p, budget)
     return _distinct_permutations(_list_break_orbits(p))
 
 
@@ -444,7 +459,7 @@ def enumerate_parking(
     """An iterator over all of Park_{m,n} in lexicographic order: the
     rearrangements of parking_orbit_reps.  The budget is checked on call,
     on |Park|, which is at least the number of orbits."""
-    check_budget(break_count(p), budget, "Park")
+    check_break_budget(p, budget, "Park")
     return _distinct_permutations(_list_parking_orbits(p))
 
 
@@ -478,7 +493,7 @@ def enumerate_break_bruteforce(
 ) -> tuple[tuple[int, ...], ...]:
     """Break_{m,n} by testing every composition of g into n parts of at
     most m(n-1)-1 with is_break_mn; sorted.  The last call is cached."""
-    check_budget(break_count(p), budget, "Break")
+    check_break_budget(p, budget)
     bound = p.delta[0] if p.n > 1 else 0
     return tuple(d for d in compositions(p.genus, p.n, bound) if is_break_mn(p, d))
 
@@ -489,7 +504,7 @@ def enumerate_parking_bruteforce(
 ) -> tuple[tuple[int, ...], ...]:
     """Park_{m,n} by testing every tuple in [0, m(n-1)-1]^(n-1) with
     is_parking_mn; sorted.  The last call is cached."""
-    check_budget(break_count(p), budget, "Park")
+    check_break_budget(p, budget, "Park")
     candidates = itertools.product(range(p.m * (p.n - 1)), repeat=p.n - 1)
     return tuple(a for a in candidates if is_parking_mn(p, a))
 
@@ -516,7 +531,7 @@ def enumerate_residue_tuples(
     """An iterator over all of D_{m,n}: tuples in [0, N-1]^n with sum = g
     mod N, in lexicographic order, since the last coordinate follows from
     the others.  The budget is checked on call.  For n = 1, D = {(0,)}."""
-    check_budget(residue_count(p), budget, "D")
+    check_d_budget(p, budget)
     if p.n == 1:
         return iter([(0,)])
     N = p.N
@@ -672,7 +687,7 @@ def shift_classes(
     tuples of D with x_0 < m: m*N^(n-2) = |Break| of them.  The n shifts
     of a run's head are built once per run.  For n = 1 the only class is
     ((0,),)."""
-    check_budget(residue_count(p), budget, "D")
+    check_d_budget(p, budget)
     if p.n == 1:
         return iter([((0,),)])
     m, N = p.m, p.N

@@ -197,7 +197,11 @@ def parse_graph_file(text: str) -> Multigraph:
 
     First non-comment line: n (vertex count).  Remaining lines: triples
     "i j mult" with 1 <= i < j <= n.  '#' starts a comment.  Pairs not
-    listed have multiplicity 0; repeated pairs are rejected.
+    listed have multiplicity 0; repeated pairs are rejected.  Every edge
+    line is checked before the n x n matrix is built, and a file with
+    fewer than n - 1 pairs of positive multiplicity, which no connected
+    graph has, is rejected then, so a bare vertex count allocates
+    nothing.
     """
     lines = []
     for raw in text.splitlines():
@@ -212,8 +216,7 @@ def parse_graph_file(text: str) -> Multigraph:
         raise GraphFormatError(f"expected vertex count, got {lines[0]!r}")
     if n < 1:
         raise GraphFormatError("vertex count must be positive")
-    mult = [[0] * n for _ in range(n)]
-    seen = set()
+    edges = {}
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 3:
@@ -228,13 +231,20 @@ def parse_graph_file(text: str) -> Multigraph:
             raise GraphFormatError(f"self-loop in {line!r}")
         if i > j:
             raise GraphFormatError(f"edges must be listed with i < j: {line!r}")
-        if (i, j) in seen:
+        if (i, j) in edges:
             raise GraphFormatError(f"duplicate edge pair in {line!r}")
         if k < 0:
             raise GraphFormatError(f"negative multiplicity in {line!r}")
-        seen.add((i, j))
-        mult[i - 1][j - 1] = k
-        mult[j - 1][i - 1] = k
+        edges[i, j] = k
+    adjacent = sum(1 for k in edges.values() if k)
+    if adjacent < n - 1:
+        raise GraphFormatError(
+            f"{adjacent} pairs of positive multiplicity cannot connect "
+            f"{n} vertices"
+        )
+    mult = [[0] * n for _ in range(n)]
+    for (i, j), k in edges.items():
+        mult[i - 1][j - 1] = mult[j - 1][i - 1] = k
     return Multigraph(mult)
 
 

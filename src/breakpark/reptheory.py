@@ -343,7 +343,7 @@ def knm_modules(p: knm.KnmParams, budget: int = DEFAULT_SET_BUDGET) -> KnmModule
     checked against the budget on call, as in every knm enumerator; it
     bounds the states of both counts too (`knm.count_break_types`), so
     they run without a check of their own."""
-    check_budget(knm.break_count(p), budget, "Break")
+    knm.check_break_budget(p, budget)
     closed = character_break(p.m, p.n, budget)
     breaks = h_module(knm.count_break_types(p), p.n)
     if p.n == 1:

@@ -60,16 +60,6 @@ def _check_budgets_first(m_max: int, n_max: int, n_min: int, *checks) -> None:
             check(p, DEFAULT_SET_BUDGET)
 
 
-def _break_budget(p: knm.KnmParams, budget: int):
-    """|Break|, as the Break and Park enumerators and scans check it."""
-    check_budget(knm.break_count(p), budget, "Break")
-
-
-def _d_budget(p: knm.KnmParams, budget: int):
-    """|D|, as `enumerate_residue_tuples` and `shift_classes` check it."""
-    check_budget(knm.residue_count(p), budget, "D")
-
-
 def _partitions_budget(p: knm.KnmParams, budget: int):
     reptheory._check_partitions(p.n, budget)
 
@@ -320,7 +310,7 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
     all of D.  The key `keyed_residue_tuples` gives each residue tuple,
     from one shift back per run, is `class_key`'s."""
     scope, ok = _scope(m_max, n_max)
-    _check_budgets_first(m_max, n_max, 1, _d_budget)
+    _check_budgets_first(m_max, n_max, 1, knm.check_d_budget)
     cx = None
     for _, _, p, case in _cases(m_max, n_max):
         classes = list(knm.shift_classes(p))
@@ -346,7 +336,7 @@ def suite_cardinalities(m_max: int = 3, n_max: int = 5) -> list[Check]:
     """The closed counts, and the orbit-generated enumerations against
     the candidate scans, list for list.  |D| is counted off the stream."""
     scope, ok = _scope(m_max, n_max)
-    _check_budgets_first(m_max, n_max, 1, _break_budget, _d_budget)
+    _check_budgets_first(m_max, n_max, 1, knm.check_break_budget, knm.check_d_budget)
     count_cx = scan_cx = None
     for _, _, p, case in _cases(m_max, n_max):
         breaks = list(knm.enumerate_break(p))
@@ -439,7 +429,8 @@ def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
     `reptheory.knm_modules` (the `character` command's bruteforce
     column) against per-tuple fixed-point scans."""
     scope, ok = _scope(m_max, n_max)
-    _check_budgets_first(m_max, n_max, 1, _break_budget, _partitions_budget)
+    _check_budgets_first(m_max, n_max, 1, knm.check_break_budget,
+                         _partitions_budget)
     closed_cx = orbit_cx = None
     for m, n, p, case in _cases(m_max, n_max):
         modules = reptheory.knm_modules(p)
@@ -463,8 +454,9 @@ def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
     The closed character, the restriction verdict and the parking orbit
     character are those of `reptheory.knm_modules`."""
     scope, ok = _scope(m_max, n_max, 2)
-    _check_budgets_first(m_max, n_max, 2, _d_budget, _break_budget,
-                         _partitions_budget, knm._check_break_states)
+    _check_budgets_first(m_max, n_max, 2, knm.check_d_budget,
+                         knm.check_break_budget, _partitions_budget,
+                         knm._check_break_states)
     iso_cx = res_cx = triv_cx = None
     for m, n, p, case in _cases(m_max, n_max, 2):
         # the |D| scan first, so an over-budget run names |D|

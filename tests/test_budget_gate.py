@@ -4,11 +4,17 @@ This reads the library's source with `ast`, so a second copy of the
 gate, a second default or a hand-written budget error fails here even
 when its message happens to match.  The fixed caps (the subset vertex
 cap, the orientation oracle's edge limit and the series order cap) are
-limits, not budgets, and keep their own raises.
+limits, not budgets, and keep their own raises.  The checks `verify`
+makes before a suite's first case are the enumerators' own.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
+
+from breakpark import knm, verify
+from breakpark.errors import BudgetExceededError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "breakpark"
 
@@ -59,3 +65,23 @@ def test_budget_errors_are_raised_only_by_the_gate_and_the_caps():
             if isinstance(exc, ast.Name) and exc.id == "BudgetExceededError":
                 raisers.add((module, function))
     assert raisers == {("errors", "check_budget")} | CAPS
+
+
+# A suite and the one case of m = 1, n <= N over budget, with the
+# enumerator whose check that case fails first.
+UP_FRONT = [
+    ("cardinalities", 8, knm.enumerate_residue_tuples),
+    ("shift-classes", 8, knm.shift_classes),
+    ("module-isomorphisms", 8, knm.enumerate_residue_tuples),
+    ("characters", 9, knm.enumerate_break),
+]
+
+
+@pytest.mark.parametrize("suite, n, enumerator", UP_FRONT,
+                         ids=[suite for suite, _, _ in UP_FRONT])
+def test_verify_fails_up_front_with_the_enumerators_error(suite, n, enumerator):
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerator(knm.KnmParams(1, n))
+    assert verify.run_suites(only=[suite], m_max=1, n_max=n) == [
+        (suite, False, f"over budget: {exc.value}")
+    ]

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -90,12 +91,36 @@ class TestEnumerate:
         assert code == 0
         assert json.loads(out) == [{"divisor": "(0,0,0,0)"}]
 
-    def test_malformed_graph_exits_2_no_output(self, tmp_path):
+    def test_malformed_graph_exits_2_no_output(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("3\n1 1 2\n")
         code, out = run_cli(["enumerate", "--graph", str(path)])
         assert code == cli.EXIT_USAGE
         assert out == ""
+        assert capsys.readouterr().err == f"error: {path}: self-loop in '1 1 2'\n"
+
+    def test_unconnectable_graph_file_allocates_nothing(self, tmp_path):
+        """A bare vertex count of 20000 once built the 20000 x 20000
+        matrix (3.2 GB of list slots) before any check; under a 1 GiB
+        address-space limit on the child it died with a MemoryError
+        traceback."""
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "bare.txt"
+        path.write_text("20000\n")
+        limit = 2**30
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "breakpark.cli", "count", "--graph", str(path)],
+            capture_output=True, text=True, env=cli_env(), preexec_fn=limit_memory,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            cli.EXIT_USAGE, "",
+            f"error: {path}: 0 pairs of positive multiplicity cannot connect "
+            "20000 vertices\n",
+        )
 
     @pytest.mark.parametrize("command", ["count", "enumerate"])
     def test_graph_file_not_utf8_exits_2_no_output(self, tmp_path, capsys, command):
@@ -1438,25 +1463,48 @@ def test_startup_imports_no_heavy_stdlib():
     assert "fractions" not in report["ran"]
 
 
-def test_enumerate_json_loads_no_json_module():
-    """`enumerate` writes json by its row templates, so it never loads
-    `json` or `_json`; `IMPORT_GUARD` itself imports `json`, so this
-    child reports on stderr."""
-    script = (
-        "import sys\n"
-        "from breakpark import cli\n"
-        "code = cli.main(sys.argv[1:])\n"
-        "sys.stderr.write(repr([m for m in ('json', '_json') if m in sys.modules]))\n"
-        "sys.exit(code)\n"
+# Each form of command the benchmark runs, at a small size; GRAPH7
+# stands for a graph file.
+BENCHMARK_FORMS = {
+    "dt": ["dt", "--m", "3", "--n-max", "24"],
+    "character": ["character", "--m", "2", "--n", "5"],
+    "count-graph": ["count", "--graph", "GRAPH7"],
+    "enumerate-graph": ["enumerate", "--graph", "GRAPH7"],
+    "verify-graphs": ["verify", "--only", "random-graphs", "--only",
+                      "knm-vs-multigraph", "--seed", "0"],
+    **{f"enumerate-{s}": ["enumerate", "--set", s, "--m", "2", "--n", "3"]
+       for s in ("break", "park", "residue", "classes")},
+}
+
+# The argument parser and the json encoder, with the modules argparse's
+# messages load; a well-formed command needs none of them.
+PARSER_AND_JSON = ("argparse", "gettext", "locale", "json", "_json")
+
+# Reports on stderr, since `IMPORT_GUARD` itself imports `json`.
+PARSER_GUARD = """
+import os, sys
+before = set(sys.modules)
+from breakpark import cli
+sys.stdout = open(os.devnull, "w")
+code = cli.main(sys.argv[1:])
+loaded = set(sys.modules) - before
+sys.stderr.write(repr([m for m in {modules!r} if m in loaded]))
+sys.exit(code)
+""".format(modules=PARSER_AND_JSON)
+
+
+@pytest.mark.parametrize("form", BENCHMARK_FORMS)
+def test_benchmark_forms_load_no_parser_or_json(tmp_path, form):
+    """`main` parses these argvs from `COMMANDS` and `emit` writes their
+    json itself, so none loads argparse or json."""
+    path = tmp_path / "graph7.txt"
+    path.write_text(GRAPH7)
+    args = [str(path) if a == "GRAPH7" else a for a in BENCHMARK_FORMS[form]]
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSER_GUARD, *args, "--format", "json"],
+        capture_output=True, text=True, env=cli_env(),
     )
-    for source in (["--set", "break", "--m", "2", "--n", "3"],
-                   ["--set", "classes", "--m", "2", "--n", "3"]):
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "enumerate", *source, "--format", "json"],
-            capture_output=True, text=True, env=cli_env(),
-        )
-        assert proc.returncode == cli.EXIT_OK
-        assert proc.stderr == "[]"
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "[]")
 
 
 def test_graph_verify_suites_import_no_heavy_stdlib():
@@ -1503,3 +1551,169 @@ def test_closed_stdout_pipe_is_silent(args, read, expected):
     assert proc.wait(timeout=60) == expected
     assert err == b""
     assert len(head) == read
+
+
+# (argv, exit code, sha256 of the bytes written: stdout for help, stderr
+# for a usage error), recorded with COLUMNS=80 before `main` parsed any
+# argv without argparse.  Help, usage lines and messages are argparse's
+# own, also for the usage errors the handlers find; the layout of help
+# differs between Python versions.
+PARSER_PINS = [
+    (['--help'], 0,
+     '07d5a0a8406992fdc9e367d72466e315858bd267943515304d64fca3089e3472'),
+    (['enumerate', '--help'], 0,
+     'abd39498a88e1f0e5719bba22f3974ea86e2015183a78f57f8b77465e404d3eb'),
+    (['count', '--help'], 0,
+     'a03fa15332d781944963572f9307600b3499f6dd1bb930f86590d8f74ad5f123'),
+    (['character', '--help'], 0,
+     '97d9f611a841ae8d3fbded186b5a24ed51fb4f7060bd92f7e55fd17b3eb8c164'),
+    (['dt', '--help'], 0,
+     '4a4c1511da45bcff008faccd10a211499bcecdf4031e0fa1aaf13be54f679ab0'),
+    (['verify', '--help'], 0,
+     'e928fc85b17b84c812765d8333527f8397105b675f5dd51cc05078d2bc386c06'),
+    (['-h'], 0,
+     '07d5a0a8406992fdc9e367d72466e315858bd267943515304d64fca3089e3472'),
+    (['dt', '-h'], 0,
+     '4a4c1511da45bcff008faccd10a211499bcecdf4031e0fa1aaf13be54f679ab0'),
+    ([], 2,
+     'bdaa9010d17e17c39f78ddb3f93dc3ce4262411cfa81ad9b4668d6e219084a6b'),
+    (['bogus'], 2,
+     '4f39cd5728f31da0efeccdcc73b35998800cc4bdc142b758efc5b0b3dd821bad'),
+    (['--m', '2'], 2,
+     '332b76303012f416a481547b7915991e3f493576832716b0559c768887a41727'),
+    (['enumerate', '--set', 'bogus', '--m', '2', '--n', '3'], 2,
+     '49f20149169cc148763a28551f7dc155393fbd995cffe946c3597518c57641a9'),
+    (['enumerate', '--set', 'park'], 2,
+     'ad65ee03ddd5d29f0ae36c3c45c43153614838890659f7ad1def8e36db7be8eb'),
+    (['enumerate', '--graph', 'g.txt', '--set', 'park'], 2,
+     '1fe73d71827c3699da97bede0a053b7e4abb2fec08d352826c048f2ee7aadccc'),
+    (['count', '--graph', 'g.txt', '--m', '2'], 2,
+     '497b74a48536372b76c5ac386d9147c8988f52940301ae00f8c0f93894bbd274'),
+    (['count', '--m', 'x', '--n', '3'], 2,
+     'a03a2a66eedbb5ef57141a4019b8879e3ac7d79cc6a6ab84b2a9211d576f4413'),
+    (['count', '--n', '3'], 2,
+     'd9c7f4a849c287e50a6f1894e304b904df4eb8e35175b95e0392d8ba69e0e05c'),
+    (['character', '--m', '2'], 2,
+     'cc5895cd9f4e6962489a12e1b28b3dee1aef85984204b1d7f4a5dfd184b7547f'),
+    (['character', '--m', '2', '--n', '3', '--graph', 'g.txt'], 2,
+     '713f84d152fef14677841abfc306b2b740278505d182ff09b42755658c985c21'),
+    (['dt', '--m', '2'], 2,
+     '97875a7bc6a2f0d05f7ded709d7e1be144fd9343841f2cc446138d8d9c27690c'),
+    (['dt', '--m'], 2,
+     '48abc35a911d1c50c47ef72db5da3c9b1dee37aabab871f7277bdc4954902a88'),
+    (['dt', '--m', '-1', '--n-max', '3'], 2,
+     '2d81644b450da0574586f2bf1bb04deb2c841bd7d7eda393f30228311cfdbc55'),
+    (['dt', '--m', '2', '--n-max', '3', '--seed', '1'], 2,
+     'a83a0b8231e3f5686e99691c845fd52913570634b153b55065a5636d19be6aa3'),
+    (['verify', '--only', 'nope'], 2,
+     '768544010133d6b2221dff13fed273b81b2365c8b14ce094b3e047040185ae72'),
+    (['verify', '--m', '0'], 2,
+     'f384df249e0762f298638a402938e33ee02da76a7cb989b73d47f75f718794a8'),
+    (['verify', '--seed', 'x'], 2,
+     '47d24a7dfed457de9f58964f98e483220366608fd1c996ab36a9b8f1aadc59c7'),
+    (['verify', '--format', 'xml'], 2,
+     'f38e4a05e386c3938a6a4464e0043097d6c6146d43f1ab5ff06e5002b2f9976b'),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="pinned from Python 3.11's argparse")
+@pytest.mark.parametrize("args, code, digest", PARSER_PINS,
+                         ids=[" ".join(a) or "no-args" for a, _, _ in PARSER_PINS])
+def test_help_and_usage_error_bytes(monkeypatch, capsys, args, code, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert (err if code else out) != ""
+    assert (out if code else err) == ""
+    assert hashlib.sha256((err if code else out).encode()).hexdigest() == digest
+
+
+ALL_FLAGS = sorted({flag for _, flags in cli.COMMANDS.values() for flag, _ in flags})
+ODD_TOKENS = ["--form", "--n-m", "--se", "--on", "-h", "--help", "--bogus", "--", "x"]
+ANY_VALUES = ["0", "-1", "-x", "--m", "x", "", "1.5", "json", "xml", "break", "nope",
+              "g.txt"]
+INT_TEXTS = st.one_of(st.integers(-2, 40).map(str),
+                      st.sampled_from(["007", " 4", "+2", "1_0", "٣", "4 "]))
+
+
+def good_values(spec):
+    """Values of the flag's type and choices, most of the time."""
+    if spec.get("choices"):
+        return st.sampled_from(spec["choices"])
+    if spec.get("type"):
+        return INT_TEXTS
+    return st.sampled_from(["g.txt", "a b", "x=y", "", "dir/g"])
+
+
+@st.composite
+def argvs(draw):
+    """COMMAND (--flag VALUE)* from the command's own flags, its required
+    ones included, and values of each flag's type and choices; most get
+    one change of a form argparse handles otherwise: another command's
+    flag, an abbreviation, --flag=VALUE, -h, a stray token, a missing
+    value or required flag, or a value that starts with "-", fails to
+    convert or misses the choices."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    own = dict(cli.COMMANDS[command][1])
+    names = [flag for flag, spec in own.items() if spec.get("required")]
+    names += draw(st.lists(st.sampled_from(sorted(own)), max_size=4))
+    pairs = [[name, draw(good_values(own[name]))]
+             for name in draw(st.permutations(names))]
+    change = draw(st.sampled_from(["none", "none", "flag", "value", "equals",
+                                   "command", "drop", "cut"]))
+    at = draw(st.integers(0, len(pairs)))
+    if change == "flag":
+        pairs.insert(at, [draw(st.sampled_from(ALL_FLAGS + ODD_TOKENS)),
+                          draw(st.sampled_from(ANY_VALUES))])
+    elif change == "value" and pairs:
+        pairs[at % len(pairs)][1] = draw(st.sampled_from(ANY_VALUES))
+    elif change == "equals" and pairs:
+        pairs[at % len(pairs)] = ["=".join(pairs[at % len(pairs)])]
+    elif change == "drop" and pairs:
+        del pairs[at % len(pairs)]
+    elif change == "command":
+        command = draw(st.sampled_from(["bogus", "-h", "", *cli.COMMANDS]))
+    argv = [command, *(token for pair in pairs for token in pair)]
+    return argv[:-1] if change == "cut" and pairs else argv
+
+
+ARGPARSE = cli.build_parser()[0]
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(argvs())
+def test_table_parse_equals_argparse_where_it_accepts(argv):
+    """Whenever `_parse_table` accepts an argv, argparse accepts it too,
+    with the same value for every dest."""
+    fast = cli._parse_table(argv)
+    if fast is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            parsed = vars(ARGPARSE.parse_args(argv))
+    except SystemExit as exc:
+        parsed = f"argparse exits with {exc.code}"
+    assert vars(fast) == parsed
+
+
+@pytest.mark.parametrize("form", BENCHMARK_FORMS)
+def test_table_parse_accepts_the_benchmark_forms(form):
+    assert cli._parse_table([*BENCHMARK_FORMS[form], "--format", "json"]) is not None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(
+    st.text(st.characters(max_codepoint=127), max_size=4),
+    st.one_of(st.integers(), st.text(st.characters(max_codepoint=127), max_size=6),
+              st.booleans(), st.none(), st.floats(allow_nan=False)),
+    max_size=4), max_size=4))
+def test_json_of_ascii_records_equals_json_dumps(records):
+    """`emit` writes records of ints and printable ASCII strings without
+    json; quotes, backslashes, control characters, bools, None and floats
+    go to `json.dumps`.  Both give its bytes."""
+    out = io.StringIO()
+    cli.emit(records, "json", out)
+    assert out.getvalue() == json_reference(records)

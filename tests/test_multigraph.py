@@ -384,6 +384,26 @@ class TestGraphFile:
         with pytest.raises(GraphFormatError):
             mg.parse_graph_file(text)
 
+    @pytest.mark.parametrize("text, adjacent, n", [
+        ("200", 0, 200),
+        ("3\n1 2 1\n", 1, 3),
+        ("4\n1 2 1\n2 3 0\n3 4 2\n", 2, 4),
+    ])
+    def test_rejects_too_few_adjacent_pairs(self, text, adjacent, n):
+        with pytest.raises(GraphFormatError) as exc:
+            mg.parse_graph_file(text)
+        assert str(exc.value) == (
+            f"{adjacent} pairs of positive multiplicity cannot connect {n} vertices"
+        )
+
+    def test_a_malformed_line_is_named_before_the_pair_count(self):
+        with pytest.raises(GraphFormatError, match="self-loop in '1 1 2'"):
+            mg.parse_graph_file("3\n1 1 2\n")
+
+    @pytest.mark.parametrize("text", ["1", "2\n1 2 1", "3\n1 2 1\n2 3 1\n1 3 0"])
+    def test_accepts_n_minus_1_adjacent_pairs(self, text):
+        assert mg.parse_graph_file(text).is_connected()
+
 
 @st.composite
 def multigraphs(draw, max_vertices=8):
