@@ -14,24 +14,14 @@ congruent to x_0 mod m, so exactly one member has x_0 < m: the class key.
 Break and Park are unions of symmetric-group orbits, so both are
 generated from their orbit representatives (weakly decreasing vectors);
 the candidate scans they replaced are kept as `*_bruteforce` oracles.
+`break_orbit_reps` and `parking_orbit_reps` check a closed orbit count
+before they list an orbit.
 
 Every S_n-invariant quantity depends only on how many orbits have each
 multiplicity partition mu (the h-expansion), and `break_orbit_types` and
 `parking_orbit_types` count these by a DP over the values, one run of
-equal entries per value, without listing an orbit.  The prefix sums of
-delta are concave, so a Break run needs only its last entry checked
-against them.  Each DP checks the size of its state space against the
-budget on call: (g+1) * (p(0) + ... + p(n)) for Break and
-m(n-1) * (p(0) + ... + p(n-1)) for Park, with p the partition counts.
-The Break sweep revisits its active states at each of its delta[0] + 1
-values, so its work can exceed the checked state count by that factor.
-`break_orbit_reps` and `parking_orbit_reps` check the exact orbit count
-from these DPs against their budget before they list an orbit; the set
-enumerators, whose |Break| check already bounds the orbits, list them
-directly.  Every state a DP holds is a prefix of an orbit
-representative, so a |Break| check bounds the DP as well, and
-`count_break_types` and `count_parking_types` run it without a check of
-their own.
+equal entries per value, without listing an orbit.  Each DP checks the
+size of its state space against the budget on call.
 
 The set enumerators `enumerate_break`, `enumerate_parking`,
 `enumerate_residue_tuples` and `shift_classes` return iterators.  Each
@@ -59,6 +49,7 @@ coordinate.  A record then tests only its members of sum g with
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
@@ -126,6 +117,13 @@ def break_count(p: KnmParams) -> int:
     """|Break_{m,n}| = |Park_{m,n}| = m^(n-1) * n^(n-2), the number of
     spanning trees of K_n^m."""
     return p.m ** (p.n - 1) * p.n ** max(p.n - 2, 0)
+
+
+def parking_orbit_count(p: KnmParams) -> int:
+    """|Park_{m,n} / S_(n-1)| = C(N+n-2, n-1) / n: the multisets of n-1
+    values on N circular spots, of whose rotations by m one in n parks
+    (the cycle lemma, `_parking_start`)."""
+    return math.comb(p.N + p.n - 2, p.n - 1) // p.n
 
 
 def residue_count(p: KnmParams) -> int:
@@ -330,16 +328,25 @@ def count_parking_types(p: KnmParams) -> dict[tuple[int, ...], int]:
     return dict(sorted(types.items()))
 
 
+def _check_orbit_floor(p: KnmParams, budget: int, what: str):
+    """Check 2^(n-2) / n against the budget, cheap at any n: Park has
+    Catalan(n-1) >= 2^(n-2) orbits or more, and Break 1/n as many, since
+    an S_n-orbit of the shift classes holds at most n S_(n-1)-orbits."""
+    check_budget((1 << max(p.n - 2, 0)) // p.n, budget, what, exact=False)
+
+
 def break_orbit_reps(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> list[tuple[int, ...]]:
     """The S_n-orbit representatives of Break_{m,n}: the weakly
     decreasing vectors of sum g whose prefix sums stay within those of
-    delta, in lexicographic order.  Their number is DT_n of the
-    (m+1)-loop quiver; it is counted by `break_orbit_types` and checked
-    against the budget on call, before the first is listed."""
-    orbits = sum(break_orbit_types(p, budget).values())
-    check_budget(orbits, budget, "Break orbits")
+    delta, in lexicographic order.  Their number, DT_n of the (m+1)-loop
+    quiver (`counting.dt_invariant`), is checked against the budget
+    after `_check_orbit_floor`, before the first is listed."""
+    from .counting import dt_invariant  # counting imports this module
+
+    _check_orbit_floor(p, budget, "Break orbits")
+    check_budget(dt_invariant(p.m, p.n), budget, "Break orbits")
     return _list_break_orbits(p)
 
 
@@ -368,11 +375,11 @@ def parking_orbit_reps(
 ) -> list[tuple[int, ...]]:
     """The S_{n-1}-orbit representatives of Park_{m,n} in sort_orbit_key
     form: the weakly increasing a~ with a~_i <= m*i - 1, each reversed,
-    in lexicographic order.  Their number is counted by
-    `parking_orbit_types` and checked against the budget on call, before
-    the first is listed."""
-    orbits = sum(parking_orbit_types(p, budget).values())
-    check_budget(orbits, budget, "Park orbits")
+    in lexicographic order.  Their number, `parking_orbit_count` by the
+    cycle lemma, is checked against the budget after `_check_orbit_floor`,
+    before the first is listed."""
+    _check_orbit_floor(p, budget, "Park orbits")
+    check_budget(parking_orbit_count(p), budget, "Park orbits")
     return _list_parking_orbits(p)
 
 

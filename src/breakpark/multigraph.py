@@ -274,6 +274,20 @@ def _require_subset_cap(graph: Multigraph):
         )
 
 
+def _subset_divisor(graph: Multigraph, divisor: Sequence[int]) -> tuple[int, ...]:
+    """The opening checks of every subset predicate, in order."""
+    _require_connected(graph)
+    _require_subset_cap(graph)
+    return _as_divisor(graph, divisor)
+
+
+def check_composition_budget(g: int, n: int, budget: int):
+    """The budget check on the C(g+n-1, n-1) compositions of g into n
+    parts."""
+    check_budget(math.comb(g + n - 1, n - 1), budget,
+                 f"compositions of {g} into {n} parts")
+
+
 def genus(graph: Multigraph) -> int:
     """|E| - |V| + 1 for a connected graph."""
     _require_connected(graph)
@@ -353,9 +367,7 @@ def is_orientable(graph: Multigraph, divisor: Sequence[int]) -> bool:
     deg(D|_S) + chi(S) >= 0, i.e. sum over S of (d_v + 1) >= |E(G[S])|,
     for every nonempty subset S, on the packed tables.
     """
-    _require_connected(graph)
-    _require_subset_cap(graph)
-    d = _as_divisor(graph, divisor)
+    d = _subset_divisor(graph, divisor)
     if sum(d) != graph.edge_count() - graph.n:
         return False
     if min(d) < -1:  # no in-degree is negative; lanes are unsigned
@@ -368,9 +380,7 @@ def is_orientable(graph: Multigraph, divisor: Sequence[int]) -> bool:
 def orientable_subset_bruteforce(graph: Multigraph, divisor: Sequence[int]) -> bool:
     """Oracle: the subset inequalities of `is_orientable` by the list
     pass over `subset_edges`."""
-    _require_connected(graph)
-    _require_subset_cap(graph)
-    d = _as_divisor(graph, divisor)
+    d = _subset_divisor(graph, divisor)
     if sum(d) != graph.edge_count() - graph.n:
         return False
     return _subset_sums_pass(graph, d, operator.lt)
@@ -396,9 +406,7 @@ def is_break_divisor(graph: Multigraph, divisor: Sequence[int]) -> bool:
     """Effective, degree = genus, and deg(D|_S) >= |E(G[S])| - |S| + 1,
     i.e. sum over S of (d_v + 1) > |E(G[S])|, for every nonempty
     subset S, on the packed tables."""
-    _require_connected(graph)
-    _require_subset_cap(graph)
-    d = _as_divisor(graph, divisor)
+    d = _subset_divisor(graph, divisor)
     if min(d) < 0:
         return False
     if sum(d) != graph.edge_count() - graph.n + 1:
@@ -412,9 +420,7 @@ def is_break_divisor(graph: Multigraph, divisor: Sequence[int]) -> bool:
 def break_subset_bruteforce(graph: Multigraph, divisor: Sequence[int]) -> bool:
     """Oracle: the subset inequalities of `is_break_divisor` by the list
     pass over `subset_edges`."""
-    _require_connected(graph)
-    _require_subset_cap(graph)
-    d = _as_divisor(graph, divisor)
+    d = _subset_divisor(graph, divisor)
     if any(x < 0 for x in d):
         return False
     if sum(d) != graph.edge_count() - graph.n + 1:
@@ -513,8 +519,7 @@ def enumerate_break_divisors(
     g = genus(graph)
     _require_subset_cap(graph)
     n = graph.n
-    check_budget(math.comb(g + n - 1, n - 1), budget,
-                 f"compositions of {g} into {n} parts")
+    check_composition_budget(g, n, budget)
     w, ones = graph._lane_bits, graph._lane_ones
     table = graph._packed_subset_edges
     guards = [x << (w - 1) for x in ones]

@@ -12,11 +12,9 @@ vectors have each multiplicity partition mu (`h_module`;
 `knm_modules` holds both K_n^m modules, the closed character and the
 restriction verdict.  It takes the h-expansions from the orbit-type
 counts `knm.break_orbit_types` and `knm.parking_orbit_types`, which list
-no orbit: their work grows with the orbit types, at most
-(g+1) * (p(0) + ... + p(n)) states for Break, and not with the orbits.
-The per-tuple fixed-point scans (`character_*_bruteforce`) read the
-candidate-scan oracles of `knm`, so they stay independent of both the
-closed formula and the orbit-type route.
+no orbit.  The per-tuple fixed-point scans (`character_*_bruteforce`)
+read the candidate-scan oracles of `knm`, so they stay independent of
+both the closed formula and the orbit-type route.
 """
 
 from __future__ import annotations
@@ -284,11 +282,10 @@ def schur_expansion(chi: ClassFunction) -> Dict[Partition, int]:
     s_lam is the inner product (1/n!) sum class_size * chi * chi^lam."""
     n = _degree(chi)
     nfact = math.factorial(n)
+    weights = [(mu, class_size(mu) * chi[mu]) for mu in partitions_of(n)]
     out: Dict[Partition, int] = {}
-    for lam in partitions_of(n):
-        acc = 0
-        for mu in partitions_of(n):
-            acc += class_size(mu) * chi[mu] * murnaghan_nakayama(lam, mu)
+    for lam, _ in weights:
+        acc = sum(w * murnaghan_nakayama(lam, mu) for mu, w in weights)
         coeff, r = divmod(acc, nfact)
         if r != 0:
             raise InternalInvariantError(

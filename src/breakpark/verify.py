@@ -13,7 +13,6 @@ on any failure; the test suite runs the same code.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from typing import Callable, Iterable, Sequence
 
@@ -66,12 +65,10 @@ def _partitions_budget(p: knm.KnmParams, budget: int):
 
 def _scan_budget(p: knm.KnmParams, budget: int):
     """The candidates `suite_knm_vs_multigraph` scans: the compositions
-    of g into n parts, C(g+n-1, n-1), and [0, m(n-1)]^(n-1)."""
-    g, n = p.genus, p.n
-    check_budget(math.comb(g + n - 1, n - 1), budget,
-                 f"compositions of {g} into {n} parts")
-    check_budget((p.m * (n - 1) + 1) ** (n - 1), budget,
-                 f"[0, {p.m * (n - 1)}]^{n - 1}")
+    of g into n parts and [0, m(n-1)]^(n-1)."""
+    multigraph.check_composition_budget(p.genus, p.n, budget)
+    top = p.m * (p.n - 1)
+    check_budget((top + 1) ** (p.n - 1), budget, f"[0, {top}]^{p.n - 1}")
 
 
 def _first(counterexamples: Iterable[str | None]) -> str | None:
@@ -497,8 +494,7 @@ def suite_theorems_by_orbit_types(m_max: int = 3, n_max: int = 12) -> list[Check
     an orbit type that a character sums over, at most p(n)^2.  These
     checks bound the states, not the work of the Break sweep, which
     revisits them at each of up to delta[0] + 1 values: `--m 50` passes
-    them and then runs for minutes (`knm.break_orbit_types` alone takes
-    about 71 s at (50, 12))."""
+    them and then runs for minutes."""
     scope, ok = _scope(m_max, n_max)
     res_scope, res_ok = _scope(m_max, n_max, 2)
     if ok:

@@ -5,7 +5,9 @@ gate, a second default or a hand-written budget error fails here even
 when its message happens to match.  The fixed caps (the subset vertex
 cap, the orientation oracle's edge limit and the series order cap) are
 limits, not budgets, and keep their own raises.  The checks `verify`
-makes before a suite's first case are the enumerators' own.
+makes before a suite's first case are the enumerators' own.  The orbit
+listers of `knm` size their output by a closed orbit count and name no
+orbit-type DP.
 """
 
 import ast
@@ -65,6 +67,27 @@ def test_budget_errors_are_raised_only_by_the_gate_and_the_caps():
             if isinstance(exc, ast.Name) and exc.id == "BudgetExceededError":
                 raisers.add((module, function))
     assert raisers == {("errors", "check_budget")} | CAPS
+
+
+ORBIT_LISTERS = ("break_orbit_reps", "parking_orbit_reps")
+ORBIT_TYPE_DPS = {"break_orbit_types", "parking_orbit_types",
+                  "count_break_types", "count_parking_types"}
+
+
+def test_orbit_listers_name_no_orbit_type_dp():
+    listers, named = set(), set()
+    for module, function, node in scopes():
+        if module != "knm":
+            continue
+        if isinstance(node, ast.FunctionDef) and node.name in ORBIT_LISTERS:
+            listers.add(node.name)
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if function in ORBIT_LISTERS and name in ORBIT_TYPE_DPS:
+            named.add((function, name))
+    assert listers == set(ORBIT_LISTERS)
+    assert named == set()
 
 
 # A suite and the one case of m = 1, n <= N over budget, with the

@@ -395,7 +395,7 @@ class TestOrbitTypes:
         assert str(exc.value) == message
 
     def test_orbit_reps_budget_is_the_exact_orbit_count(self):
-        # at (2,8) both state spaces, 3350 and 630, are below the orbit counts
+        # at (2,8) the closed counts are exact: 3828 lists, 3827 refuses
         p = params(2, 8)
         assert len(knm.break_orbit_reps(p, budget=3828)) == 3828
         assert len(knm.parking_orbit_reps(p, budget=21318)) == 21318
@@ -403,6 +403,85 @@ class TestOrbitTypes:
             knm.break_orbit_reps(p, budget=3827)
         with pytest.raises(BudgetExceededError, match=r"\|Park orbits\| = 21318 "):
             knm.parking_orbit_reps(p, budget=21317)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_closed_park_count_is_the_orbit_type_sum(self, m):
+        for n in range(1, 11):
+            p = params(m, n)
+            assert knm.parking_orbit_count(p) == sum(
+                knm.parking_orbit_types(p).values()), (m, n)
+
+    def test_closed_park_count_at_n14(self):
+        assert knm.parking_orbit_count(params(1, 14)) == 742900
+
+    def test_floor_is_below_both_orbit_counts(self):
+        for m in range(1, 5):
+            for n in range(1, 16):
+                floor = (1 << max(n - 2, 0)) // n
+                assert floor <= counting.dt_invariant(m, n), (m, n)
+                assert floor <= knm.parking_orbit_count(params(m, n)), (m, n)
+
+    @pytest.fixture
+    def no_orbit_type_dp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran an orbit-type DP")
+
+        for name in ("break_orbit_types", "parking_orbit_types",
+                     "count_break_types", "count_parking_types"):
+            monkeypatch.setattr(knm, name, refuse)
+
+    @pytest.mark.parametrize(
+        "orbit_reps, m, n, message",
+        [(knm.break_orbit_reps, 20, 12,
+          "|Break orbits| = 34703493898525440 exceeds budget 2000000"),
+         (knm.break_orbit_reps, 50, 12,
+          "|Break orbits| = 704069629169647758030 exceeds budget 2000000"),
+         (knm.parking_orbit_reps, 20, 12,
+          "|Park orbits| = 398191483794604500 exceeds budget 2000000"),
+         (knm.parking_orbit_reps, 50, 12,
+          "|Park orbits| = 8296728854374022939800 exceeds budget 2000000"),
+         (knm.parking_orbit_reps, 2, 12,
+          "|Park orbits| = 23841480 exceeds budget 2000000")],
+        ids=["break-20", "break-50", "park-20", "park-50", "park-2"],
+    )
+    def test_orbit_reps_refuse_by_the_closed_count(
+        self, no_orbit_type_dp, orbit_reps, m, n, message
+    ):
+        with pytest.raises(BudgetExceededError) as exc:
+            orbit_reps(params(m, n))
+        assert str(exc.value) == message
+
+    def test_orbit_reps_list_past_the_state_space_bound(self, no_orbit_type_dp):
+        # (1000,2): 500 and 1000 orbits, in budget, though the Break state
+        # space, (g + 1) * (p(0) + p(1) + p(2)) = 4000, is not
+        p = params(1000, 2)
+        assert len(knm.break_orbit_reps(p, budget=1000)) == 500
+        assert len(knm.parking_orbit_reps(p, budget=1000)) == 1000
+
+    @pytest.mark.parametrize(
+        "orbit_reps, m, n, message",
+        [(knm.break_orbit_reps, 1, 30,
+          "|Break orbits| >= 8947848 exceeds budget 2000000"),
+         (knm.parking_orbit_reps, 1, 30,
+          "|Park orbits| >= 8947848 exceeds budget 2000000"),
+         (knm.break_orbit_reps, 2, 10**6,
+          "|Break orbits| > 10^300993 exceeds budget 2000000"),
+         (knm.parking_orbit_reps, 10**6, 10**6,
+          "|Park orbits| > 10^300993 exceeds budget 2000000")],
+        ids=["break-30", "park-30", "break-wide", "park-wide"],
+    )
+    def test_orbit_reps_refuse_a_large_n_by_the_floor(
+        self, monkeypatch, orbit_reps, m, n, message
+    ):
+        # an exact count at n = 10^6 would take most of a minute
+        def refuse(*args):
+            raise AssertionError("computed the exact count")
+
+        monkeypatch.setattr(counting, "dt_invariant", refuse)
+        monkeypatch.setattr(knm, "parking_orbit_count", refuse)
+        with pytest.raises(BudgetExceededError) as exc:
+            orbit_reps(params(m, n))
+        assert str(exc.value) == message
 
     def test_enumerators_keep_their_set_check(self):
         # |Break| bounds the orbits, so the enumerators run no DP and

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from breakpark import knm
+from breakpark import knm, verify
 from breakpark import multigraph as mg
 from breakpark.errors import (
     BudgetExceededError,
@@ -131,6 +131,23 @@ def test_subset_work_over_the_cap_is_a_budget_error():
         with pytest.raises(BudgetExceededError, match="at most 24 vertices"):
             call()
     assert "subset_edges" not in vars(path)
+
+
+SUBSET_PREDICATES = (mg.is_orientable, mg.orientable_subset_bruteforce,
+                     mg.is_break_divisor, mg.break_subset_bruteforce)
+
+
+@pytest.mark.parametrize("predicate", SUBSET_PREDICATES,
+                         ids=[f.__name__ for f in SUBSET_PREDICATES])
+def test_subset_predicates_check_connected_then_cap_then_length(predicate):
+    # each argument below fails every later check too
+    cap = mg.SUBSET_VERTEX_CAP + 1
+    with pytest.raises(PreconditionError, match="graph must be connected"):
+        predicate(mg.Multigraph([[0] * cap for _ in range(cap)]), (0,))
+    with pytest.raises(BudgetExceededError, match="at most 24 vertices"):
+        predicate(path_graph(cap), (0,))
+    with pytest.raises(PreconditionError, match="divisor length 1 != vertex count 3"):
+        predicate(triangle(), (0,))
 
 
 class TestEulerCharSubset:
@@ -281,6 +298,15 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             mg.enumerate_break_divisors(mg.complete_multigraph(3, 6), budget=10)
+
+    def test_verify_scan_checks_the_same_compositions(self):
+        # one check of C(g+n-1, n-1), named alike in both: g = 9, n = 4
+        with pytest.raises(BudgetExceededError) as enumerated:
+            mg.enumerate_break_divisors(mg.complete_multigraph(2, 4), budget=219)
+        with pytest.raises(BudgetExceededError) as scanned:
+            verify._scan_budget(knm.KnmParams(2, 4), 219)
+        assert str(enumerated.value) == str(scanned.value) == (
+            "|compositions of 9 into 4 parts| = 220 exceeds budget 219")
 
     def test_budget_checked_before_table(self):
         g = mg.complete_multigraph(3, 6)

@@ -315,6 +315,35 @@ class TestSchurExpansion:
         chi = {mu: rt.murnaghan_nakayama(lam, mu) for mu in rt.partitions_of(5)}
         assert rt.schur_expansion(chi) == {lam: 1}
 
+    def test_weights_once_and_the_same_mn_calls(self, monkeypatch):
+        # one partition list per call, and chi^lam(mu) asked for every
+        # (lam, mu) in the order of the nested inner products
+        n = 6
+        chi = rt.character_break(1, n)
+        parts = rt.partitions_of(n)
+        expected = {}
+        for lam in parts:
+            acc = sum(rt.class_size(mu) * chi[mu] * rt.murnaghan_nakayama(lam, mu)
+                      for mu in parts)
+            if acc:
+                expected[lam] = acc // math.factorial(n)
+        listed, asked, mn = [], [], rt.murnaghan_nakayama
+
+        def partitions_of(k):
+            listed.append(k)
+            return parts
+
+        def murnaghan_nakayama(lam, mu):
+            asked.append((lam, mu))
+            return mn(lam, mu)
+
+        monkeypatch.setattr(rt, "partitions_of", partitions_of)
+        monkeypatch.setattr(rt, "murnaghan_nakayama", murnaghan_nakayama)
+        out = rt.schur_expansion(chi)
+        assert list(out.items()) == list(expected.items())
+        assert listed == [n]
+        assert asked == [(lam, mu) for lam in parts for mu in parts]
+
     def test_h_to_s_roundtrip(self):
         assert rt.h_to_s({(1, 1, 1): 1, (2, 1): 2}, 3) == {
             (3,): 3, (2, 1): 4, (1, 1, 1): 1,
