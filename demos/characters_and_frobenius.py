@@ -45,8 +45,9 @@ print("break orbit representatives:", orbit_reps)
 assert orbit_reps == sorted({sort_orbit_key(d) for d in enumerate_break(p)})
 
 # The h-expansion counts the orbits by the multiplicities of their
-# values.  A DP over the values counts them without listing an orbit;
-# it agrees with the count over the listed representatives.
+# values.  A DP over the values counts them for Break, and a closed
+# formula for Park, without listing an orbit; each agrees with the count
+# over the listed representatives.
 print("Break orbits by type, counted:", break_orbit_types(p))
 print("Break orbits by type, listed: ", perm_module_h_expansion(orbit_reps))
 print("Frob(Break) in h:", modules.breaks.h)

@@ -39,6 +39,7 @@ from .knm import (
     parking_orbit_reps,
     parking_orbit_types,
     parking_representative,
+    partitions_of,
     residue_count,
     shift,
     shift_class,
@@ -67,7 +68,6 @@ from .reptheory import (
     h_module,
     knm_modules,
     murnaghan_nakayama,
-    partitions_of,
     perm_module_h_expansion,
     permutation_module,
     restrict_character,

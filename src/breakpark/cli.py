@@ -28,9 +28,9 @@ and `classes` members are built a run at a time (`knm._runs`), and a
 `knm.represented_classes`, which finds them from per-run tables.
 
 `character` lists no orbit: `reptheory.knm_modules` counts the orbits
-of Break and Park by multiplicity partition (`knm.break_orbit_types`,
+of Break and Park by multiplicity partition (`knm.count_break_types`,
 `knm.parking_orbit_types`), and the `bruteforce` column is the fixed
-points counted from those orbit types, still independent of the closed
+points counted from the Break types, still independent of the closed
 formula.
 
 Every command pays for the imports at start-up, so the modules it loads

@@ -102,6 +102,8 @@ def von_sterneck(a: int, k: int, b: int) -> int:
 
 def von_sterneck_bruteforce(a: int, k: int, b: int) -> int:
     """Oracle: enumerate all multisets directly."""
+    if a < 1 or k < 0:
+        raise PreconditionError("von_sterneck_bruteforce requires a >= 1, k >= 0")
     import itertools
 
     check_budget(math.comb(a + k - 1, k), DEFAULT_SET_BUDGET,
@@ -138,6 +140,8 @@ def orbit_count_D_split(m: int, n: int) -> int:
     the even-divisor terms enter with a minus sign; otherwise a plain
     Moebius-weighted divisor sum.  Divisor variable runs over d | n with
     binomial C((m+1)n/d - 1, n/d)."""
+    if m < 1 or n < 1:
+        raise PreconditionError("orbit_count_D_split requires m, n >= 1")
     total = 0
     split = m % 2 == 1 and n % 4 == 2
     for d in divisors(n):

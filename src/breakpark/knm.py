@@ -18,10 +18,9 @@ the candidate scans they replaced are kept as `*_bruteforce` oracles.
 before they list an orbit.
 
 Every S_n-invariant quantity depends only on how many orbits have each
-multiplicity partition mu (the h-expansion), and `break_orbit_types` and
-`parking_orbit_types` count these by a DP over the values, one run of
-equal entries per value, without listing an orbit.  Each DP checks the
-size of its state space against the budget on call.
+multiplicity partition mu (the h-expansion).  `break_orbit_types` counts
+these by a DP over the values, one run of equal entries per value, and
+`parking_orbit_types` by a closed formula, both without listing an orbit.
 
 The set enumerators `enumerate_break`, `enumerate_parking`,
 `enumerate_residue_tuples` and `shift_classes` return iterators.  Each
@@ -198,22 +197,42 @@ def partition_counts(n: int) -> Iterator[int]:
         yield total
 
 
-def _check_states(width: int, parts: int, budget: int, what: str):
-    """Check width * (p(0) + ... + p(parts)), the size of an orbit-type
-    state space, against the budget.  The sum stops at the first partial
-    sum over budget, which is then named as a lower bound, so the check
-    is cheap at any size."""
-    total = 0
-    for count in partition_counts(parts):
-        total += width * count
-        if total > budget:
-            check_budget(total, budget, what, exact=False)
+def partitions_of(n: int) -> list[tuple[int, ...]]:
+    """All partitions of n in reverse-lexicographic order."""
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
+    out: list[tuple[int, ...]] = []
+
+    def rec(remaining, largest, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for part in range(min(largest, remaining), 0, -1):
+            prefix.append(part)
+            rec(remaining - part, part, prefix)
+            prefix.pop()
+
+    rec(n, n, [])
+    return out
+
+
+def _check_partitions(n: int, budget: int = DEFAULT_SET_BUDGET):
+    """Check the number of partitions of n against the budget, stopping
+    at the first p(k) over it, which is named as a lower bound."""
+    for count in partition_counts(n):
+        check_budget(count, budget, f"partitions of {n}", exact=False)
 
 
 def _check_break_states(p: KnmParams, budget: int):
     """Check (g+1) * (p(0) + ... + p(n)), the size of the state space of
-    `break_orbit_types`, against the budget."""
-    _check_states(p.genus + 1, p.n, budget, "Break orbit-type state space")
+    `break_orbit_types`, against the budget.  The sum stops at the first
+    partial sum over budget, which is then named as a lower bound, so the
+    check is cheap at any n."""
+    total = 0
+    for count in partition_counts(p.n):
+        total += (p.genus + 1) * count
+        if total > budget:
+            check_budget(total, budget, "Break orbit-type state space", exact=False)
 
 
 def break_orbit_types(
@@ -290,41 +309,17 @@ def parking_orbit_types(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> dict[tuple[int, ...], int]:
     """{mu: number of S_(n-1)-orbits of Park_{m,n} whose representative
-    has value multiplicities mu}, in sorted order, without listing an
-    orbit.
-
-    The increasing sort a~ is a run of equal values for each value from
-    0 up to m(n-1)-1.  A state is (entries placed i, the run lengths mu
-    so far); a run of v may start at i only if v <= m(i+1) - 1, the bound
-    on its first entry, since the bounds grow along the run.  A state
-    with i < n-1 that cannot take the value is dropped: no later value
-    fits either.  The sweep visits at most m(n-1) * (p(0) + ... +
-    p(n-1)) (value, state) pairs, the bound checked against the budget on
-    call, before the first state."""
-    _check_states(p.m * (p.n - 1), p.n - 1, budget, "Park orbit-type state space")
-    return count_parking_types(p)
-
-
-def count_parking_types(p: KnmParams) -> dict[tuple[int, ...], int]:
-    """`parking_orbit_types` without its budget check.  Every state it
-    holds is a prefix of an orbit representative (every entry left can
-    take the next value), and the sweep has m(n-1) <= |Park| steps, so a
-    |Break| check bounds its work as it bounds the orbits."""
-    m, n = p.m, p.n
-    active: dict[tuple, int] = {(0, ()): 1}
-    types: dict[tuple[int, ...], int] = {(): 1} if n == 1 else {}
-    for v in range(m * (n - 1)):
-        for state, c in list(active.items()):
-            i, mu = state
-            if v > m * (i + 1) - 1:
-                del active[state]
-                continue
-            for k in range(1, n - i):
-                nu = tuple(sorted(mu + (k,), reverse=True))
-                if i + k == n - 1:
-                    types[nu] = types.get(nu, 0) + c
-                else:
-                    active[(i + k, nu)] = active.get((i + k, nu), 0) + c
+    has value multiplicities mu}, in sorted order, by the closed formula
+    Frob(Park) = (1/n) h_(n-1)[N X]: (N)_l / (n * prod_i m_i(mu)!) for mu
+    with l parts, m_i(mu) of them equal to i.  p(n-1) is checked against
+    the budget on call, before a partition is listed."""
+    _check_partitions(p.n - 1, budget)
+    types = {}
+    for mu in partitions_of(p.n - 1):
+        den = p.n * math.prod(math.factorial(mu.count(i)) for i in set(mu))
+        types[mu], r = divmod(math.perm(p.N, len(mu)), den)
+        if r != 0:
+            raise InternalInvariantError(f"Park orbits of type {mu} not integral")
     return dict(sorted(types.items()))
 
 
@@ -444,7 +439,9 @@ def _distinct_permutations(
             for t in suffixes(group):
                 yield prefix + t
         else:
-            for v, rest in split(group):
+            parts = split(group)
+            del group  # the parts hold all that the deeper levels read
+            for v, rest in parts:
                 yield from lay_out(rest, prefix + (v,))
 
     return lay_out(tuple(tuple(sorted(rep)) for rep in orbit_reps), ())

@@ -10,11 +10,11 @@ Frobenius data comes from its h-expansion, the number of orbits whose
 vectors have each multiplicity partition mu (`h_module`;
 `permutation_module` reads it off listed orbit representatives).
 `knm_modules` holds both K_n^m modules, the closed character and the
-restriction verdict.  It takes the h-expansions from the orbit-type
-counts `knm.break_orbit_types` and `knm.parking_orbit_types`, which list
-no orbit.  The per-tuple fixed-point scans (`character_*_bruteforce`)
-read the candidate-scan oracles of `knm`, so they stay independent of
-both the closed formula and the orbit-type route.
+restriction verdict.  It takes the h-expansions from the Break DP
+`knm.count_break_types` and the closed Park count
+`knm.parking_orbit_types`.  The per-tuple fixed-point scans
+(`character_*_bruteforce`) read the candidate-scan oracles of `knm`, so
+they stay independent of the closed formulas and of the Break DP.
 """
 
 from __future__ import annotations
@@ -30,31 +30,11 @@ from .errors import (
     DEFAULT_SET_BUDGET,
     InternalInvariantError,
     PreconditionError,
-    check_budget,
 )
-from .knm import partition_counts
+from .knm import _check_partitions, partitions_of
 
 Partition = Tuple[int, ...]
 ClassFunction = Dict[Partition, int]
-
-
-def partitions_of(n: int) -> list[Partition]:
-    """All partitions of n in reverse-lexicographic order."""
-    if n < 0:
-        raise PreconditionError("n must be nonnegative")
-    out: list[Partition] = []
-
-    def rec(remaining, largest, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
-    return out
 
 
 def _z(lam: Partition) -> int:
@@ -108,6 +88,8 @@ def character_break_closed(m: int, n: int, lam: Partition) -> int:
     """Fixed-point count of a type-lam permutation on the break divisors
     of K_n^m, by closed formula in ell = number of parts and
     d = gcd of the parts."""
+    if m < 1 or n < 1:
+        raise PreconditionError("character_break_closed requires m, n >= 1")
     if sum(lam) != n:
         raise PreconditionError("lam must be a partition of n")
     ell = len(lam)
@@ -155,13 +137,6 @@ def character_break_bruteforce(m: int, n: int, lam: Partition) -> int:
     """Count break divisors fixed by one permutation of type lam."""
     perm = permutation_of_type(lam)
     return _fixed_count(knm.enumerate_break_bruteforce(knm.KnmParams(m, n)), perm)
-
-
-def _check_partitions(n: int, budget: int = DEFAULT_SET_BUDGET):
-    """Check the number of partitions of n against the budget, stopping
-    at the first p(k) over it, which is named as a lower bound."""
-    for count in partition_counts(n):
-        check_budget(count, budget, f"partitions of {n}", exact=False)
 
 
 def character_break(
@@ -333,19 +308,18 @@ class KnmModules(NamedTuple):
 
 
 def knm_modules(p: knm.KnmParams, budget: int = DEFAULT_SET_BUDGET) -> KnmModules:
-    """Both module statements of the paper on K_n^m, from the orbit
-    types that `knm.break_orbit_types` and `knm.parking_orbit_types`
-    count without listing an orbit: S_n on Break against the closed
+    """Both module statements of the paper on K_n^m, from orbit types
+    counted without listing an orbit: S_n on Break against the closed
     character, and its restriction to S_{n-1} against Park.  |Break| is
     checked against the budget on call, as in every knm enumerator; it
-    bounds the states of both counts too (`knm.count_break_types`), so
-    they run without a check of their own."""
+    bounds the states of the Break DP too, so `knm.count_break_types`
+    runs unchecked."""
     knm.check_break_budget(p, budget)
     closed = character_break(p.m, p.n, budget)
     breaks = h_module(knm.count_break_types(p), p.n)
     if p.n == 1:
         return KnmModules(closed, breaks, None, True)
-    parks = h_module(knm.count_parking_types(p), p.n - 1)
+    parks = h_module(knm.parking_orbit_types(p, budget), p.n - 1)
     return KnmModules(closed, breaks, parks, restrict_character(closed) == parks.character)
 
 

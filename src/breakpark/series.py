@@ -125,8 +125,8 @@ def one_minus_power(k: int, order: int, e: int = 1) -> ExactSeries:
     is exact for every integer e (also negative), so the series has
     `int` coefficients and costs one pass over the multiples of k.
     """
-    if k < 1:
-        raise PreconditionError("one_minus_power requires k >= 1")
+    if k < 1 or order < 0:
+        raise PreconditionError("one_minus_power requires k >= 1, order >= 0")
     coeffs = [0] * (order + 1)
     c = coeffs[0] = 1
     for j in range(1, order // k + 1):

@@ -60,7 +60,7 @@ def _check_budgets_first(m_max: int, n_max: int, n_min: int, *checks) -> None:
 
 
 def _partitions_budget(p: knm.KnmParams, budget: int):
-    reptheory._check_partitions(p.n, budget)
+    knm._check_partitions(p.n, budget)
 
 
 def _scan_budget(p: knm.KnmParams, budget: int):
@@ -488,10 +488,10 @@ def suite_theorems_by_orbit_types(m_max: int = 3, n_max: int = 12) -> list[Check
     types that `knm` counts without listing an orbit: Break has DT_n
     orbits, the character of the h-expansion of Break is the closed
     character, and the closed character restricts (n >= 2) to that of
-    Park.  The largest case costs the most, so its costs are checked
-    against the budget before the first case: the Break orbit-type state
-    space, which bounds that of Park, and the pairs of a cycle type and
-    an orbit type that a character sums over, at most p(n)^2.  These
+    Park, counted by its closed formula.  The largest case costs the
+    most, so its costs are checked against the budget before the first
+    case: the Break orbit-type state space and the pairs of a cycle type
+    and an orbit type that a character sums over, at most p(n)^2.  These
     checks bound the states, not the work of the Break sweep, which
     revisits them at each of up to delta[0] + 1 values: `--m 50` passes
     them and then runs for minutes."""

@@ -71,7 +71,7 @@ def test_budget_errors_are_raised_only_by_the_gate_and_the_caps():
 
 ORBIT_LISTERS = ("break_orbit_reps", "parking_orbit_reps")
 ORBIT_TYPE_DPS = {"break_orbit_types", "parking_orbit_types",
-                  "count_break_types", "count_parking_types"}
+                  "count_break_types"}
 
 
 def test_orbit_listers_name_no_orbit_type_dp():

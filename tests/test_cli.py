@@ -694,8 +694,8 @@ class TestCharacter:
         ids=["n1-budget1", "n3-budget12", "n2-budget1000", "n2-m1000000"],
     )
     def test_break_within_budget_prints_every_column(self, capsys, m, n, flags):
-        # |Break| <= budget (|Break| = m at n = 2), so the orbit-type
-        # counts run too, though their state-space bounds exceed |Break|
+        # |Break| <= budget (|Break| = m at n = 2), so the Break DP runs
+        # too, though its state-space bound exceeds |Break|
         code, out = run_cli(
             ["character", "--m", str(m), "--n", str(n), *flags, "--format", "json"]
         )

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from breakpark import counting
+from breakpark import counting, reptheory
 from breakpark.errors import (
     BudgetExceededError,
     InternalInvariantError,
@@ -236,3 +236,22 @@ class TestEulerProduct:
     def test_rejects_zero(self):
         with pytest.raises(PreconditionError):
             counting.dt_via_euler_product(1, 0)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [(counting.orbit_count_D_split, (0, 1)),
+     (counting.orbit_count_D_split, (1, 0)),
+     (counting.orbit_count_D_split, (-1, 2)),
+     (reptheory.character_break, (0, 3)),
+     (reptheory.character_break_closed, (0, 3, (3,))),
+     (one_minus_power, (1, -1)),
+     (counting.von_sterneck_bruteforce, (0, 2, 1))],
+    ids=["split-m0", "split-n0", "split-m-1", "character-m0", "closed-m0",
+         "one-minus-power-order-1", "von-sterneck-bruteforce-a0"],
+)
+def test_outside_the_domain_raises_precondition_error(fn, args):
+    # as their siblings orbit_count_D, character_break_bruteforce and
+    # von_sterneck do, not a ZeroDivisionError, IndexError or quiet 0
+    with pytest.raises(PreconditionError):
+        fn(*args)

@@ -309,6 +309,16 @@ def test_orbit_types_equal_the_listed_orbits(p):
     assert list(knm.parking_orbit_types(p).items()) == list(park_types.items())
 
 
+def test_closed_park_types_equal_the_listed_orbits():
+    # every m <= 6, n <= 9 with at most 50,000 Park orbits (41 cases)
+    cases = [p for m in range(1, 7) for n in range(1, 10)
+             if knm.parking_orbit_count(p := params(m, n)) <= 50_000]
+    assert len(cases) == 41
+    for p in cases:
+        listed = perm_module_h_expansion(knm.parking_orbit_reps(p))
+        assert list(knm.parking_orbit_types(p).items()) == list(listed.items()), p
+
+
 class TestOrbitTypes:
     @pytest.mark.parametrize("m", [1, 2, 3, 7])
     def test_n1(self, m):
@@ -350,12 +360,8 @@ class TestOrbitTypes:
         [(knm.break_orbit_types, 2, 10**6,
           "|Break orbit-type state space| >= 999998000002 exceeds budget 2000000"),
          (knm.break_orbit_types, 1, 40,
-          "|Break orbit-type state space| >= 2013788 exceeds budget 2000000"),
-         (knm.parking_orbit_types, 10**9, 2,
-          "|Park orbit-type state space| >= 1000000000 exceeds budget 2000000"),
-         (knm.parking_orbit_types, 1, 80,
-          "|Park orbit-type state space| >= 2261691 exceeds budget 2000000")],
-        ids=["break-wide", "break-long", "park-wide", "park-long"],
+          "|Break orbit-type state space| >= 2013788 exceeds budget 2000000")],
+        ids=["break-wide", "break-long"],
     )
     def test_state_space_checked_before_the_first_state(
         self, orbit_types, m, n, message
@@ -367,6 +373,18 @@ class TestOrbitTypes:
             orbit_types(p)
         assert str(exc.value) == message
         assert "delta_prefix" not in vars(p)
+
+    def test_park_types_closed_at_a_large_m(self):
+        # one type, (1,), with m orbits; no sweep over the m(n-1) values
+        assert knm.parking_orbit_types(params(10**9, 2)) == {(1,): 10**9}
+
+    @pytest.mark.parametrize("m, n", [(1, 80), (2, 10**6)])
+    def test_park_types_refuse_a_large_n(self, m, n):
+        # p(n-1) is checked up to the first p(k) over budget, p(65)
+        with pytest.raises(BudgetExceededError) as exc:
+            knm.parking_orbit_types(params(m, n))
+        assert str(exc.value) == (
+            f"|partitions of {n - 1}| >= 2012558 exceeds budget 2000000")
 
     def test_state_space_bound_holds_at_the_budget(self):
         # (2,14): (g + 1) * (p(0) + ... + p(14)) = 170 * 508
@@ -427,7 +445,7 @@ class TestOrbitTypes:
             raise AssertionError("ran an orbit-type DP")
 
         for name in ("break_orbit_types", "parking_orbit_types",
-                     "count_break_types", "count_parking_types"):
+                     "count_break_types"):
             monkeypatch.setattr(knm, name, refuse)
 
     @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ class TestPartitions:
 
     def test_counts_by_pentagonal_recurrence(self):
         counts = [len(rt.partitions_of(k)) for k in range(41)]
-        assert list(rt.partition_counts(40)) == counts
+        assert list(knm.partition_counts(40)) == counts
 
 
 @lru_cache(maxsize=None)
@@ -250,6 +250,14 @@ class TestKnmModules:
         monkeypatch.setattr(rt, "perm_module_h_expansion", refuse)
         modules = rt.knm_modules(knm.KnmParams(2, 7))
         assert sum(modules.breaks.h.values()) == 791
+        assert modules.restricts
+
+    def test_parks_closed_at_a_large_m(self, monkeypatch):
+        # the Break DP at (10^6, 2) takes seconds; its count, (m-1)//2 + 1
+        # pairs (a, m-1-a) for even m, stands in for it
+        monkeypatch.setattr(knm, "count_break_types", lambda p: {(1, 1): 500_000})
+        modules = rt.knm_modules(knm.KnmParams(10**6, 2))
+        assert modules.parks.h == {(1,): 10**6}
         assert modules.restricts
 
     @pytest.mark.parametrize("m, n, budget", [(1, 1, 1), (2, 3, 12), (1000, 2, 1000)])
