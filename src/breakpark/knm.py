@@ -11,11 +11,13 @@ divisors, and `class_key` finds the smallest member of a class in O(n).
 The first coordinates of a class's members are the n values in [0, N-1]
 congruent to x_0 mod m, so exactly one member has x_0 < m: the class key.
 
-Break and Park are unions of symmetric-group orbits, so both are
-generated from their orbit representatives (weakly decreasing vectors);
-the candidate scans they replaced are kept as `*_bruteforce` oracles.
-`break_orbit_reps` and `parking_orbit_reps` check a closed orbit count
-before they list an orbit.
+Break and Park are listed by a depth-first walk over prefixes in
+lexicographic order: each test decides from a prefix which values the
+next coordinate may take (an interval for Break, whole blocks of m for
+Park), so the walk holds only the prefix and its bounds, and a record
+costs one concatenation.  The candidate scans are kept as
+`*_bruteforce` oracles.  `break_orbit_reps` and `parking_orbit_reps`
+check a closed orbit count before they list an orbit.
 
 Every S_n-invariant quantity depends only on how many orbits have each
 multiplicity partition mu (the h-expansion).  `break_orbit_types` counts
@@ -397,74 +399,102 @@ def _list_parking_orbits(p: KnmParams) -> list[tuple[int, ...]]:
     return out
 
 
-# Suffixes this short are few and shared by many prefixes: cheap to list once.
-_MEMO_LENGTH = 3
+def _break_nodes(prefix: tuple[int, ...], rooms: list[int], r: int) -> Iterator:
+    """(prefix, rooms, r) for each prefix below `prefix` with three
+    coordinates left that completes to a break divisor, in lexicographic
+    order.  rooms[l-1] is the most the l largest free coordinates may sum
+    to, the least delta_prefix[j+l-1] less the sum of the j largest of
+    the prefix over j, and r is their sum: the sorted vector is dominated
+    by delta iff every room is kept.  Appending v leaves min(rooms[l-1],
+    rooms[l] - v).
+
+    The next values v form an interval, k = len(rooms) - 1 coordinates
+    being left after v.  The balanced split of s = r - v into k parts,
+    least in majorization order, fits iff any completion does; its l
+    largest sum to l*(s//k) + min(l, s%k).  They fit a = rooms[l-1] iff
+    s <= k*(a//l) + a%l, a floor on v; with v they fit a = rooms[l],
+    l < k, iff r <= a or s >= k*q + (l + c if c else 0), (q, c) =
+    divmod(r - a, k - l), a ceiling on v."""
+    k = len(rooms) - 1
+    if k == 2:
+        yield prefix, rooms, r
+        return
+    lo = r - min(k * (a // l) + a % l for l, a in enumerate(rooms[:k], 1))
+    hi = r
+    for l, a in enumerate(rooms[:k]):
+        if r > a:
+            q, c = divmod(r - a, k - l)
+            hi = min(hi, r - k * q - (l + c if c else 0))
+    pairs = list(zip(rooms, rooms[1:]))
+    for v in range(max(lo, 0), hi + 1):
+        rest = [a if a < b - v else b - v for a, b in pairs]
+        yield from _break_nodes(prefix + (v,), rest, r - v)
 
 
-def _distinct_permutations(
-    orbit_reps: Sequence[Sequence[int]],
-) -> Iterator[tuple[int, ...]]:
-    """Every distinct rearrangement of every representative (distinct
-    multisets of one length), in lexicographic order and without a sort.
-
-    A node of the recursion is the tuple of multisets still to lay out
-    after some prefix.  The nodes with longer multisets stream their
-    rearrangements; those of at most _MEMO_LENGTH entries depend only on
-    the prefix as a multiset and are reached many times, so their lists
-    are memoized.  The work is linear in the output.
-    """
-    memo: dict[tuple, list[tuple[int, ...]]] = {}
-
-    def split(group):
-        """(v, the multisets of group holding v, with one v removed), by v."""
-        rests: dict[int, list[tuple[int, ...]]] = {}
-        for ms in group:
-            for i, v in enumerate(ms):
-                if i == 0 or v != ms[i - 1]:
-                    rests.setdefault(v, []).append(ms[:i] + ms[i + 1 :])
-        return [(v, tuple(rests[v])) for v in sorted(rests)]
-
-    def suffixes(group):
-        found = memo.get(group)
-        if found is None:
-            if group[0]:
-                found = [(v,) + t for v, rest in split(group) for t in suffixes(rest)]
-            else:
-                found = [()]
-            memo[group] = found
-        return found
-
-    def lay_out(group, prefix):
-        if len(group[0]) <= _MEMO_LENGTH:
-            for t in suffixes(group):
-                yield prefix + t
-        else:
-            parts = split(group)
-            del group  # the parts hold all that the deeper levels read
-            for v, rest in parts:
-                yield from lay_out(rest, prefix + (v,))
-
-    return lay_out(tuple(tuple(sorted(rep)) for rep in orbit_reps), ())
+def _park_nodes(prefix: tuple[int, ...], bounds: tuple[int, ...]) -> Iterator:
+    """(prefix, bounds) for each prefix below `prefix` with two
+    coordinates left that completes to a parking function, in
+    lexicographic order.  The free values complete it iff, sorted
+    increasingly, the j-th is below bounds[j-1] (m, 2m, ..., m(n-1) at the
+    root), so the next value v is below bounds[-1]; the rest then need one
+    value fewer below each y > v, so v in [bounds[j-1], bounds[j]) leaves
+    bounds[j] out."""
+    if len(bounds) == 2:
+        yield prefix, bounds
+        return
+    for j, top in enumerate(bounds):
+        rest = bounds[:j] + bounds[j + 1 :]
+        for v in range(bounds[j - 1] if j else 0, top):
+            yield from _park_nodes(prefix + (v,), rest)
 
 
 def enumerate_break(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> Iterator[tuple[int, ...]]:
-    """An iterator over all of Break_{m,n} in lexicographic order: the
-    rearrangements of break_orbit_reps.  The budget is checked on call,
-    on |Break|, which is at least the number of orbits."""
+    """An iterator over all of Break_{m,n} in lexicographic order; the
+    budget, on |Break|, is checked on call.  It holds the current prefix
+    and, per level, the rooms of `_break_nodes`: O(n^2) integers.  The
+    last three coordinates are the k = 2 and k = 1 cases of its interval,
+    inlined: with rooms (A, B, _), v ranges over [max(0, r - B, r - 2A),
+    min(r, A, 2B - r)], and the pair (x, r - v - x) has room
+    X = min(A, B - v) for its larger entry."""
     check_break_budget(p, budget)
-    return _distinct_permutations(_list_break_orbits(p))
+    g = p.genus
+    if p.n < 3:  # at n = 2, delta = (g, 0) keeps every split of g
+        return zip(range(g + 1), range(g, -1, -1)) if p.n == 2 else iter([(0,)])
+
+    def walk():
+        for prefix, (A, B, _), r in _break_nodes((), list(p.delta_prefix), g):
+            for v in range(max(0, r - B, r - 2 * A), min(r, A, 2 * B - r) + 1):
+                head, s = prefix + (v,), r - v
+                X = A if A < B - v else B - v
+                for x in range(s - X if s > X else 0, (X if X < s else s) + 1):
+                    yield head + (x, s - x)
+
+    return walk()
 
 
 def enumerate_parking(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> Iterator[tuple[int, ...]]:
-    """An iterator over all of Park_{m,n} in lexicographic order: the
-    rearrangements of parking_orbit_reps.  The budget is checked on call,
-    on |Park|, which is at least the number of orbits."""
+    """An iterator over all of Park_{m,n} in lexicographic order; the
+    budget, on |Park|, is checked on call.  It holds the current prefix
+    and, per level, the bounds of `_park_nodes`: O(n^2) integers.  With
+    bounds (c1, c2) left, u < c1 leaves w < c2 and c1 <= u < c2 leaves
+    w < c1."""
     check_break_budget(p, budget, "Park")
-    return _distinct_permutations(_list_parking_orbits(p))
+    m, k = p.m, p.n - 1
+    if k < 2:
+        return zip(range(m)) if k == 1 else iter([()])
+
+    def walk():
+        for prefix, (c1, c2) in _park_nodes((), tuple(range(m, m * k + 1, m))):
+            for u in range(c2):
+                head = prefix + (u,)
+                for w in range(c2 if u < c1 else c1):
+                    yield head + (w,)
+
+    return walk()
 
 
 def compositions(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]]:

@@ -428,16 +428,34 @@ def break_subset_bruteforce(graph: Multigraph, divisor: Sequence[int]) -> bool:
     return _subset_sums_pass(graph, d, operator.le)
 
 
+def _lanes_holding(graph: Multigraph, q: int) -> int:
+    """1 in each lane whose mask holds vertex q, 0 in the others: the
+    lanes [2^q, 2^(q+1)), then doubled over the higher vertices."""
+    w = graph._lane_bits
+    lanes = graph._lane_ones[q] << (w << q)
+    for k in range(q + 1, graph.n):
+        lanes |= lanes << (w << k)
+    return lanes
+
+
 def break_via_orientability(graph: Multigraph, divisor: Sequence[int]) -> bool:
-    """D is break iff D - (q) is orientable for every vertex q."""
+    """D is break iff D - (q) is orientable for every vertex q.
+
+    The test of `is_orientable` on each D - (q), with D validated and
+    its subset sums packed once: D - (q) has the degree |E| - |V| iff D
+    has the genus, no entry below -1 for every q iff D is effective, and
+    its packed sums are those of D less 1 in each lane holding q."""
     _require_connected(graph)
     d = _as_divisor(graph, divisor)
-    for q in range(graph.n):
-        shifted = list(d)
-        shifted[q] -= 1
-        if not is_orientable(graph, shifted):
-            return False
-    return True
+    _require_subset_cap(graph)
+    if sum(d) != graph.edge_count() - graph.n + 1 or min(d) < 0:
+        return False
+    sums = _packed_subset_sums(graph, d)
+    edges, guard = graph._packed_subset_edges, graph._lane_guard
+    return all(
+        _lanes_at_least(sums - _lanes_holding(graph, q), edges, guard)
+        for q in range(graph.n)
+    )
 
 
 def _parking_values(graph: Multigraph, q: int, values: Sequence[int]) -> dict[int, int]:

@@ -1359,7 +1359,8 @@ class TestFlatMemory:
 
     @pytest.mark.parametrize(
         "set_name, m, n, limit_mb",
-        [("residue", 3, 5, 1.0), ("classes", 3, 5, 1.0), ("break", 4, 5, 2.5)],
+        [("residue", 3, 5, 1.0), ("classes", 3, 5, 1.0)]
+        + [(s, m, n, 0.25) for s in ("break", "park") for m, n in [(4, 5), (10, 4), (50, 3)]],
     )
     def test_peak_allocation(self, monkeypatch, set_name, m, n, limit_mb):
         args = ["enumerate", "--set", set_name, "--m", str(m), "--n", str(n),
@@ -1374,6 +1375,19 @@ class TestFlatMemory:
                 tracemalloc.stop()
         assert code == 0
         assert peak < limit_mb * 2**20
+
+    @pytest.mark.parametrize("m, n", [(4, 5), (10, 4), (50, 3)])
+    def test_break_and_park_walks_hold_no_set(self, m, n):
+        p = knm.KnmParams(m, n)
+        tracemalloc.start()
+        try:
+            for generate in (knm.enumerate_break, knm.enumerate_parking):
+                for _ in generate(p):
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 2**20
 
     def test_residue_generators_copy_nothing_of_size_n(self):
         # |D| = 2*10^6 is within the default budget; three items each

@@ -201,6 +201,10 @@ class TestEnumerations:
 
 
 ORACLE_RANGE = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 4, 5)] + [(2, 6)]
+# Shapes the walks' closed forms treat specially: n = 3, where the root of
+# the Break walk already has three coordinates left, m large at n = 4, and
+# m = 1, where blocks and intervals are narrowest.
+WALK_SHAPES = [(20, 3), (50, 3), (10, 4), (1, 7)]
 
 
 class TestOrbitGeneration:
@@ -220,11 +224,21 @@ class TestOrbitGeneration:
             {knm.sort_orbit_key(a) for a in scanned}
         )
 
-    @pytest.mark.parametrize("m,n", ORACLE_RANGE)
+    @pytest.mark.parametrize("m,n", ORACLE_RANGE + WALK_SHAPES)
     def test_enumerations_equal_scans(self, m, n):
         p = params(m, n)
         assert list(knm.enumerate_break(p)) == list(knm.enumerate_break_bruteforce(p))
         assert list(knm.enumerate_parking(p)) == list(knm.enumerate_parking_bruteforce(p))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_enumerations_equal_scans_below_the_walks(self, n):
+        # n = 1 and n = 2 are listed without a walk
+        for m in range(1, 101):
+            p = params(m, n)
+            assert list(knm.enumerate_break(p)) == list(
+                knm.enumerate_break_bruteforce(p)), m
+            assert list(knm.enumerate_parking(p)) == list(
+                knm.enumerate_parking_bruteforce(p)), m
 
     def test_orbit_count_is_dt(self):
         # S_n-orbits of break divisors are counted by DT_n of the

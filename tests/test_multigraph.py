@@ -540,7 +540,7 @@ class TestPackedKernel:
 
     def test_over_the_cap_leaves_no_packed_table(self):
         path = path_graph(25)
-        for call in (mg.is_orientable, mg.is_break_divisor):
+        for call in (mg.is_orientable, mg.is_break_divisor, mg.break_via_orientability):
             with pytest.raises(BudgetExceededError, match="at most 24 vertices"):
                 call(path, (0,) * 25)
         with pytest.raises(BudgetExceededError, match="at most 24 vertices"):
@@ -592,6 +592,17 @@ def packed_cases(draw):
     d[draw(st.integers(0, n - 1))] -= take
     d[draw(st.integers(0, n - 1))] += give
     return g, d
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(packed_cases())
+def test_orientability_route_against_its_definition(case):
+    # one packing of D and one lane subtraction per q, against
+    # is_orientable on each D - (q), entries at -1 and wrong degrees too
+    g, d = case
+    shifted = [[x - (v == q) for v, x in enumerate(d)] for q in range(g.n)]
+    assert mg.break_via_orientability(g, d) == all(
+        mg.is_orientable(g, e) for e in shifted)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
