@@ -22,10 +22,12 @@ declares its record layout once, as `Rows`: its fields and their tuple
 arities, and a record is one flat tuple of ints.  json formats each
 record by one `%` with the layout's row template, built from the
 "(%d,...,%d)" templates cached per length; csv and pretty print the
-dict records projected from the same rows.  `residue` tuples and keys
-and `classes` members are built a run at a time (`knm._runs`), and a
-`classes` record takes its representatives from
-`knm.represented_classes`, which finds them from per-run tables.
+dict records projected from the same rows.  The `break`, `park` and
+`residue` rows come whole from their `knm` enumerators, called with
+`records=True`, which build each row inside the walk of the set and
+sort once for each pair of items that share an orbit key.  A `classes`
+row is built from `knm.represented_classes`, which finds each class's
+representatives from per-run tables.
 
 `character` lists no orbit: `reptheory.knm_modules` counts the orbits
 of Break and Park by multiplicity partition (`knm.count_break_types`,
@@ -257,7 +259,7 @@ def cmd_enumerate(args) -> tuple[Rows, bool]:
     checked here, before the first row is built, so an over-budget run
     writes nothing to stdout; the set is then generated as its rows are
     written, never held whole.  A row concatenates its fields in the
-    layout's JSON key order."""
+    layout's JSON key order, as the `knm` enumerators' records do."""
     g, p = _graph_or_knm(args, args.set)
     if g is not None:
         divisors = multigraph.enumerate_break_divisors(g, budget=args.budget)
@@ -266,21 +268,18 @@ def cmd_enumerate(args) -> tuple[Rows, bool]:
     if args.set == "break":
         rows = Rows(
             [("divisor", n, 1), ("orbit_key", n, 1)], ["divisor", "orbit_key"],
-            (d + knm.sort_orbit_key(d)
-             for d in knm.enumerate_break(p, budget=args.budget)),
+            knm.enumerate_break(p, budget=args.budget, records=True),
         )
     elif args.set == "park":
         rows = Rows(
             [("orbit_key", n - 1, 1), ("parking", n - 1, 1)], ["parking", "orbit_key"],
-            (knm.sort_orbit_key(a) + a
-             for a in knm.enumerate_parking(p, budget=args.budget)),
+            knm.enumerate_parking(p, budget=args.budget, records=True),
         )
     elif args.set == "residue":
         rows = Rows(
             [("class_key", n, 1), ("orbit_key", n, 1), ("tuple", n, 1)],
             ["tuple", "class_key", "orbit_key"],
-            (key + knm.sort_orbit_key(x) + x
-             for key, x in knm.keyed_residue_tuples(p, budget=args.budget)),
+            knm.enumerate_residue_tuples(p, budget=args.budget, records=True),
         )
     else:  # classes; a class lists its key first
         rows = Rows(

@@ -14,7 +14,7 @@ congruent to x_0 mod m, so exactly one member has x_0 < m: the class key.
 Break and Park are listed by a depth-first walk over prefixes in
 lexicographic order: each test decides from a prefix which values the
 next coordinate may take (an interval for Break, whole blocks of m for
-Park), so the walk holds only the prefix and its bounds, and a record
+Park), so the walk holds only the prefix and its bounds, and an item
 costs one concatenation.  The candidate scans are kept as
 `*_bruteforce` oracles.  `break_orbit_reps` and `parking_orbit_reps`
 check a closed orbit count before they list an orbit.
@@ -31,17 +31,23 @@ checks its budget on call, before the first item, by
 it is read, so it never holds the whole set; call `list(...)` on it for
 a list.
 
-`enumerate` calls the predicates and the class helpers once or more per
-record, so they stay cheap per call: `is_break_mn` and `is_parking_mn`
-reject a wrong sum or a negative entry in O(n) before they sort, the
-range checks use min/max, and `KnmParams` caches its derived quantities.
-D, its keys and its classes come from one generator of runs, a fixed
-head with the free coordinate from a range: a record costs two `%` and
-a concatenation.  `represented_classes` adds each class's break member
-and parking projection from tables built once per run: the sum each
-member needs for g, and the parking member for each block of the free
-coordinate.  A record then tests only its members of sum g with
-`is_break_mn` and its projection with `is_parking_mn`.
+`enumerate` builds its break, park and residue records inside these
+walks, with the keyword `records` of `enumerate_break`,
+`enumerate_parking` and `enumerate_residue_tuples`: an item is then the
+flat record, its fields in JSON key order.  Two leaves that share an
+orbit key share one sort: x and s - x of one Break head, and (v, w) and
+(w, v) of one residue run at n >= 3.  A Park record sorts its leaf.  D,
+its keys and its classes come from one generator of runs, a fixed head
+with the free coordinate from a range, so a residue record's class key
+costs two `%`.  `represented_classes` adds each class's break member
+and parking projection from tables built once per run: for each member,
+the sum its last two entries need for g and the rooms of `_pair_rooms`
+its shifted head leaves them, and the parking member for each block of
+the free coordinate.  A record picks the one member within the rooms and
+confirms it with one `is_break_mn`, and tests its projection with
+`is_parking_mn`.  These predicates stay cheap per call: they reject a
+wrong sum or a negative entry in O(n) before they sort, the range checks
+use min/max, and `KnmParams` caches its derived quantities.
 
 `KnmParams` is a plain read-only value class rather than a dataclass:
 `dataclasses` pulls `inspect` and `ast` into every CLI start-up.
@@ -132,18 +138,38 @@ def residue_count(p: KnmParams) -> int:
     return p.N ** (p.n - 1)
 
 
+def _check_size(size, log2_size: float, budget: int, what: str):
+    """`check_budget` on the int `size()`, built only when it is needed.
+    A size whose float log2 has floor b >= 333, with b at least the bit
+    length of the budget, is over budget and at least 10^100, and
+    `check_budget` names such a size by its bit length alone, so 1 << b
+    gives the same error.  Where the float lies within 1e-6 of an integer
+    (plus 1e-13 of itself, far above its rounding error), or the size is
+    smaller, the exact size is built and checked."""
+    b = math.floor(log2_size)
+    slack = 1e-6 + 1e-13 * log2_size
+    if b >= 333 and b >= budget.bit_length() and b + slack < log2_size < b + 1 - slack:
+        check_budget(1 << b, budget, what)
+    else:
+        check_budget(size(), budget, what)
+
+
 def check_break_budget(p: KnmParams, budget: int, what: str = "Break"):
     """The budget check on |Break| = |Park| of every Break and Park
     enumerator and scan, and of `verify`'s up-front checks; `what` names
-    the set in the error."""
-    check_budget(break_count(p), budget, what)
+    the set in the error.  A huge |Break| is refused from its log2,
+    (n-1) log2(m) + (n-2) log2(n), without being built (`_check_size`)."""
+    m, n = p.m, p.n
+    log2_size = (n - 1) * math.log2(m) + max(n - 2, 0) * math.log2(n)
+    _check_size(lambda: break_count(p), log2_size, budget, what)
 
 
 def check_d_budget(p: KnmParams, budget: int):
     """The budget check on |D| of `enumerate_residue_tuples`,
     `shift_classes` and their keyed forms, and of `verify`'s up-front
-    checks."""
-    check_budget(residue_count(p), budget, "D")
+    checks.  A huge |D| is refused from its log2, (n-1) log2(N), without
+    being built (`_check_size`)."""
+    _check_size(lambda: residue_count(p), (p.n - 1) * math.log2(p.N), budget, "D")
 
 
 def sort_orbit_key(x: Sequence[int]) -> tuple[int, ...]:
@@ -449,50 +475,75 @@ def _park_nodes(prefix: tuple[int, ...], bounds: tuple[int, ...]) -> Iterator:
 
 
 def enumerate_break(
-    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
+    p: KnmParams, budget: int = DEFAULT_SET_BUDGET, *, records: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """An iterator over all of Break_{m,n} in lexicographic order; the
     budget, on |Break|, is checked on call.  It holds the current prefix
     and, per level, the rooms of `_break_nodes`: O(n^2) integers.  The
     last three coordinates are the k = 2 and k = 1 cases of its interval,
     inlined: with rooms (A, B, _), v ranges over [max(0, r - B, r - 2A),
-    min(r, A, 2B - r)], and the pair (x, r - v - x) has room
-    X = min(A, B - v) for its larger entry."""
+    min(r, A, 2B - r)], and the pair (x, s - x), s = r - v, has room
+    X = min(A, B - v) for its larger entry, so x ranges over [lo, s - lo]
+    with lo = max(0, s - X), an interval symmetric about s/2.
+
+    With `records`, an item is d + sort_orbit_key(d), the record of
+    `enumerate --set break`.  x and s - x give the same orbit key, so a
+    head sorts once per pair and keeps at most X/2 + 1 keys.  At n = 2
+    the one head would keep g/2 keys, so there each record sorts."""
     check_break_budget(p, budget)
     g = p.genus
     if p.n < 3:  # at n = 2, delta = (g, 0) keeps every split of g
-        return zip(range(g + 1), range(g, -1, -1)) if p.n == 2 else iter([(0,)])
+        plain = zip(range(g + 1), range(g, -1, -1)) if p.n == 2 else iter([(0,)])
+        return (d + tuple(sorted(d, reverse=True)) for d in plain) if records else plain
 
     def walk():
         for prefix, (A, B, _), r in _break_nodes((), list(p.delta_prefix), g):
             for v in range(max(0, r - B, r - 2 * A), min(r, A, 2 * B - r) + 1):
                 head, s = prefix + (v,), r - v
                 X = A if A < B - v else B - v
-                for x in range(s - X if s > X else 0, (X if X < s else s) + 1):
-                    yield head + (x, s - x)
+                lo = s - X if s > X else 0
+                if not records:
+                    for x in range(lo, s - lo + 1):
+                        yield head + (x, s - x)
+                    continue
+                keys = []  # of x <= s/2, for their mirrors s - x
+                for x in range(lo, s // 2 + 1):
+                    d = head + (x, s - x)
+                    keys.append(key := tuple(sorted(d, reverse=True)))
+                    yield d + key
+                if s % 2 == 0:  # x = s/2 is its own mirror
+                    keys.pop()
+                for x in range(s // 2 + 1, s - lo + 1):
+                    yield head + (x, s - x) + keys.pop()
 
     return walk()
 
 
 def enumerate_parking(
-    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
+    p: KnmParams, budget: int = DEFAULT_SET_BUDGET, *, records: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """An iterator over all of Park_{m,n} in lexicographic order; the
     budget, on |Park|, is checked on call.  It holds the current prefix
     and, per level, the bounds of `_park_nodes`: O(n^2) integers.  With
     bounds (c1, c2) left, u < c1 leaves w < c2 and c1 <= u < c2 leaves
-    w < c1."""
+    w < c1.
+
+    With `records`, an item is sort_orbit_key(a) + a, the record of
+    `enumerate --set park`, sorted at the leaf: the rearrangements of a
+    leaf lie in other rows, and a table of them would hold O(c2^2) keys."""
     check_break_budget(p, budget, "Park")
     m, k = p.m, p.n - 1
     if k < 2:
-        return zip(range(m)) if k == 1 else iter([()])
+        plain = zip(range(m)) if k == 1 else iter([()])
+        return (tuple(sorted(a, reverse=True)) + a for a in plain) if records else plain
 
     def walk():
         for prefix, (c1, c2) in _park_nodes((), tuple(range(m, m * k + 1, m))):
             for u in range(c2):
                 head = prefix + (u,)
                 for w in range(c2 if u < c1 else c1):
-                    yield head + (w,)
+                    a = head + (w,)
+                    yield tuple(sorted(a, reverse=True)) + a if records else a
 
     return walk()
 
@@ -560,16 +611,42 @@ def _runs(p: KnmParams, keys: bool) -> Iterator[tuple[tuple[int, ...], int, int,
 
 
 def enumerate_residue_tuples(
-    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
+    p: KnmParams, budget: int = DEFAULT_SET_BUDGET, *, records: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """An iterator over all of D_{m,n}: tuples in [0, N-1]^n with sum = g
     mod N, in lexicographic order, since the last coordinate follows from
-    the others.  The budget is checked on call.  For n = 1, D = {(0,)}."""
+    the others.  The budget is checked on call.  For n = 1, D = {(0,)}.
+
+    With `records`, an item is class_key(p, x) + sort_orbit_key(x) + x,
+    the record of `enumerate --set residue`.  The key of a run's tuples
+    is its head shifted back once, and (v, w) with w = (c - v) % N shares
+    its orbit key with (w, v); at n >= 3 a run holds both, so it sorts
+    once per pair and keeps at most N <= sqrt(|D|) keys.  At n = 2 a run
+    is a block of m values, and each record sorts."""
     check_d_budget(p, budget)
     if p.n == 1:
-        return iter([(0,)])
+        return iter([(0, 0, 0) if records else (0,)])
     N = p.N
-    return (head + (v, (c - v) % N) for head, c, _, vs in _runs(p, False) for v in vs)
+    if not records:
+        return (head + (v, (c - v) % N) for head, c, _, vs in _runs(p, False) for v in vs)
+
+    def walk():
+        table = p.n > 2
+        keys = [()] * N if table else None
+        for head, c, s, vs in _runs(p, False):
+            key_head = tuple([(u - s) % N for u in head])
+            for v in vs:
+                w = (c - v) % N
+                x = head + (v, w)
+                if table and w < v:
+                    key = keys[w]
+                else:
+                    key = tuple(sorted(x, reverse=True))
+                    if table:
+                        keys[v] = key
+                yield key_head + ((v - s) % N, (w - s) % N) + key + x
+
+    return walk()
 
 
 def _check_residue_ranges(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
@@ -606,19 +683,11 @@ def class_key(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
 
 def keyed_residue_tuples(p: KnmParams, budget: int = DEFAULT_SET_BUDGET) -> Iterator:
     """(class_key(p, x), x) for every x of `enumerate_residue_tuples`, in
-    its order; the budget is checked on call.  The keys come from the
-    same runs, the head shifted back once per run, and are not checked."""
-    tuples = enumerate_residue_tuples(p, budget)
-    if p.n == 1:
-        return ((x, x) for x in tuples)
-    N = p.N
-    keys = (
-        key_head + ((v - s) % N, (cs - v) % N)
-        for head, c, s, vs in _runs(p, False)
-        for key_head, cs in [(tuple([(u - s) % N for u in head]), c - s)]
-        for v in vs
-    )
-    return zip(keys, tuples)
+    its order; the budget is checked on call.  Both are read off its
+    records, whose keys are not checked."""
+    n = p.n
+    records = enumerate_residue_tuples(p, budget, records=True)
+    return ((r[:n], r[2 * n:]) for r in records)
 
 
 def shift_class(p: KnmParams, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -738,13 +807,16 @@ def represented_classes(p: KnmParams, budget: int = DEFAULT_SET_BUDGET) -> Itera
     """(cls, break member, parking projection) for every class of
     `shift_classes`, in its order; the budget is checked on call.
 
-    Per run (a fixed head, v from a range): wants[j], the sum the last
-    two coordinates of member j need for the member to sum to g, and for
-    each block of v the member that parks, from the block counts of the
-    head plus v.  A record tests its members of sum g with `is_break_mn`
-    and its projection with `is_parking_mn`, and the first class of each
-    run is checked against `break_representative` and
-    `parking_representative`.  A failed check raises
+    Per run (a fixed head, v from a range), for each member j: want_j,
+    the sum its last two coordinates need for the member to sum to g, and
+    the rooms (A_j, B_j) of its shifted head (`_pair_rooms`); and for each
+    block of v the member that parks, from the block counts of the head
+    plus v.  Member j is the break member iff its head keeps delta's
+    prefix sums, want_j <= B_j, its last two sum to want_j and neither
+    exceeds A_j.  A record takes the one member that passes, confirms it
+    with `is_break_mn`, tests its projection with `is_parking_mn`, and the
+    first class of each run is checked against `break_representative`
+    and `parking_representative`.  A failed check raises
     InternalInvariantError."""
     classes = shift_classes(p, budget)
     if p.n == 1:
@@ -753,10 +825,35 @@ def represented_classes(p: KnmParams, budget: int = DEFAULT_SET_BUDGET) -> Itera
     return _represent(p, classes)
 
 
+def _pair_rooms(p: KnmParams, head: Sequence[int]) -> tuple[int, int] | None:
+    """The rooms (A, B) of `_break_nodes` for a head of n - 2 entries, or
+    None when the head alone exceeds a prefix sum of delta.  With S_j the
+    sum of the j largest entries of the head, A = min_j(delta_prefix[j] -
+    S_j) and B = min_j(delta_prefix[j+1] - S_j): head + (y, z), with
+    y, z >= 0 and y + z = g - sum(head), is a break divisor iff
+    max(y, z) <= A and y + z <= B."""
+    bounds = p.delta_prefix
+    A, B, total = bounds[0], bounds[1], 0
+    for j, u in enumerate(sorted(head, reverse=True), 1):
+        total += u
+        if total > bounds[j - 1]:
+            return None
+        a, b = bounds[j] - total, bounds[j + 1] - total
+        A, B = (a if a < A else A), (b if b < B else B)
+    return A, B
+
+
 def _represent(p: KnmParams, classes: Iterator) -> Iterator:
     m, n, N, g = p.m, p.n, p.N, p.genus
     for head, _, _, vs in _runs(p, True):
-        wants = [g - sum([(u + t) % N for u in head]) for t in range(0, N, m)]
+        # (j, want, A) for each member j whose head has the rooms of a break
+        # divisor with the last two entries summing to want
+        members = []
+        for j in range(n):
+            shifted = [(u + j * m) % N for u in head]
+            rooms, want = _pair_rooms(p, shifted), g - sum(shifted)
+            if rooms is not None and want <= rooms[1]:
+                members.append((j, want, rooms[0]))
         counts = [0] * n
         for u in head:
             counts[u // m] += 1
@@ -766,11 +863,16 @@ def _represent(p: KnmParams, classes: Iterator) -> Iterator:
             park_at.append((n - _parking_start(counts)) % n)
             counts[b] -= 1
         for v, cls in zip(vs, classes):
-            hits = [y for y, want in zip(cls, wants)
-                    if y[-2] + y[-1] == want and is_break_mn(p, y)]
+            hits = [y for j, want, A in members
+                    if (y := cls[j])[-2] + y[-1] == want and y[-2] <= A and y[-1] <= A]
             if len(hits) != 1:
                 raise InternalInvariantError(
-                    f"shift class of {cls[0]} has {len(hits)} break members")
+                    f"shift class of {cls[0]} has {len(hits)} members "
+                    "within the break rooms")
+            if not is_break_mn(p, hits[0]):
+                raise InternalInvariantError(
+                    f"class of {cls[0]}: {hits[0]} is within the break rooms "
+                    "but not a break divisor")
             park = cls[park_at[v // m]][: n - 1]
             if not is_parking_mn(p, park):
                 raise InternalInvariantError(

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -201,6 +202,22 @@ class TestEnumerate:
         assert len(err.encode()) < 200
         assert err == "error: |Break| > 10^92022 exceeds budget 2000000\n"
 
+    @pytest.mark.parametrize("set_name, error", [
+        ("break", "|Break| > 10^6300389"), ("park", "|Park| > 10^6300389"),
+        ("residue", "|D| > 10^6300395"), ("classes", "|D| > 10^6300395")])
+    def test_huge_set_is_refused_without_building_its_size(
+            self, monkeypatch, capsys, set_name, error):
+        # the messages the exact sizes 2^999999 * (10^6)^999998 and
+        # (2*10^6)^999999 give, which take seconds to build
+        def unbuilt(p):
+            raise AssertionError(f"built the size of {p}")
+
+        monkeypatch.setattr(knm, "break_count", unbuilt)
+        monkeypatch.setattr(knm, "residue_count", unbuilt)
+        code, out = run_cli(["enumerate", "--set", set_name, "--m", "2", "--n", "1000000"])
+        assert (code, out) == (cli.EXIT_BUDGET, "")
+        assert capsys.readouterr().err == f"error: {error} exceeds budget 2000000\n"
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     @pytest.mark.parametrize("source", ["break", "park", "residue", "classes", "graph"])
     def test_over_budget_writes_nothing(self, tmp_path, capsys, source, fmt):
@@ -214,52 +231,51 @@ class TestEnumerate:
         assert capsys.readouterr().err.startswith("error: ")
 
     # The knm functions each set's records are built from: the enumerator,
-    # called once, and the helpers, called once or more per record, the
-    # first of which the fault test makes fail on its third call, after
-    # the given number of whole records.  The benchmark's tracer wraps
-    # them by module attribute, so `cli` must call them through it.  A
-    # `classes` record tests its projection with is_parking_mn and its
-    # members of sum g with is_break_mn; the first class of a run calls
-    # is_parking_mn once more, through its cross-check with
-    # parking_representative, so the third call comes in the second record.
+    # called once, and the helpers, called once or more per record.  The
+    # benchmark's tracer wraps them by module attribute, so `cli` must call
+    # them through it.  break, park and residue records come whole from
+    # their enumerators; a `classes` record tests its projection with
+    # is_parking_mn and its break member with is_break_mn.
     ROUTES = {
-        "break": ("enumerate_break", ["sort_orbit_key"], 2),
-        "park": ("enumerate_parking", ["sort_orbit_key"], 2),
-        "residue": ("enumerate_residue_tuples", ["sort_orbit_key"], 2),
-        "classes": ("represented_classes", ["is_parking_mn", "is_break_mn"], 1),
+        "break": ("enumerate_break", []),
+        "park": ("enumerate_parking", []),
+        "residue": ("enumerate_residue_tuples", []),
+        "classes": ("represented_classes", ["is_parking_mn", "is_break_mn"]),
     }
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_fault_mid_stream_exits_5_after_a_prefix(self, monkeypatch, capsys, fmt):
-        for set_name, (_, [helper, *_], before) in self.ROUTES.items():
+        # the enumerator's iterator fails after two records
+        for set_name, (enumerator, _) in self.ROUTES.items():
             args = ["enumerate", "--set", set_name, "--m", "2", "--n", "3",
                     "--format", fmt]
             _, full = run_cli(args)
-            calls = []
-            real = getattr(knm, helper)
+            real = getattr(knm, enumerator)
 
-            def third_call_fails(*args):
-                calls.append(args)
-                if len(calls) == 3:
-                    raise InternalInvariantError(f"{helper} out of range")
-                return real(*args)
+            def fails_after_two(*args, **kwargs):
+                items = real(*args, **kwargs)
+
+                def stream():
+                    yield from itertools.islice(items, 2)
+                    raise InternalInvariantError(f"{enumerator} out of range")
+                return stream()
 
             capsys.readouterr()
             with monkeypatch.context() as patch:
-                patch.setattr(knm, helper, third_call_fails)
+                patch.setattr(knm, enumerator, fails_after_two)
                 code, out = run_cli(args)
             assert code == cli.EXIT_INTERNAL, set_name
             err = capsys.readouterr().err
-            assert err == f"error: internal invariant violated: {helper} out of range\n"
+            assert err == f"error: internal invariant violated: {enumerator} out of range\n"
             # The records before the fault, and nothing of the next one.
             if fmt == "json":
-                assert out == json.dumps(json.loads(full)[:before], sort_keys=True)[:-1]
+                assert out == json.dumps(json.loads(full)[:2], sort_keys=True)[:-1]
             else:
-                assert out == "".join(full.splitlines(keepends=True)[:before + 1])
+                assert out == "".join(full.splitlines(keepends=True)[:3])
 
     @pytest.mark.parametrize("set_name", sorted(ROUTES))
     def test_records_are_built_through_the_knm_attributes(self, monkeypatch, set_name):
-        enumerator, helpers, _ = self.ROUTES[set_name]
+        enumerator, helpers = self.ROUTES[set_name]
         calls = {name: 0 for name in [enumerator, *helpers]}
 
         def counted(name, real):
@@ -369,6 +385,56 @@ ENUMERATE_DIGESTS = [
     ("classes", 5, 4, "csv", "ae299169a96a009d2bf8dc56037e4f32ee18a5774bd6ed965cd9b3ee581d5bd0"),
     ("classes", 1, 7, "json", "440e4ba3f1b9699d277ce36a3071f7a5e3331eb7bbf9fadce3ca4b4d22ae7dd8"),
     ("classes", 1, 7, "csv", "7c4122eb03f25ab528e8d28ba64d2e67c076004081cace7cd68b722ac1b5c57b"),
+    # recorded before the break, park and residue records were built inside
+    # the set walks: n = 1, 2 and 3, and the benchmark's shapes
+    ("break", 3, 1, "json", "8dee80e2f9447e1a6654e5f1c1019eb852a8f6783a9701df1648a04ddcc26dd9"),
+    ("break", 3, 1, "csv", "dbe4d835f8aff1d2d6b40df9331bf74384542cee1eedba27e1e96bc6cfd6443f"),
+    ("break", 3, 1, "pretty", "15e2a43c8f5fb6987ad87e0f2b0bd1616e13841d9a3e75a740572cf96b15cc3b"),
+    ("break", 3, 2, "json", "60aa681bb2a8601ba4bd4f19b1785a884e9ddd55e3ac819040b80234b190c86c"),
+    ("break", 3, 2, "csv", "c771af51378e141b361c188b81be6e988bac0fbbabf223be5b9ab91adb0de3f2"),
+    ("break", 3, 2, "pretty", "709194d5a985337a70bd697ff9aee7b077452ad31eca6828755732b602d79abe"),
+    ("break", 3, 3, "json", "76994bb969855ba03fe8efd7cadb76fdb733c7aa2a122949dbbd423f606b2308"),
+    ("break", 3, 3, "csv", "e75a98e2c4d5f64a5338f0eeb5090f4cb26950af508f0e10f7757c07a0b33c09"),
+    ("break", 3, 3, "pretty", "49b3e6930325bbf16ba6c94c72f2f5c0d994d8bfbcdbdd0e74cfd37a0e4980a8"),
+    ("break", 4, 5, "json", "e2904333b704ba3eb34c6464745f92e81dd2f1425be237e643e44742d130ace3"),
+    ("break", 4, 5, "csv", "6b40d94819f3ea1f63d816019bde0312d9652d3fc84fde6400426b92b40a2982"),
+    ("break", 4, 5, "pretty", "f59037e70a3e14deb2a2bbbc8aa461f096801b5438f457cfab1d49b726196ba3"),
+    ("park", 3, 1, "json", "e0fb5f16c4f46e6267d5a24124a033e5d2cff5c90f56ab2d8a07c1003535527a"),
+    ("park", 3, 1, "csv", "015ca43670eefb6db642b40a5a50497031eaec2a07c71067cdc047dc26cf933d"),
+    ("park", 3, 1, "pretty", "863442eb105505d56858c2afe213d6ad26782642cae6d0f787bdecca42fd61c0"),
+    ("park", 3, 2, "json", "2cf75469cc5e41caedea95eed16d2f1926de6c5593ffb22cbcf0183095bdc7f4"),
+    ("park", 3, 2, "csv", "99f75620b7c318274ff88c5e0e5c48fb4d0ad52cc9175afa2dbda39764a22984"),
+    ("park", 3, 2, "pretty", "3c62c0a822db881a79bdb16086aec050143651468a4798c56810ab9c87624a14"),
+    ("park", 3, 3, "json", "6b294d94d6b6438621e5e2c56192b77ccaf824248002de9419f6c85c06f40d29"),
+    ("park", 3, 3, "csv", "46255946173f08ed19a7ef8c521658cd9b238d162525137ac19cd71aa1aebdb9"),
+    ("park", 3, 3, "pretty", "d2d043a7f1528f5ee98e14d62987ae3a7fd73d77781897aa3cbcc4ab35741755"),
+    ("park", 4, 5, "json", "54804605c74b8744138d79fec5f801f1ec0deb38e897ea7b40b3d7e770cc4b9f"),
+    ("park", 4, 5, "csv", "cd7248d9dd53f7df6ecef3fcb240a740fad9424d0be4e5bfe4c70a19bbe4db62"),
+    ("park", 4, 5, "pretty", "2bd590a21efb32dc5bb160e7707fb2107d528919eaff239dafff52dfdebc59c8"),
+    ("residue", 3, 1, "json", "9611e48d6fe49395b042a652f85abef2e501c144789514b889ac5fc1b4a01377"),
+    ("residue", 3, 1, "csv", "98d8b0e6b71cbac0dc785eb270a73991fe19940e9b7ce3fd34f9b5b77942e366"),
+    ("residue", 3, 1, "pretty", "c1c01df8e086649a3a59ab0b6337e05f05e3e67e90d09ea4539546d9524f0176"),
+    ("residue", 3, 2, "json", "991c63776095aeb848abf10a36623575a1156bc81a54378691a343b3e9abfab6"),
+    ("residue", 3, 2, "csv", "ba40e299db771cc75907bb132464b5b1102ed76f3f30b50977044b88065ee38b"),
+    ("residue", 3, 2, "pretty", "119919e43da38021600222094610fec19232e00786f69e2f771576e780b8c016"),
+    ("residue", 3, 3, "json", "5c976d780880dbbf26dfc72f121c41a8117c5e99b3721b20c2c9e17d924cf5d7"),
+    ("residue", 3, 3, "csv", "3c76c90755f1a5498ddb5dbc942ea6d00ff4990414bba267e1eda2c371a3bee7"),
+    ("residue", 3, 3, "pretty", "e6213851e34d4698b5f6392da5e925af8f2cde1030d1a27ed1819d036bf4160e"),
+    ("residue", 3, 5, "json", "08b7a3a3aee6803136f2f5dd3319b1498e752de3f9b9989e9f0bb91a815ee9b6"),
+    ("residue", 3, 5, "csv", "9d8f743da2fdcc82c56305bab18d41ec618911a4a166d4f476e0ea116ee6e2f7"),
+    ("residue", 3, 5, "pretty", "60b126387b1e9dbe58c35f834340ebe5e619841aea2105f39995e1c4e113710e"),
+    ("classes", 3, 1, "json", "aba6a19fecbf2cd67b28ddf5aafddf522c47e8f41209d73bab6d888a69aeef73"),
+    ("classes", 3, 1, "csv", "16027b0dffaf38390162553299c3333383bbdabf0b114bf95ea54652c6a9fb1e"),
+    ("classes", 3, 1, "pretty", "36e965c3c163ca64d3e7f804d510b6e63bcc3acdcc374d16301e8c62b97f3a8e"),
+    ("classes", 3, 2, "json", "f823ca85d81b90c2c7337b48f670001dd245f1571480ab87ea3f0242fe482611"),
+    ("classes", 3, 2, "csv", "13205bdd63fb4faeeeff387e47224ca834a5ae0ae792cce534f27204cf44f84e"),
+    ("classes", 3, 2, "pretty", "aaee67f1cfc6dad6e94bb7c69675c7b6d032de6ffb193288a828b2a5d3503b65"),
+    ("classes", 3, 3, "json", "7ad43443183b8847863d9d7fc95eb8474fa9c3ff3e2e539fdf279a653ab47b69"),
+    ("classes", 3, 3, "csv", "569b2ca93641d229ce118719f884242785d27623dd06513f591515cdcc8741b6"),
+    ("classes", 3, 3, "pretty", "6f19f0ee39388e4f9f41ea1f02ccbd3f9b4890a9ff835a676d87000b729d62e2"),
+    ("classes", 3, 5, "json", "97797d12bf9f166e1d256e0b0369dea89738c83c99dea9358c8aa90f33dd002c"),
+    ("classes", 3, 5, "csv", "76ebe53ef9ad00cd670c282db757b2dbc3b14660ba4c6febdde6988f3a18d85e"),
+    ("classes", 3, 5, "pretty", "92421cb7964c54ec72a883c8eba6fbc3722fab29d8f1593b8aac1a0ee1aa3916"),
 ]
 
 
@@ -1359,7 +1425,7 @@ class TestFlatMemory:
 
     @pytest.mark.parametrize(
         "set_name, m, n, limit_mb",
-        [("residue", 3, 5, 1.0), ("classes", 3, 5, 1.0)]
+        [(s, m, n, 1.0) for s in ("residue", "classes") for m, n in [(3, 5), (10, 4), (50, 3)]]
         + [(s, m, n, 0.25) for s in ("break", "park") for m, n in [(4, 5), (10, 4), (50, 3)]],
     )
     def test_peak_allocation(self, monkeypatch, set_name, m, n, limit_mb):
@@ -1395,7 +1461,8 @@ class TestFlatMemory:
         tracemalloc.start()
         try:
             for generate in (knm.enumerate_residue_tuples, knm.keyed_residue_tuples,
-                             knm.shift_classes, knm.represented_classes):
+                             knm.shift_classes, knm.represented_classes,
+                             lambda p: knm.enumerate_residue_tuples(p, records=True)):
                 items = generate(p)
                 for _ in range(3):
                     next(items)

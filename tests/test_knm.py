@@ -860,9 +860,9 @@ class TestKeyedResidueTuples:
         calls = []
         real = knm.enumerate_residue_tuples
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(knm, "enumerate_residue_tuples", counted)
         keyed = knm.keyed_residue_tuples(params(2, 3))
@@ -900,14 +900,28 @@ class TestRepresentedClasses:
         with pytest.raises(BudgetExceededError, match=r"\|D\| = 50625"):
             knm.represented_classes(params(3, 5), budget=20_000)
 
-    @pytest.mark.parametrize("accept, hits", [(False, 0), (True, 2)])
-    def test_break_member_count_other_than_one_is_internal_error(
-            self, monkeypatch, accept, hits):
-        # (0, 0, 4) and (2, 2, 0) have sum g = 4; (4, 4, 2) does not
-        monkeypatch.setattr(knm, "is_break_mn", lambda p, d: accept)
-        with pytest.raises(InternalInvariantError,
-                           match=rf"shift class of \(0, 0, 4\) has {hits} break members"):
+    @pytest.mark.parametrize("rooms, hits", [(None, 0), ((10, 10), 2)],
+                             ids=["no-hit", "two-hits"])
+    def test_room_hit_count_not_one_is_internal_error(self, monkeypatch, rooms, hits):
+        # (0, 0, 4) and (2, 2, 0) end in pairs of the sum their heads want,
+        # 4 and 2; (4, 4, 2) does not
+        monkeypatch.setattr(knm, "_pair_rooms", lambda p, head: rooms)
+        with pytest.raises(InternalInvariantError, match=rf"shift class of \(0, 0, 4\) "
+                           rf"has {hits} members within the break rooms"):
             next(knm.represented_classes(params(2, 3)))
+
+    def test_member_within_the_rooms_is_confirmed_by_is_break_mn(self, monkeypatch):
+        checked = []
+
+        def rejects(p, d):
+            checked.append(d)
+            return False
+
+        monkeypatch.setattr(knm, "is_break_mn", rejects)
+        with pytest.raises(InternalInvariantError, match=r"class of \(0, 0, 4\): "
+                           r"\(2, 2, 0\) is within the break rooms but not a break divisor"):
+            next(knm.represented_classes(params(2, 3)))
+        assert checked == [(2, 2, 0)]
 
     def test_non_parking_projection_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(knm, "is_parking_mn", lambda p, a: False)
@@ -959,6 +973,113 @@ def test_represented_classes_of_sampled_runs_equal_the_per_key_functions(case):
     assert [cls[0] for cls in classes] == [
         h + (v, (c - v) % p.N) for h, c, _, vs in runs for v in vs]
     assert triples == per_key_triples(p, classes)
+
+
+@st.composite
+def shifted_heads(draw):
+    """K_n^m with m <= 50, 2 <= n <= 9, and a head of n - 2 entries
+    shifted by j*m: the heads `represented_classes` takes rooms of.  The
+    entries come from [0, N-1] or from delta's range [0, m(n-1)-1], where
+    more heads keep delta's prefix sums."""
+    p = params(draw(st.integers(1, 50)), draw(st.integers(2, 9)))
+    top = draw(st.sampled_from([p.N, p.m * (p.n - 1)]))
+    head = draw(st.lists(st.integers(0, top - 1), min_size=p.n - 2, max_size=p.n - 2))
+    j = draw(st.integers(0, p.n - 1))
+    return p, tuple([(u + j * p.m) % p.N for u in head])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(shifted_heads())
+def test_pair_rooms_accept_exactly_the_break_members(case):
+    """Over every member head + (y, (want - y) % N) of D with this head,
+    want = g - sum(head): the room test of `represented_classes` accepts
+    exactly the members `is_break_mn` accepts."""
+    p, head = case
+    rooms, want = knm._pair_rooms(p, head), p.genus - sum(head)
+    for y in range(p.N):
+        z = (want - y) % p.N
+        within = (rooms is not None and want <= rooms[1] and y + z == want
+                  and max(y, z) <= rooms[0])
+        assert within == knm.is_break_mn(p, head + (y, z)), (head, y, z)
+
+
+def first_difference(got, expected):
+    """(index, item, expected item) where two iterables first differ, or
+    None; neither is held whole."""
+    pairs = enumerate(itertools.zip_longest(got, expected))
+    return next(((i, a, b) for i, (a, b) in pairs if a != b), None)
+
+
+# Every K_n^m with m <= 6, n <= 8 whose set has at most 300,000 items
+RECORD_SHAPES = {
+    count: [(m, n) for m in range(1, 7) for n in range(1, 9)
+            if count(params(m, n)) <= 300_000]
+    for count in (knm.break_count, knm.residue_count)
+}
+
+
+class TestRecords:
+    """The records of `enumerate`, built inside the set walks, against
+    one `sort_orbit_key` (and `class_key`) per item of the plain walk."""
+
+    @pytest.mark.parametrize("m, n", RECORD_SHAPES[knm.break_count])
+    def test_break_and_park_records(self, m, n):
+        p = params(m, n)
+        assert first_difference(
+            knm.enumerate_break(p, records=True),
+            (d + knm.sort_orbit_key(d) for d in knm.enumerate_break(p))) is None
+        assert first_difference(
+            knm.enumerate_parking(p, records=True),
+            (knm.sort_orbit_key(a) + a for a in knm.enumerate_parking(p))) is None
+
+    @pytest.mark.parametrize("m, n", RECORD_SHAPES[knm.residue_count])
+    def test_residue_records(self, m, n):
+        p = params(m, n)
+        assert first_difference(
+            knm.enumerate_residue_tuples(p, records=True),
+            (knm.class_key(p, x) + knm.sort_orbit_key(x) + x
+             for x in knm.enumerate_residue_tuples(p))) is None
+
+    @pytest.mark.parametrize("enumerate_set", SET_ENUMERATORS[:3])
+    def test_records_check_the_budget_on_call(self, enumerate_set):
+        with pytest.raises(BudgetExceededError):
+            enumerate_set(params(3, 6), budget=100, records=True)
+
+
+class TestSizeChecks:
+    """`check_break_budget` and `check_d_budget` refuse a huge set from
+    the float log2 of its size, with the error the exact size gives."""
+
+    # n = 256 and 512 at m = 2 and 4 give an integral log2: the exact route
+    SHAPES = [(m, n) for m in (1, 2, 3, 4, 12)
+              for n in (1, 2, 3, 40, 119, 120, 256, 300, 512)]
+
+    @pytest.mark.parametrize("budget", [0, 2_000_000, 2**400, 2**3000])
+    def test_equal_the_exact_check(self, budget):
+        def error(check, *args):
+            try:
+                check(*args)
+            except BudgetExceededError as exc:
+                return str(exc)
+
+        for m, n in self.SHAPES:
+            p = params(m, n)
+            assert error(knm.check_break_budget, p, budget, "Park") == error(
+                errors.check_budget, knm.break_count(p), budget, "Park"), (m, n)
+            assert error(knm.check_d_budget, p, budget) == error(
+                errors.check_budget, knm.residue_count(p), budget, "D"), (m, n)
+
+    def test_huge_sizes_are_not_built(self, monkeypatch):
+        def unbuilt(p):
+            raise AssertionError(f"built the size of {p}")
+
+        monkeypatch.setattr(knm, "break_count", unbuilt)
+        monkeypatch.setattr(knm, "residue_count", unbuilt)
+        p = params(3, 400)
+        with pytest.raises(BudgetExceededError, match=r"\|Break\| > 10\^"):
+            knm.check_break_budget(p, 2_000_000)
+        with pytest.raises(BudgetExceededError, match=r"\|D\| > 10\^"):
+            knm.check_d_budget(p, 2_000_000)
 
 
 class TestSortOrbitKey:
