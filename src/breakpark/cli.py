@@ -17,17 +17,20 @@ subcommand's own usage line.
 `enumerate` streams: --budget is checked before the first byte is
 written, and then the set is generated as it is written, never held.
 Its records are built one at a time and json and csv write each as it
-comes (pretty first reads them all, for its column widths).  Each set
-declares its record layout once, as `Rows`: its fields and their tuple
-arities, and a record is one flat tuple of ints.  json formats each
-record by one `%` with the layout's row template, built from the
-"(%d,...,%d)" templates cached per length; csv and pretty print the
-dict records projected from the same rows.  The `break`, `park` and
-`residue` rows come whole from their `knm` enumerators, called with
-`records=True`, which build each row inside the walk of the set and
-sort once for each pair of items that share an orbit key.  A `classes`
-row is built from `knm.represented_classes`, which finds each class's
-representatives from per-run tables.
+comes (pretty first reads them all, for its column widths).  A set's
+record layout is a `Rows`: its fields, each a name and a `%` template,
+and a row is the arguments of the templates in JSON key order.  json
+formats each row by one `%` with the layout's row template, the
+fields' templates joined; csv and pretty print the dict records filled
+from the same rows.  The `break`, `park` and `residue` rows come whole
+from their `knm` enumerators, called with `records=True`, and their
+templates from the declarations next to those walkers
+(`knm.break_fields`, `parking_fields`, `residue_fields`): a row holds
+its head's text, built once per head or run, its orbit-key text, built
+once for each pair of items that share it, and its leaf ints.  A
+`classes` row is built from `knm.represented_classes`, which finds each
+class's representatives from per-run tables, as ints in the
+"(%d,...,%d)" templates of `knm.tuple_template`, cached per length.
 
 `character` lists no orbit: `reptheory.knm_modules` counts the orbits
 of Break and Park by multiplicity partition (`knm.count_break_types`,
@@ -91,49 +94,39 @@ class UsageError(Exception):
     argparse reports a usage error, on the subcommand's usage line."""
 
 
-class _TupleFormats(dict):
-    """The `%` template "(%d,...,%d)" of each tuple length, built on
-    first use."""
-
-    def __missing__(self, length: int) -> str:
-        template = self[length] = "(" + ",".join(["%d"] * length) + ")"
-        return template
-
-
-_TUPLE_FORMATS = _TupleFormats()
-
-
 def _fmt_tuple(t) -> str:
     """"(a,b,c)": the int entries in decimal, no spaces; one `%` format."""
     t = tuple(t)
-    return _TUPLE_FORMATS[len(t)] % t
+    return knm.tuple_template(len(t)) % t
 
 
 class Rows:
-    """The records of one `enumerate` set, each a flat tuple of ints.
+    """The records of one `enumerate` set, each the arguments of one `%`.
 
     `fields` is the record layout in JSON key order, which is sorted:
-    (name, arity, parts) for a field of `parts` tuples of `arity` ints
-    joined by ";", taken from the next arity * parts ints of a row.
-    `columns` names the fields in the order csv and pretty print them.
+    (name, `%` template) for a field formatted from the next arguments of
+    a row, as many as its template has "%".  `columns` names the fields in
+    the order csv and pretty print them.
 
-    `json_row` is the `%` template of one JSON record, built once from
-    the `_TUPLE_FORMATS` pieces, such as '{"divisor": "(%d,%d,%d)",
-    "orbit_key": "(%d,%d,%d)"}'.  A row formatted by it is the record's
+    `json_row` is the `%` template of one JSON record, the fields'
+    templates in JSON key order, such as '{"divisor": "%s%d,%d)",
+    "orbit_key": "%s"}'.  A row formatted by it is the record's
     `json.dumps(..., sort_keys=True)`: the keys are fixed ASCII names in
-    sorted order, and `%d` of an int prints only digits and "-", nothing
-    JSON escapes.  Iterating a Rows gives the dict records, keys in
-    column order, that csv and pretty print."""
+    sorted order, `%d` of an int prints only digits and "-", and the str
+    arguments of the `knm` records, head and orbit-key texts, hold only
+    digits, "(", ")" and ",", nothing JSON escapes.  Iterating a Rows
+    gives the dict records, keys in column order, that csv and pretty
+    print."""
 
-    def __init__(self, fields, columns, rows: Iterable[tuple[int, ...]]):
+    def __init__(self, fields, columns, rows: Iterable[tuple]):
         self.rows = rows
         formats, start = {}, 0
-        for name, arity, parts in fields:
-            formats[name] = (";".join([_TUPLE_FORMATS[arity]] * parts),
-                             slice(start, start + arity * parts))
-            start += arity * parts
+        for name, template in fields:
+            count = template.count("%")
+            formats[name] = template, slice(start, start + count)
+            start += count
         self.json_row = "{" + ", ".join(
-            f'"{name}": "{template}"' for name, (template, _) in formats.items()
+            f'"{name}": "{template}"' for name, template in fields
         ) + "}"
         self.columns = [(name, *formats[name]) for name in columns]
 
@@ -263,33 +256,26 @@ def cmd_enumerate(args) -> tuple[Rows, bool]:
     g, p = _graph_or_knm(args, args.set)
     if g is not None:
         divisors = multigraph.enumerate_break_divisors(g, budget=args.budget)
-        return Rows([("divisor", g.n, 1)], ["divisor"], divisors), True
-    n = p.n
-    if args.set == "break":
-        rows = Rows(
-            [("divisor", n, 1), ("orbit_key", n, 1)], ["divisor", "orbit_key"],
-            knm.enumerate_break(p, budget=args.budget, records=True),
-        )
-    elif args.set == "park":
-        rows = Rows(
-            [("orbit_key", n - 1, 1), ("parking", n - 1, 1)], ["parking", "orbit_key"],
-            knm.enumerate_parking(p, budget=args.budget, records=True),
-        )
-    elif args.set == "residue":
-        rows = Rows(
-            [("class_key", n, 1), ("orbit_key", n, 1), ("tuple", n, 1)],
-            ["tuple", "class_key", "orbit_key"],
-            knm.enumerate_residue_tuples(p, budget=args.budget, records=True),
-        )
-    else:  # classes; a class lists its key first
-        rows = Rows(
-            [("break_rep", n, 1), ("class_key", n, 1), ("members", n, n),
-             ("parking_rep", n - 1, 1)],
+        return Rows([("divisor", knm.tuple_template(g.n))], ["divisor"], divisors), True
+    if args.set == "classes":  # a class lists its key first
+        classes, n = knm.represented_classes(p, budget=args.budget), p.n
+        x = knm.tuple_template(n)
+        return Rows(
+            [("break_rep", x), ("class_key", x), ("members", ";".join([x] * n)),
+             ("parking_rep", knm.tuple_template(n - 1))],
             ["class_key", "members", "break_rep", "parking_rep"],
             ((*brk, *cls[0], *chain.from_iterable(cls), *park)
-             for cls, brk, park in knm.represented_classes(p, budget=args.budget)),
-        )
-    return rows, True
+             for cls, brk, park in classes),
+        ), True
+    # each enumerator checks the budget before its set's templates are built
+    if args.set == "break":
+        records = knm.enumerate_break(p, budget=args.budget, records=True)
+        return Rows(knm.break_fields(p), ("divisor", "orbit_key"), records), True
+    if args.set == "park":
+        records = knm.enumerate_parking(p, budget=args.budget, records=True)
+        return Rows(knm.parking_fields(p), ("parking", "orbit_key"), records), True
+    records = knm.enumerate_residue_tuples(p, budget=args.budget, records=True)
+    return Rows(knm.residue_fields(p), ("tuple", "class_key", "orbit_key"), records), True
 
 
 def cmd_count(args) -> tuple[list[dict], bool]:

@@ -34,16 +34,23 @@ a list.
 `enumerate` builds its break, park and residue records inside these
 walks, with the keyword `records` of `enumerate_break`,
 `enumerate_parking` and `enumerate_residue_tuples`: an item is then the
-flat record, its fields in JSON key order.  Two leaves that share an
-orbit key share one sort: x and s - x of one Break head, and (v, w) and
-(w, v) of one residue run at n >= 3.  A Park record sorts its leaf.  D,
-its keys and its classes come from one generator of runs, a fixed head
-with the free coordinate from a range, so a residue record's class key
-costs two `%`.  `represented_classes` adds each class's break member
-and parking projection from tables built once per run: for each member,
-the sum its last two entries need for g and the rooms of `_pair_rooms`
-its shifted head leaves them, and the parking member for each block of
-the free coordinate.  A record picks the one member within the rooms and
+arguments of one `%` with its set's templates, declared next to the
+walker (`break_fields`, `parking_fields`, `residue_fields`, in JSON key
+order).  A head's text, such as "(3,1,", is formatted once per head, or
+per run for residue and its class-key head, so a row formats only its
+leaf ints and texts.  Two leaves that share an orbit key share one sort
+and one key text: x and s - x of one Break head, and (v, w) and (w, v)
+of one residue run at n >= 3.  A Park leaf's key is w inserted into the
+sort of its head, whose texts before and after w are formatted once per
+run of w between two entries.  A Break or Park record at n <= 2, and a
+residue record at n = 1, is ints.  D, its keys and its classes come from
+one generator of runs, a fixed head with the free coordinate from a
+range, so a residue record's class key costs two `%`.
+`represented_classes` adds each class's break member and parking
+projection from tables built once per run: for each member, the sum its
+last two entries need for g and the rooms of `_pair_rooms` its shifted
+head leaves them, and the parking member for each block of the free
+coordinate.  A record picks the one member within the rooms and
 confirms it with one `is_break_mn`, and tests its projection with
 `is_parking_mn`.  These predicates stay cheap per call: they reject a
 wrong sum or a negative entry in O(n) before they sort, the range checks
@@ -474,9 +481,25 @@ def _park_nodes(prefix: tuple[int, ...], bounds: tuple[int, ...]) -> Iterator:
             yield from _park_nodes(prefix + (v,), rest)
 
 
+@lru_cache(maxsize=None)
+def tuple_template(length: int) -> str:
+    """The `%` template "(%d,...,%d)" of a tuple of `length` ints."""
+    return "(" + ",".join(["%d"] * length) + ")"
+
+
+def break_fields(p: KnmParams) -> tuple:
+    """The fields of an `enumerate_break` record, (name, `%` template) in
+    JSON key order; the record is their arguments: (head text, x, s - x,
+    orbit-key text), or d and its sort at n <= 2."""
+    if p.n < 3:
+        d = tuple_template(p.n)
+        return ("divisor", d), ("orbit_key", d)
+    return ("divisor", "%s%d,%d)"), ("orbit_key", "%s")
+
+
 def enumerate_break(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET, *, records: bool = False
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple]:
     """An iterator over all of Break_{m,n} in lexicographic order; the
     budget, on |Break|, is checked on call.  It holds the current prefix
     and, per level, the rooms of `_break_nodes`: O(n^2) integers.  The
@@ -486,15 +509,16 @@ def enumerate_break(
     X = min(A, B - v) for its larger entry, so x ranges over [lo, s - lo]
     with lo = max(0, s - X), an interval symmetric about s/2.
 
-    With `records`, an item is d + sort_orbit_key(d), the record of
-    `enumerate --set break`.  x and s - x give the same orbit key, so a
-    head sorts once per pair and keeps at most X/2 + 1 keys.  At n = 2
-    the one head would keep g/2 keys, so there each record sorts."""
+    With `records`, an item is the record of `enumerate --set break`
+    (`break_fields`).  Its head text, such as "(3,1,", is formatted once
+    per head.  x and s - x share an orbit key, so a head sorts and formats
+    the key text once per pair and keeps at most X/2 + 1 texts."""
     check_break_budget(p, budget)
     g = p.genus
     if p.n < 3:  # at n = 2, delta = (g, 0) keeps every split of g
         plain = zip(range(g + 1), range(g, -1, -1)) if p.n == 2 else iter([(0,)])
         return (d + tuple(sorted(d, reverse=True)) for d in plain) if records else plain
+    head_format, key_format = "(" + "%d," * (p.n - 2), tuple_template(p.n)
 
     def walk():
         for prefix, (A, B, _), r in _break_nodes((), list(p.delta_prefix), g):
@@ -506,44 +530,75 @@ def enumerate_break(
                     for x in range(lo, s - lo + 1):
                         yield head + (x, s - x)
                     continue
+                text = head_format % head
                 keys = []  # of x <= s/2, for their mirrors s - x
                 for x in range(lo, s // 2 + 1):
-                    d = head + (x, s - x)
-                    keys.append(key := tuple(sorted(d, reverse=True)))
-                    yield d + key
+                    keys.append(key := key_format % tuple(
+                        sorted(head + (x, s - x), reverse=True)))
+                    yield text, x, s - x, key
                 if s % 2 == 0:  # x = s/2 is its own mirror
                     keys.pop()
                 for x in range(s // 2 + 1, s - lo + 1):
-                    yield head + (x, s - x) + keys.pop()
+                    yield text, x, s - x, keys.pop()
 
     return walk()
 
 
+def parking_fields(p: KnmParams) -> tuple:
+    """The fields of an `enumerate_parking` record, (name, `%` template)
+    in JSON key order; the record is their arguments: (orbit-key text
+    before w, w, orbit-key text after w, head text, w), or the sort of a
+    and a at n <= 2."""
+    k = p.n - 1
+    if k < 2:
+        a = tuple_template(k)
+        return ("orbit_key", a), ("parking", a)
+    return ("orbit_key", "%s%d%s"), ("parking", "%s%d)")
+
+
 def enumerate_parking(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET, *, records: bool = False
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple]:
     """An iterator over all of Park_{m,n} in lexicographic order; the
     budget, on |Park|, is checked on call.  It holds the current prefix
     and, per level, the bounds of `_park_nodes`: O(n^2) integers.  With
     bounds (c1, c2) left, u < c1 leaves w < c2 and c1 <= u < c2 leaves
     w < c1.
 
-    With `records`, an item is sort_orbit_key(a) + a, the record of
-    `enumerate --set park`, sorted at the leaf: the rearrangements of a
-    leaf lie in other rows, and a table of them would hold O(c2^2) keys."""
+    With `records`, an item is the record of `enumerate --set park`
+    (`parking_fields`).  A head formats its text and sorts once; a leaf's
+    orbit key is w inserted into that sort after the i entries greater
+    than w, and the texts before and after w are formatted once for each
+    run of w between two entries, so no leaf sorts."""
     check_break_budget(p, budget, "Park")
     m, k = p.m, p.n - 1
     if k < 2:
         plain = zip(range(m)) if k == 1 else iter([()])
         return (tuple(sorted(a, reverse=True)) + a for a in plain) if records else plain
+    # the templates of the key text before and after w, where w follows
+    # the i largest entries of the head
+    splits = [("(" + "%d," * i, ",%d" * (k - 1 - i) + ")") for i in range(k)]
+    head_format = splits[-1][0]
 
     def walk():
         for prefix, (c1, c2) in _park_nodes((), tuple(range(m, m * k + 1, m))):
             for u in range(c2):
-                head = prefix + (u,)
-                for w in range(c2 if u < c1 else c1):
-                    a = head + (w,)
-                    yield tuple(sorted(a, reverse=True)) + a if records else a
+                head, top = prefix + (u,), c2 if u < c1 else c1
+                if not records:
+                    for w in range(top):
+                        yield head + (w,)
+                    continue
+                text, key = head_format % head, tuple(sorted(head, reverse=True))
+                i, w = k - 1, 0  # key[:i] are the entries greater than w
+                while w < top:
+                    while i and key[i - 1] <= w:
+                        i -= 1
+                    end = min(key[i - 1], top) if i else top
+                    before, after = splits[i]
+                    before, after = before % key[:i], after % key[i:]
+                    for x in range(w, end):
+                        yield before, x, after, text, x
+                    w = end
 
     return walk()
 
@@ -610,41 +665,53 @@ def _runs(p: KnmParams, keys: bool) -> Iterator[tuple[tuple[int, ...], int, int,
         yield head, g - sum(head), head[0] - head[0] % m, range(N)
 
 
+def residue_fields(p: KnmParams) -> tuple:
+    """The fields of an `enumerate_residue_tuples` record, (name, `%`
+    template) in JSON key order; the record is their arguments: (class-key
+    head text, (v - s) % N, (w - s) % N, orbit-key text, head text, v, w),
+    or (0, 0, 0) at n = 1."""
+    if p.n == 1:
+        return ("class_key", "(%d)"), ("orbit_key", "(%d)"), ("tuple", "(%d)")
+    return ("class_key", "%s%d,%d)"), ("orbit_key", "%s"), ("tuple", "%s%d,%d)")
+
+
 def enumerate_residue_tuples(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET, *, records: bool = False
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple]:
     """An iterator over all of D_{m,n}: tuples in [0, N-1]^n with sum = g
     mod N, in lexicographic order, since the last coordinate follows from
     the others.  The budget is checked on call.  For n = 1, D = {(0,)}.
 
-    With `records`, an item is class_key(p, x) + sort_orbit_key(x) + x,
-    the record of `enumerate --set residue`.  The key of a run's tuples
-    is its head shifted back once, and (v, w) with w = (c - v) % N shares
-    its orbit key with (w, v); at n >= 3 a run holds both, so it sorts
-    once per pair and keeps at most N <= sqrt(|D|) keys.  At n = 2 a run
-    is a block of m values, and each record sorts."""
+    With `records`, an item is the record of `enumerate --set residue`
+    (`residue_fields`).  A run formats the texts of its head and of its
+    class-key head, the head shifted back by s, once.  (v, w) with
+    w = (c - v) % N shares its orbit key with (w, v), so the key text is
+    formatted once per pair of a run at n >= 3, in a table of
+    N <= sqrt(|D|) texts.  At n = 2 a run is a block of m values, and
+    each record sorts."""
     check_d_budget(p, budget)
     if p.n == 1:
         return iter([(0, 0, 0) if records else (0,)])
     N = p.N
     if not records:
         return (head + (v, (c - v) % N) for head, c, _, vs in _runs(p, False) for v in vs)
+    head_format, key_format = "(" + "%d," * (p.n - 2), tuple_template(p.n)
 
     def walk():
-        table = p.n > 2
-        keys = [()] * N if table else None
+        table = p.n > 2  # at n = 2 a run holds m of the N values
+        keys = [""] * N if table else None
         for head, c, s, vs in _runs(p, False):
-            key_head = tuple([(u - s) % N for u in head])
+            text = head_format % head
+            key_head = head_format % tuple([(u - s) % N for u in head])
             for v in vs:
                 w = (c - v) % N
-                x = head + (v, w)
-                if table and w < v:
+                if w < v and table:
                     key = keys[w]
                 else:
-                    key = tuple(sorted(x, reverse=True))
+                    key = key_format % tuple(sorted(head + (v, w), reverse=True))
                     if table:
                         keys[v] = key
-                yield key_head + ((v - s) % N, (w - s) % N) + key + x
+                yield key_head, (v - s) % N, (w - s) % N, key, text, v, w
 
     return walk()
 
@@ -668,7 +735,7 @@ def _check_residue_tuple(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
 def shift(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
     """Add m to every coordinate mod N."""
     x = _check_residue_tuple(p, x)
-    return tuple((v + p.m) % p.N for v in x)
+    return tuple([(v + p.m) % p.N for v in x])
 
 
 def class_key(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
@@ -683,11 +750,19 @@ def class_key(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
 
 def keyed_residue_tuples(p: KnmParams, budget: int = DEFAULT_SET_BUDGET) -> Iterator:
     """(class_key(p, x), x) for every x of `enumerate_residue_tuples`, in
-    its order; the budget is checked on call.  Both are read off its
-    records, whose keys are not checked."""
-    n = p.n
-    records = enumerate_residue_tuples(p, budget, records=True)
-    return ((r[:n], r[2 * n:]) for r in records)
+    its order; the budget is checked on call.  The keys come from the
+    runs of `_runs`, in step with the tuples: a run's head shifted back by
+    s once per run, then ((v - s) % N, (c - v - s) % N).  They are not
+    checked."""
+    tuples = enumerate_residue_tuples(p, budget)
+    if p.n == 1:
+        return ((x, x) for x in tuples)
+    N = p.N
+    keys = (key_head + ((v - s) % N, (c - v - s) % N)
+            for head, c, s, vs in _runs(p, False)
+            for key_head in [tuple([(u - s) % N for u in head])]
+            for v in vs)
+    return zip(keys, tuples)
 
 
 def shift_class(p: KnmParams, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -772,7 +847,7 @@ def parking_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
     for v in x[: n - 1]:
         counts[v // m] += 1
     j = _parking_start(counts)
-    result = tuple((v + (n - j) * m) % N for v in x[: n - 1])
+    result = tuple([(v + (n - j) * m) % N for v in x[: n - 1]])
     if not is_parking_mn(p, result):
         raise InternalInvariantError(
             f"rotation of {x} projected to non-parking tuple {result}"

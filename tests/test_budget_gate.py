@@ -7,7 +7,8 @@ cap, the orientation oracle's edge limit and the series order cap) are
 limits, not budgets, and keep their own raises.  The checks `verify`
 makes before a suite's first case are the enumerators' own.  The orbit
 listers of `knm` size their output by a closed orbit count and name no
-orbit-type DP.
+orbit-type DP.  The `%` templates of the `enumerate` records have one
+copy, in `knm`.
 """
 
 import ast
@@ -88,6 +89,22 @@ def test_orbit_listers_name_no_orbit_type_dp():
             named.add((function, name))
     assert listers == set(ORBIT_LISTERS)
     assert named == set()
+
+
+SET_FIELDS = (knm.break_fields, knm.parking_fields, knm.residue_fields)
+
+
+def test_set_templates_have_one_copy_in_knm():
+    """The `%` templates of the break, park and residue records are
+    declared once, next to their walkers in `knm`: none is a string
+    literal of `cli`."""
+    templates = {template for fields in SET_FIELDS for n in range(1, 9)
+                 for _, template in fields(knm.KnmParams(2, n))}
+    literals = {node.value for module, _, node in scopes()
+                if module == "cli" and isinstance(node, ast.Constant)
+                and isinstance(node.value, str)}
+    assert len(templates) > 5
+    assert templates & literals == set()
 
 
 # A suite and the one case of m = 1, n <= N over budget, with the

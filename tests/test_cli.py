@@ -316,11 +316,13 @@ def reference_enumerate_records(set_name, p):
 
 
 @pytest.mark.parametrize("set_name", ["break", "park", "residue", "classes"])
-@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 4) for n in range(1, 5)])
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 4) for n in range(1, 5)]
+                         + [(1, 5), (2, 5)])
 def test_enumerate_rows_equal_the_dict_records(set_name, m, n):
     """Every format of the row layouts against the dict records, over
     every K_n^m with m <= 3 and n <= 4: the edge cases n = 1 (an empty
-    parking tuple) and n = 2 among them."""
+    parking tuple) and n = 2 among them; and (1,5) and (2,5), whose long
+    heads hold one or two leaves."""
     records = reference_enumerate_records(set_name, knm.KnmParams(m, n))
     for fmt, reference in REFERENCES.items():
         code, out = run_cli(["enumerate", "--set", set_name, "--m", str(m),
@@ -435,6 +437,20 @@ ENUMERATE_DIGESTS = [
     ("classes", 3, 5, "json", "97797d12bf9f166e1d256e0b0369dea89738c83c99dea9358c8aa90f33dd002c"),
     ("classes", 3, 5, "csv", "76ebe53ef9ad00cd670c282db757b2dbc3b14660ba4c6febdde6988f3a18d85e"),
     ("classes", 3, 5, "pretty", "92421cb7964c54ec72a883c8eba6fbc3722fab29d8f1593b8aac1a0ee1aa3916"),
+    # recorded before the break, park and residue rows carried their head's
+    # text: long heads holding one or two leaves, Park heads with ties
+    ("park", 1, 7, "json", "59929f30e513fb3b0673f22ce5f152c5f3b7e9e5097e1a044205c6648626d26a"),
+    ("park", 1, 7, "csv", "82c1f61d4433d971419b02cf999872d29a1d7b673802ef3abde471985d72523f"),
+    ("park", 1, 7, "pretty", "c91a4d569c5bcb4768b0ea26e5e520a987e2bd9e3d7060cebad38374dd3b3643"),
+    ("park", 2, 6, "json", "771c8acb2b730669794089de6707087430c48a6b935bb225c31c55936bde118b"),
+    ("park", 2, 6, "csv", "9e947356b75483f0fdb52e940cfb9508ca36d78df06e5fccb6d82c1c527f8445"),
+    ("park", 2, 6, "pretty", "d0df38663a1d566c051e680dc902da937e12fdfc56949d4de288fd5f0b932efe"),
+    ("break", 1, 7, "json", "a8c0b06daedd3a5cd84f0bcda3b7a976d22fdad6de20c10ec3165f6dbecbc2d0"),
+    ("break", 1, 7, "csv", "cf70ba8a39cdf864583c7b7b66e715ae2165b1fda661d2fc581034a0405721fb"),
+    ("break", 1, 7, "pretty", "e4b8cb6a329f438d88993d8f1713e4f0cfb647823d2c39fb2415dbdeb563da33"),
+    ("residue", 2, 5, "json", "55a44396367ac73bc81d096b3c6f2e8a9dea38105edb6a471b58f4219095cc9e"),
+    ("residue", 2, 5, "csv", "50b88382b2f7170a73d1dad7ef90d96b66ca92d7a2725e0d8a1a6d875df97e29"),
+    ("residue", 2, 5, "pretty", "14f8baec637aaca976cf0979feba06509e9fac54b8acb988174d0c4b79b8f553"),
 ]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -1018,26 +1019,56 @@ RECORD_SHAPES = {
 }
 
 
+def tuple_text(t):
+    return "(" + ",".join(map(str, t)) + ")"
+
+
+# The str arguments of a record: a row of them needs no JSON escaping
+RECORD_TEXT = re.compile(r"[0-9(),]*")
+
+
+def filled_records(fields, records):
+    """Each record filled into its set's templates, as a dict in JSON key
+    order; every argument is an int or a str of RECORD_TEXT."""
+    names = [name for name, _ in fields]
+    assert names == sorted(names)
+    for record in records:
+        assert all(type(a) is int or (type(a) is str and RECORD_TEXT.fullmatch(a))
+                   for a in record), record
+        filled, start = {}, 0
+        for name, template in fields:
+            count = template.count("%")
+            filled[name] = template % record[start:start + count]
+            start += count
+        assert start == len(record), record
+        yield filled
+
+
 class TestRecords:
-    """The records of `enumerate`, built inside the set walks, against
-    one `sort_orbit_key` (and `class_key`) per item of the plain walk."""
+    """The records of `enumerate`, built inside the set walks and filled
+    into their `knm` templates, against the plain walk formatted with one
+    `sort_orbit_key` (and `class_key`) per item."""
 
     @pytest.mark.parametrize("m, n", RECORD_SHAPES[knm.break_count])
     def test_break_and_park_records(self, m, n):
         p = params(m, n)
         assert first_difference(
-            knm.enumerate_break(p, records=True),
-            (d + knm.sort_orbit_key(d) for d in knm.enumerate_break(p))) is None
+            filled_records(knm.break_fields(p), knm.enumerate_break(p, records=True)),
+            ({"divisor": tuple_text(d), "orbit_key": tuple_text(knm.sort_orbit_key(d))}
+             for d in knm.enumerate_break(p))) is None
         assert first_difference(
-            knm.enumerate_parking(p, records=True),
-            (knm.sort_orbit_key(a) + a for a in knm.enumerate_parking(p))) is None
+            filled_records(knm.parking_fields(p), knm.enumerate_parking(p, records=True)),
+            ({"orbit_key": tuple_text(knm.sort_orbit_key(a)), "parking": tuple_text(a)}
+             for a in knm.enumerate_parking(p))) is None
 
     @pytest.mark.parametrize("m, n", RECORD_SHAPES[knm.residue_count])
     def test_residue_records(self, m, n):
         p = params(m, n)
         assert first_difference(
-            knm.enumerate_residue_tuples(p, records=True),
-            (knm.class_key(p, x) + knm.sort_orbit_key(x) + x
+            filled_records(knm.residue_fields(p),
+                           knm.enumerate_residue_tuples(p, records=True)),
+            ({"class_key": tuple_text(knm.class_key(p, x)),
+              "orbit_key": tuple_text(knm.sort_orbit_key(x)), "tuple": tuple_text(x)}
              for x in knm.enumerate_residue_tuples(p))) is None
 
     @pytest.mark.parametrize("enumerate_set", SET_ENUMERATORS[:3])
