@@ -35,7 +35,6 @@ from .knm import (
     enumerate_residue_tuples,
     is_break_mn,
     is_parking_mn,
-    keyed_residue_tuples,
     parking_orbit_reps,
     parking_orbit_types,
     parking_representative,
@@ -69,7 +68,6 @@ from .reptheory import (
     knm_modules,
     murnaghan_nakayama,
     perm_module_h_expansion,
-    permutation_module,
     restrict_character,
     schur_expansion,
     trivial_multiplicity,

@@ -1,7 +1,11 @@
 """Shared exception types, and the one budget gate `check_budget` with
-its default.  The caps on subset vertices, series order and oracle
-edges are fixed limits with their own messages, not budgets.
+its default and its log2 form `check_size`.  The caps on subset
+vertices, series order and oracle edges are fixed limits with their own
+messages, not budgets.
 """
+
+import math
+import operator
 
 DEFAULT_SET_BUDGET = 2_000_000
 
@@ -26,6 +30,18 @@ class InternalInvariantError(BreakparkError):
     """A uniqueness or integrality assertion failed; indicates a bug."""
 
 
+def as_ints(values, what: str, error: type = PreconditionError) -> tuple[int, ...]:
+    """The entries of values as a tuple of ints, by `operator.index`: an
+    entry that is not an integer, such as 1.0, Fraction(3, 2) or "3",
+    raises `error` naming `what`, and is never truncated."""
+    try:
+        # from a list: tuple() of an iterator allocates at a guessed length
+        # and shrinks, leaving a spare tuple in the free list on each call
+        return tuple([*map(operator.index, values)])
+    except TypeError:
+        raise error(f"{what} must be integers") from None
+
+
 _EXACT_SIZE_LIMIT = 10**100
 
 
@@ -41,3 +57,18 @@ def check_budget(size: int, budget: int, what: str, exact: bool = True):
         else:
             shown = f"{'=' if exact else '>='} {size}"
         raise BudgetExceededError(f"|{what}| {shown} exceeds budget {budget}")
+
+
+def check_size(size, log2_size: float, budget: int, what: str):
+    """`check_budget` on the int `size()`, built only when it is needed.
+    A size whose float log2 has floor b with 2^b >= 10^100, with b at
+    least the bit length of the budget, is over budget, and
+    `check_budget` names such a size by its bit length alone, so 1 << b
+    gives the same error.  Where the float lies within 1e-6 of an integer
+    (plus 1e-13 of itself, far above its rounding error), or the size is
+    smaller, the exact size is built and checked."""
+    b = math.floor(log2_size)
+    slack = 1e-6 + 1e-13 * log2_size
+    huge = b >= max(_EXACT_SIZE_LIMIT.bit_length(), budget.bit_length())
+    clear = b + slack < log2_size < b + 1 - slack  # far from an integer
+    check_budget(1 << b if huge and clear else size(), budget, what)

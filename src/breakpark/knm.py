@@ -43,18 +43,20 @@ and one key text: x and s - x of one Break head, and (v, w) and (w, v)
 of one residue run at n >= 3.  A Park leaf's key is w inserted into the
 sort of its head, whose texts before and after w are formatted once per
 run of w between two entries.  A Break or Park record at n <= 2, and a
-residue record at n = 1, is ints.  D, its keys and its classes come from
-one generator of runs, a fixed head with the free coordinate from a
-range, so a residue record's class key costs two `%`.
-`represented_classes` adds each class's break member and parking
-projection from tables built once per run: for each member, the sum its
-last two entries need for g and the rooms of `_pair_rooms` its shifted
-head leaves them, and the parking member for each block of the free
-coordinate.  A record picks the one member within the rooms and
-confirms it with one `is_break_mn`, and tests its projection with
-`is_parking_mn`.  These predicates stay cheap per call: they reject a
-wrong sum or a negative entry in O(n) before they sort, the range checks
-use min/max, and `KnmParams` caches its derived quantities.
+residue record at n = 1, is ints.  D and its classes come from one
+generator of runs (`_runs`), a fixed head with the free coordinate from
+a range, which only `enumerate_residue_tuples` and `shift_classes` walk;
+a residue record's class key, its run's head shifted back once per run,
+costs two `%`.  `represented_classes` adds each class's break member and
+parking projection from tables built from the first class of each run
+of `shift_classes`: for each member, the sum its last two entries need
+for g and the rooms of `_pair_rooms` its head leaves them, and the
+parking member for each block of the free coordinate.  A record picks
+the one member within the rooms and confirms it with one `is_break_mn`,
+and tests its projection with `is_parking_mn`.  These predicates stay
+cheap per call: they reject a wrong sum or a negative entry in O(n)
+before they sort, the range checks use min/max, and `KnmParams` caches
+its derived quantities.
 
 `KnmParams` is a plain read-only value class rather than a dataclass:
 `dataclasses` pulls `inspect` and `ast` into every CLI start-up.
@@ -71,7 +73,9 @@ from .errors import (
     DEFAULT_SET_BUDGET,
     InternalInvariantError,
     PreconditionError,
+    as_ints,
     check_budget,
+    check_size,
 )
 
 
@@ -145,38 +149,22 @@ def residue_count(p: KnmParams) -> int:
     return p.N ** (p.n - 1)
 
 
-def _check_size(size, log2_size: float, budget: int, what: str):
-    """`check_budget` on the int `size()`, built only when it is needed.
-    A size whose float log2 has floor b >= 333, with b at least the bit
-    length of the budget, is over budget and at least 10^100, and
-    `check_budget` names such a size by its bit length alone, so 1 << b
-    gives the same error.  Where the float lies within 1e-6 of an integer
-    (plus 1e-13 of itself, far above its rounding error), or the size is
-    smaller, the exact size is built and checked."""
-    b = math.floor(log2_size)
-    slack = 1e-6 + 1e-13 * log2_size
-    if b >= 333 and b >= budget.bit_length() and b + slack < log2_size < b + 1 - slack:
-        check_budget(1 << b, budget, what)
-    else:
-        check_budget(size(), budget, what)
-
-
 def check_break_budget(p: KnmParams, budget: int, what: str = "Break"):
     """The budget check on |Break| = |Park| of every Break and Park
     enumerator and scan, and of `verify`'s up-front checks; `what` names
     the set in the error.  A huge |Break| is refused from its log2,
-    (n-1) log2(m) + (n-2) log2(n), without being built (`_check_size`)."""
-    m, n = p.m, p.n
-    log2_size = (n - 1) * math.log2(m) + max(n - 2, 0) * math.log2(n)
-    _check_size(lambda: break_count(p), log2_size, budget, what)
+    (n-1) log2(m) + (n-2) log2(n), without being built
+    (`errors.check_size`)."""
+    log2_size = (p.n - 1) * math.log2(p.m) + max(p.n - 2, 0) * math.log2(p.n)
+    check_size(lambda: break_count(p), log2_size, budget, what)
 
 
 def check_d_budget(p: KnmParams, budget: int):
     """The budget check on |D| of `enumerate_residue_tuples`,
-    `shift_classes` and their keyed forms, and of `verify`'s up-front
+    `shift_classes` and their record forms, and of `verify`'s up-front
     checks.  A huge |D| is refused from its log2, (n-1) log2(N), without
-    being built (`_check_size`)."""
-    _check_size(lambda: residue_count(p), (p.n - 1) * math.log2(p.N), budget, "D")
+    being built (`errors.check_size`)."""
+    check_size(lambda: residue_count(p), (p.n - 1) * math.log2(p.N), budget, "D")
 
 
 def sort_orbit_key(x: Sequence[int]) -> tuple[int, ...]:
@@ -687,8 +675,8 @@ def enumerate_residue_tuples(
     class-key head, the head shifted back by s, once.  (v, w) with
     w = (c - v) % N shares its orbit key with (w, v), so the key text is
     formatted once per pair of a run at n >= 3, in a table of
-    N <= sqrt(|D|) texts.  At n = 2 a run is a block of m values, and
-    each record sorts."""
+    N <= sqrt(|D|) texts.  At n = 2 each record sorts: there N = |D|, so
+    a key table would hold a text for every tuple of D."""
     check_d_budget(p, budget)
     if p.n == 1:
         return iter([(0, 0, 0) if records else (0,)])
@@ -698,7 +686,7 @@ def enumerate_residue_tuples(
     head_format, key_format = "(" + "%d," * (p.n - 2), tuple_template(p.n)
 
     def walk():
-        table = p.n > 2  # at n = 2 a run holds m of the N values
+        table = p.n > 2  # at n = 2 the table would hold all of D
         keys = [""] * N if table else None
         for head, c, s, vs in _runs(p, False):
             text = head_format % head
@@ -717,7 +705,7 @@ def enumerate_residue_tuples(
 
 
 def _check_residue_ranges(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
-    x = tuple(x)
+    x = as_ints(x, "residue entries")
     if len(x) != p.n:
         raise PreconditionError(f"expected length {p.n}, got {len(x)}")
     if min(x) < 0 or max(x) > p.N - 1:
@@ -746,23 +734,6 @@ def class_key(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
     N = p.N
     s = x[0] - x[0] % p.m
     return tuple([(v - s) % N for v in x])
-
-
-def keyed_residue_tuples(p: KnmParams, budget: int = DEFAULT_SET_BUDGET) -> Iterator:
-    """(class_key(p, x), x) for every x of `enumerate_residue_tuples`, in
-    its order; the budget is checked on call.  The keys come from the
-    runs of `_runs`, in step with the tuples: a run's head shifted back by
-    s once per run, then ((v - s) % N, (c - v - s) % N).  They are not
-    checked."""
-    tuples = enumerate_residue_tuples(p, budget)
-    if p.n == 1:
-        return ((x, x) for x in tuples)
-    N = p.N
-    keys = (key_head + ((v - s) % N, (c - v - s) % N)
-            for head, c, s, vs in _runs(p, False)
-            for key_head in [tuple([(u - s) % N for u in head])]
-            for v in vs)
-    return zip(keys, tuples)
 
 
 def shift_class(p: KnmParams, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -882,21 +853,23 @@ def represented_classes(p: KnmParams, budget: int = DEFAULT_SET_BUDGET) -> Itera
     """(cls, break member, parking projection) for every class of
     `shift_classes`, in its order; the budget is checked on call.
 
-    Per run (a fixed head, v from a range), for each member j: want_j,
-    the sum its last two coordinates need for the member to sum to g, and
-    the rooms (A_j, B_j) of its shifted head (`_pair_rooms`); and for each
-    block of v the member that parks, from the block counts of the head
-    plus v.  Member j is the break member iff its head keeps delta's
-    prefix sums, want_j <= B_j, its last two sum to want_j and neither
-    exceeds A_j.  A record takes the one member that passes, confirms it
-    with `is_break_mn`, tests its projection with `is_parking_mn`, and the
-    first class of each run is checked against `break_representative`
-    and `parking_representative`.  A failed check raises
-    InternalInvariantError."""
+    The classes come in runs of a fixed key head, v = key[-2] from 0 up,
+    so a run starts at a key with v = 0, and member j's head cls[j][:-2]
+    is the key's head shifted by j*m.  From that first class, per run,
+    for each member j: want_j, the sum its last two coordinates need for
+    the member to sum to g, and the rooms (A_j, B_j) of its head
+    (`_pair_rooms`); and for each block of v the member that parks, from
+    the block counts of the head plus v.  Member j is the break member
+    iff its head keeps delta's prefix sums, want_j <= B_j, its last two
+    sum to want_j and neither exceeds A_j.  A record takes the one member
+    that passes, confirms it with `is_break_mn`, tests its projection
+    with `is_parking_mn`, and the first class of each run is checked
+    against `break_representative` and `parking_representative`.  A
+    failed check raises InternalInvariantError.  For n = 1 the one record
+    is (((0,),), (0,), ())."""
     classes = shift_classes(p, budget)
     if p.n == 1:
-        return ((cls, break_representative(p, cls[0]), parking_representative(p, cls[0]))
-                for cls in classes)
+        return iter([(((0,),), (0,), ())])
     return _represent(p, classes)
 
 
@@ -919,44 +892,40 @@ def _pair_rooms(p: KnmParams, head: Sequence[int]) -> tuple[int, int] | None:
 
 
 def _represent(p: KnmParams, classes: Iterator) -> Iterator:
-    m, n, N, g = p.m, p.n, p.N, p.genus
-    for head, _, _, vs in _runs(p, True):
-        # (j, want, A) for each member j whose head has the rooms of a break
-        # divisor with the last two entries summing to want
-        members = []
-        for j in range(n):
-            shifted = [(u + j * m) % N for u in head]
-            rooms, want = _pair_rooms(p, shifted), g - sum(shifted)
-            if rooms is not None and want <= rooms[1]:
-                members.append((j, want, rooms[0]))
-        counts = [0] * n
-        for u in head:
-            counts[u // m] += 1
-        park_at = []
-        for b in range(n):
-            counts[b] += 1
-            park_at.append((n - _parking_start(counts)) % n)
-            counts[b] -= 1
-        for v, cls in zip(vs, classes):
-            hits = [y for j, want, A in members
-                    if (y := cls[j])[-2] + y[-1] == want and y[-2] <= A and y[-1] <= A]
-            if len(hits) != 1:
+    m, n, g = p.m, p.n, p.genus
+    for cls in classes:
+        key, v = cls[0], cls[0][-2]
+        if v == 0:  # the first class of a run: build the run's tables
+            # (j, want, A) for each member j whose head has the rooms of a
+            # break divisor with the last two entries summing to want
+            members = [(j, want, rooms[0]) for j, y in enumerate(cls)
+                       if (rooms := _pair_rooms(p, y[:-2])) is not None
+                       and (want := g - sum(y[:-2])) <= rooms[1]]
+            counts = [0] * n
+            for u in key[:-2]:
+                counts[u // m] += 1
+            park_at = []
+            for b in range(n):
+                counts[b] += 1
+                park_at.append((n - _parking_start(counts)) % n)
+                counts[b] -= 1
+        hits = [y for j, want, A in members
+                if (y := cls[j])[-2] + y[-1] == want and y[-2] <= A and y[-1] <= A]
+        if len(hits) != 1:
+            raise InternalInvariantError(
+                f"shift class of {key} has {len(hits)} members within the break rooms")
+        if not is_break_mn(p, hits[0]):
+            raise InternalInvariantError(
+                f"class of {key}: {hits[0]} is within the break rooms "
+                "but not a break divisor")
+        park = cls[park_at[v // m]][: n - 1]
+        if not is_parking_mn(p, park):
+            raise InternalInvariantError(
+                f"class of {key} projected to non-parking tuple {park}")
+        if v == 0:
+            reps = break_representative(p, key), parking_representative(p, key)
+            if reps != (hits[0], park):
                 raise InternalInvariantError(
-                    f"shift class of {cls[0]} has {len(hits)} members "
-                    "within the break rooms")
-            if not is_break_mn(p, hits[0]):
-                raise InternalInvariantError(
-                    f"class of {cls[0]}: {hits[0]} is within the break rooms "
-                    "but not a break divisor")
-            park = cls[park_at[v // m]][: n - 1]
-            if not is_parking_mn(p, park):
-                raise InternalInvariantError(
-                    f"class of {cls[0]} projected to non-parking tuple {park}")
-            if v == vs.start:
-                key = cls[0]
-                reps = break_representative(p, key), parking_representative(p, key)
-                if reps != (hits[0], park):
-                    raise InternalInvariantError(
-                        f"class of {key}: run tables give {hits[0]}, {park}; "
-                        f"the representatives give {reps[0]}, {reps[1]}")
-            yield cls, hits[0], park
+                    f"class of {key}: run tables give {hits[0]}, {park}; "
+                    f"the representatives give {reps[0]}, {reps[1]}")
+        yield cls, hits[0], park

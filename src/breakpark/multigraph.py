@@ -41,6 +41,7 @@ from .errors import (
     BudgetExceededError,
     GraphFormatError,
     PreconditionError,
+    as_ints,
     check_budget,
 )
 
@@ -59,7 +60,7 @@ class Multigraph:
         n = len(mult)
         if n == 0:
             raise GraphFormatError("graph must have at least one vertex")
-        rows = [tuple(int(x) for x in row) for row in mult]
+        rows = [as_ints(row, "multiplicities", GraphFormatError) for row in mult]
         if any(len(row) != n for row in rows):
             raise GraphFormatError("multiplicity matrix must be square")
         for i, row in enumerate(rows):
@@ -465,7 +466,7 @@ def _parking_values(graph: Multigraph, q: int, values: Sequence[int]) -> dict[in
     others = [v for v in range(graph.n) if v != q]
     if len(values) != len(others):
         raise PreconditionError("values must cover exactly V \\ {q}")
-    return dict(zip(others, values))
+    return dict(zip(others, as_ints(values, "parking values")))
 
 
 def is_g_parking(graph: Multigraph, q: int, values: Sequence[int]) -> bool:
@@ -568,11 +569,9 @@ def enumerate_break_divisors(
 
 
 def _as_divisor(graph: Multigraph, divisor: Sequence[int]) -> tuple[int, ...]:
-    d = tuple(map(int, divisor))
+    d = as_ints(divisor, "divisor entries")
     if len(d) != graph.n:
-        raise PreconditionError(
-            f"divisor length {len(d)} != vertex count {graph.n}"
-        )
+        raise PreconditionError(f"divisor length {len(d)} != vertex count {graph.n}")
     return d
 
 

@@ -8,7 +8,7 @@ goes through character inner products against it.
 An S_n-invariant set of vectors is a permutation module, and all of its
 Frobenius data comes from its h-expansion, the number of orbits whose
 vectors have each multiplicity partition mu (`h_module`;
-`permutation_module` reads it off listed orbit representatives).
+`perm_module_h_expansion` reads it off listed orbit representatives).
 `knm_modules` holds both K_n^m modules, the closed character and the
 restriction verdict.  It takes the h-expansions from the Break DP
 `knm.count_break_types` and the closed Park count
@@ -281,14 +281,6 @@ class PermutationModule(NamedTuple):
     h: Dict[Partition, int]  # one h_mu per orbit, mu its multiplicities
     character: ClassFunction  # fixed points per cycle type
     s: Dict[Partition, int]  # irreducible multiplicities
-
-
-def permutation_module(
-    orbit_reps: Iterable[Sequence[int]], n: int
-) -> PermutationModule:
-    """Frobenius data of the S_n-permutation module on the orbits of the
-    given length-n representatives, one per orbit."""
-    return h_module(perm_module_h_expansion(orbit_reps), n)
 
 
 def h_module(h: Dict[Partition, int], n: int) -> PermutationModule:

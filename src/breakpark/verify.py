@@ -297,6 +297,24 @@ def _class_counterexample(p: knm.KnmParams, case: str, cls, represented) -> str 
     )
 
 
+def _residue_record_counterexample(p: knm.KnmParams, case: str) -> str | None:
+    """The first tuple of `knm.enumerate_residue_tuples` whose record,
+    the item in step with it of the `records=True` walk, filled into the
+    class-key and tuple templates of `knm.residue_fields` (in JSON key
+    order, each taking its `%`-count of arguments), differs from the text of its
+    `class_key` or of itself, named with all four texts, or None."""
+    (_, key_format), _, (_, tuple_format) = knm.residue_fields(p)
+    k, t, text = key_format.count("%"), tuple_format.count("%"), knm.tuple_template(p.n)
+    for x, record in zip(knm.enumerate_residue_tuples(p),
+                         knm.enumerate_residue_tuples(p, records=True)):
+        texts = [("record class_key", key_format % record[:k]),
+                 ("class_key", text % knm.class_key(p, x)),
+                 ("record tuple", tuple_format % record[-t:]), ("tuple", text % x)]
+        if texts[0][1] != texts[1][1] or texts[2][1] != texts[3][1]:
+            return f"{case}, tuple {x}: " + ", ".join(f"{a} {b}" for a, b in texts)
+    return None
+
+
 def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
     """The shift classes partition D into |Break| = N^(n-1)/n classes,
     each of size n, closed under the shift, listed in key order, with one
@@ -304,8 +322,8 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
     representatives and `represented_classes` both find.  No check reads
     the key rule that `shift_classes` generates the classes by.
     `knm.shift` validates every member, so N^(n-1) distinct members are
-    all of D.  The key `keyed_residue_tuples` gives each residue tuple,
-    from one shift back per run, is `class_key`'s."""
+    all of D.  The `enumerate --set residue` record of each residue tuple
+    prints `class_key`'s key and the tuple (`_residue_record_counterexample`)."""
     scope, ok = _scope(m_max, n_max)
     _check_budgets_first(m_max, n_max, 1, knm.check_d_budget)
     cx = None
@@ -322,9 +340,7 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
             or _disagreement(case, [
                 ("members", len(members)), ("distinct members", len(set(members))),
                 ("residue_count", knm.residue_count(p))])
-            or _first(_disagreement(f"{case}, tuple {x}", [
-                ("keyed_residue_tuples", key), ("class_key", knm.class_key(p, x))])
-                for key, x in knm.keyed_residue_tuples(p))
+            or _residue_record_counterexample(p, case)
         )
     return [_check("shift-class-structure", scope, cx, ok)]
 
@@ -424,7 +440,9 @@ def _first_class_disagreement(case: str, named) -> str | None:
 def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
     """The closed character formula and the orbit-type route of
     `reptheory.knm_modules` (the `character` command's bruteforce
-    column) against per-tuple fixed-point scans."""
+    column) against per-tuple fixed-point scans: the Break module's
+    character against the scanned one, and for n >= 2 the Park module's
+    against its restriction to S_(n-1)."""
     scope, ok = _scope(m_max, n_max)
     _check_budgets_first(m_max, n_max, 1, knm.check_break_budget,
                          _partitions_budget)
@@ -437,7 +455,11 @@ def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
         closed_cx = closed_cx or _first_class_disagreement(
             case, [("character_break_closed", modules.closed), scanned])
         orbit_cx = orbit_cx or _first_class_disagreement(
-            case, [("break_orbit_types", modules.breaks.character), scanned])
+            case, [("break_orbit_types", modules.breaks.character), scanned]
+        ) or (_first_class_disagreement(case, [
+            ("parking_orbit_types", modules.parks.character),
+            ("restricted character_break_bruteforce",
+             reptheory.restrict_character(scanned[1]))]) if n > 1 else None)
     return [
         _check("closed-character-vs-bruteforce", scope, closed_cx, ok),
         _check("orbit-character-vs-bruteforce", scope, orbit_cx, ok),

@@ -8,7 +8,8 @@ limits, not budgets, and keep their own raises.  The checks `verify`
 makes before a suite's first case are the enumerators' own.  The orbit
 listers of `knm` size their output by a closed orbit count and name no
 orbit-type DP.  The `%` templates of the `enumerate` records have one
-copy, in `knm`.
+copy, in `knm`, and D has one walker, `knm._runs`, behind the two set
+walkers.
 """
 
 import ast
@@ -105,6 +106,21 @@ def test_set_templates_have_one_copy_in_knm():
                 and isinstance(node.value, str)}
     assert len(templates) > 5
     assert templates & literals == set()
+
+
+def test_only_the_two_set_walkers_read_the_runs_of_d():
+    """Every route to D and its shift classes goes through
+    `enumerate_residue_tuples` or `shift_classes`, so each is checked
+    against its budget and no second walk of the runs sits beside them:
+    no other top-level function of the library names `knm._runs`."""
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "_runs"
+                        or isinstance(node, ast.Attribute) and node.attr == "_runs"):
+                    readers.add((path.stem, top.name))
+    assert readers == {("knm", "enumerate_residue_tuples"), ("knm", "shift_classes")}
 
 
 # A suite and the one case of m = 1, n <= N over budget, with the

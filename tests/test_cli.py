@@ -1035,6 +1035,25 @@ class TestVerify:
              "detail": "m <= 3, n <= 6"},
         ]
 
+    def test_orbit_character_fail_names_the_park_module(self, monkeypatch):
+        # the Park module of knm_modules against the restricted scan
+        real = reptheory.knm_modules
+
+        def knm_modules(p, budget=knm.DEFAULT_SET_BUDGET):
+            modules = real(p, budget)
+            if (p.m, p.n) != (2, 3):
+                return modules
+            chi = {**modules.parks.character, (2,): modules.parks.character[(2,)] + 1}
+            return modules._replace(parks=modules.parks._replace(character=chi))
+
+        monkeypatch.setattr(reptheory, "knm_modules", knm_modules)
+        assert verify.suite_characters() == [
+            ("closed-character-vs-bruteforce", True, "m <= 3, n <= 6"),
+            ("orbit-character-vs-bruteforce", False,
+             "m <= 3, n <= 6; first counterexample: m 2, n 3, cycle type (2,): "
+             "parking_orbit_types 3, restricted character_break_bruteforce 2"),
+        ]
+
     def test_restriction_fail_names_the_first_counterexample(self, monkeypatch):
         real = reptheory.character_parking
 
@@ -1097,6 +1116,24 @@ class TestVerify:
             "m <= 3, n <= 5; first counterexample: m 2, n 3, class (0, 1, 3): "
             "represented_classes (((0, 1, 3), (2, 3, 5), (4, 5, 1)), (4, 5, 1), (0, 1)), "
             "scanned members (((0, 1, 3), (2, 3, 5), (4, 5, 1)), (0, 1, 3), (0, 1))",
+        )]
+
+    def test_shift_class_fail_names_a_residue_record_and_both_texts(self, monkeypatch):
+        # the class-key int of one residue record off by one
+        real = knm.enumerate_residue_tuples
+
+        def enumerate_residue_tuples(p, budget=knm.DEFAULT_SET_BUDGET, *, records=False):
+            for item in real(p, budget, records=records):
+                if records and (p.m, p.n) == (2, 3) and item[-2:] == (1, 3):
+                    item = (item[0], item[1] + 1, *item[2:])
+                yield item
+
+        monkeypatch.setattr(knm, "enumerate_residue_tuples", enumerate_residue_tuples)
+        assert verify.suite_shift_classes() == [(
+            "shift-class-structure", False,
+            "m <= 3, n <= 5; first counterexample: m 2, n 3, tuple (0, 1, 3): "
+            "record class_key (0,2,3), class_key (0,1,3), "
+            "record tuple (0,1,3), tuple (0,1,3)",
         )]
 
     def test_cardinalities_fail_names_every_count(self, monkeypatch):
@@ -1476,7 +1513,7 @@ class TestFlatMemory:
         p = knm.KnmParams(10**6, 2)
         tracemalloc.start()
         try:
-            for generate in (knm.enumerate_residue_tuples, knm.keyed_residue_tuples,
+            for generate in (knm.enumerate_residue_tuples,
                              knm.shift_classes, knm.represented_classes,
                              lambda p: knm.enumerate_residue_tuples(p, records=True)):
                 items = generate(p)

@@ -1,12 +1,13 @@
 import itertools
 import random
 import re
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from breakpark import counting, errors, knm
+from breakpark import counting, errors, knm, verify
 from breakpark.reptheory import perm_module_h_expansion
 from breakpark import multigraph as mg
 from breakpark.errors import (
@@ -531,7 +532,7 @@ SET_ENUMERATORS = (
     knm.enumerate_break,
     knm.enumerate_parking,
     knm.enumerate_residue_tuples,
-    knm.keyed_residue_tuples,
+    knm.represented_classes,
     knm.shift_classes,
 )
 
@@ -849,26 +850,34 @@ def test_class_key_and_sum_filtered_break_rep_equal_their_references(case):
 
 
 class TestKeyedResidueTuples:
+    """Each `enumerate --set residue` record carries its tuple's class
+    key, from one shift back per run: filled into the templates of
+    `knm.residue_fields`, its class-key text is that of `class_key`."""
+
     @pytest.mark.parametrize("m,n", SHIFT_RANGE + RUN_EDGES + [(2, 6)])
     def test_keys_are_class_keys_of_the_residue_tuples(self, m, n):
         p = params(m, n)
-        keyed = list(knm.keyed_residue_tuples(p))
-        assert list(knm.enumerate_residue_tuples(p)) == reference_residue_tuples(p)
-        assert [x for _, x in keyed] == list(knm.enumerate_residue_tuples(p))
-        assert all(key == knm.class_key(p, x) for key, x in keyed)
+        tuples = list(knm.enumerate_residue_tuples(p))
+        assert tuples == reference_residue_tuples(p)
+        filled = list(filled_records(knm.residue_fields(p),
+                                     knm.enumerate_residue_tuples(p, records=True)))
+        assert [r["tuple"] for r in filled] == [tuple_text(x) for x in tuples]
+        assert [r["class_key"] for r in filled] == [
+            tuple_text(knm.class_key(p, x)) for x in tuples]
 
     def test_tuples_come_from_the_module_enumerator(self, monkeypatch):
+        # verify's record check reads both the tuples and their records
+        # from the module enumerator
         calls = []
         real = knm.enumerate_residue_tuples
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append(kwargs)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(knm, "enumerate_residue_tuples", counted)
-        keyed = knm.keyed_residue_tuples(params(2, 3))
-        assert len(calls) == 1  # on call, before the first item
-        assert next(keyed) == ((0, 0, 4), (0, 0, 4))
+        assert verify._residue_record_counterexample(params(2, 3), "m 2, n 3") is None
+        assert calls == [{}, {"records": True}]
 
 
 def per_key_triples(p, classes):
@@ -1213,6 +1222,19 @@ def params_and_vector(draw, length_offset):
     if v and draw(st.booleans()):
         v[-1] = p.genus - sum(v[:-1])
     return p, tuple(v)
+
+
+@pytest.mark.parametrize("x", [(0.5, 1.5, 2.0), (0, 0.0, 4), (0, Fraction(0), 4),
+                               (Fraction(1, 2), 0, 4), (0, "0", 4)],
+                         ids=["floats", "integral-float", "integral-fraction",
+                              "fraction", "str"])
+@pytest.mark.parametrize("fn", [knm.class_key, knm.shift, knm.shift_class,
+                                knm.break_representative, knm.parking_representative])
+def test_residue_entries_must_be_integers(fn, x):
+    # (0.5, 1.5, 2.0) once came back from break_representative as a
+    # break divisor of K_3^2
+    with pytest.raises(PreconditionError, match="residue entries must be integers"):
+        fn(params(2, 3), x)
 
 
 class TestKernelsEqualTheirReferences:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,6 +188,33 @@ class TestOrientable:
                 d = [rng.randint(-1, 2) for _ in range(g.n)]
                 d[0] += target - sum(d)
                 assert mg.is_orientable(g, d) == mg.orientable_bruteforce(g, d)
+
+
+# Entries that are not ints, of integral value or not: each is refused,
+# never truncated (1.7 once read as 1, so (0, 1.7, 0) passed as a break
+# divisor of the triangle).
+NON_INTEGERS = [1.7, 1.0, Fraction(3, 2), Fraction(1), "1"]
+NON_INTEGER_IDS = ["float", "integral-float", "fraction", "integral-fraction", "str"]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
+class TestNonIntegerEntries:
+    def test_multiplicity(self, bad):
+        with pytest.raises(GraphFormatError, match="multiplicities must be integers"):
+            mg.Multigraph([[0, bad], [bad, 0]])
+
+    @pytest.mark.parametrize("predicate", [
+        mg.is_break_divisor, mg.break_via_orientability, mg.is_orientable,
+        mg.break_subset_bruteforce, mg.orientable_subset_bruteforce,
+    ])
+    def test_divisor_entry(self, bad, predicate):
+        with pytest.raises(PreconditionError, match="divisor entries must be integers"):
+            predicate(triangle(), (0, bad, 0))
+
+    @pytest.mark.parametrize("predicate", [mg.is_g_parking, mg.g_parking_bruteforce])
+    def test_parking_value(self, bad, predicate):
+        with pytest.raises(PreconditionError, match="parking values must be integers"):
+            predicate(triangle(), 0, (0, bad))
 
 
 class TestBreakDivisor:

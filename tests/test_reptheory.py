@@ -191,15 +191,21 @@ class TestHExpansion:
             assert chi[lam] == rt.character_break_bruteforce(m, n, lam)
 
 
+def listed_module(reps, n):
+    """The Frobenius data of the S_n-module on the orbits of the listed
+    representatives, one per orbit: the oracle for `h_module` of a count."""
+    return rt.h_module(rt.perm_module_h_expansion(reps), n)
+
+
 class TestPermutationModule:
     def test_break_23(self):
-        module = rt.permutation_module(knm.break_orbit_reps(knm.KnmParams(2, 3)), 3)
+        module = listed_module(knm.break_orbit_reps(knm.KnmParams(2, 3)), 3)
         assert module.h == {(1, 1, 1): 1, (2, 1): 2}
         assert module.character == {(3,): 0, (2, 1): 2, (1, 1, 1): 12}
         assert module.s == {(3,): 3, (2, 1): 4, (1, 1, 1): 1}
 
     def test_park_23(self):
-        module = rt.permutation_module(knm.parking_orbit_reps(knm.KnmParams(2, 3)), 2)
+        module = listed_module(knm.parking_orbit_reps(knm.KnmParams(2, 3)), 2)
         assert module.h == {(1, 1): 5, (2,): 2}
         assert module.s == {(2,): 7, (1, 1): 5}
 
@@ -207,24 +213,23 @@ class TestPermutationModule:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_orbit_route_equals_per_tuple_scans(self, m, n):
         p = knm.KnmParams(m, n)
-        breaks = rt.permutation_module(knm.break_orbit_reps(p), n).character
+        breaks = listed_module(knm.break_orbit_reps(p), n).character
         for lam in rt.partitions_of(n):
             assert breaks[lam] == rt.character_break_bruteforce(m, n, lam)
-        parks = rt.permutation_module(knm.parking_orbit_reps(p), n - 1).character
+        parks = listed_module(knm.parking_orbit_reps(p), n - 1).character
         assert parks == rt.character_parking(m, n)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(PreconditionError):
-            rt.permutation_module([(1, 0)], 3)
+            listed_module([(1, 0)], 3)
         with pytest.raises(PreconditionError):
             rt.h_module({(2,): 1}, 3)
 
     def test_h_module_is_the_module_of_the_listed_reps(self):
+        # the orbit representatives against the orbits of the whole set
         p = knm.KnmParams(3, 4)
-        reps = knm.break_orbit_reps(p)
-        assert rt.h_module(rt.perm_module_h_expansion(reps), 4) == (
-            rt.permutation_module(reps, 4)
-        )
+        orbits = {knm.sort_orbit_key(d) for d in knm.enumerate_break(p)}
+        assert listed_module(knm.break_orbit_reps(p), 4) == listed_module(orbits, 4)
 
 
 def refuse(*args, **kwargs):
@@ -237,9 +242,9 @@ class TestKnmModules:
     def test_equal_the_modules_of_the_listed_reps(self, m, n):
         p = knm.KnmParams(m, n)
         modules = rt.knm_modules(p)
-        assert modules.breaks == rt.permutation_module(knm.break_orbit_reps(p), n)
+        assert modules.breaks == listed_module(knm.break_orbit_reps(p), n)
         if n > 1:
-            assert modules.parks == rt.permutation_module(
+            assert modules.parks == listed_module(
                 knm.parking_orbit_reps(p), n - 1
             )
 
