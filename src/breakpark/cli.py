@@ -94,12 +94,6 @@ class UsageError(Exception):
     argparse reports a usage error, on the subcommand's usage line."""
 
 
-def _fmt_tuple(t) -> str:
-    """"(a,b,c)": the int entries in decimal, no spaces; one `%` format."""
-    t = tuple(t)
-    return knm.tuple_template(len(t)) % t
-
-
 class Rows:
     """The records of one `enumerate` set, each the arguments of one `%`.
 
@@ -334,11 +328,11 @@ def cmd_character(args) -> tuple[list[dict], bool]:
         closed = reptheory.character_break(args.m, args.n, args.budget)
         print(f"note: {exc}; bruteforce, Frob(Break), Frob(Park) and "
               "Res = Park left out", file=sys.stderr)
-        return [{"cycle_type": _fmt_tuple(lam), "closed": v}
+        return [{"cycle_type": knm.tuple_template(len(lam)) % lam, "closed": v}
                 for lam, v in closed.items()], True
     chi = modules.breaks.character
-    records = [{"cycle_type": _fmt_tuple(lam), "closed": v, "bruteforce": chi[lam]}
-               for lam, v in modules.closed.items()]
+    records = [{"cycle_type": knm.tuple_template(len(lam)) % lam, "closed": v,
+                "bruteforce": chi[lam]} for lam, v in modules.closed.items()]
     records.append(_frobenius_record("Frob(Break)", modules.breaks))
     if modules.parks is not None:
         records += [_frobenius_record("Frob(Park)", modules.parks),

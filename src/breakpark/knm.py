@@ -55,8 +55,9 @@ parking member for each block of the free coordinate.  A record picks
 the one member within the rooms and confirms it with one `is_break_mn`,
 and tests its projection with `is_parking_mn`.  These predicates stay
 cheap per call: they reject a wrong sum or a negative entry in O(n)
-before they sort, the range checks use min/max, and `KnmParams` caches
-its derived quantities.
+before they sort, they check the entries' types only when the sum is
+not an int, the range checks use min/max, and `KnmParams` caches its
+derived quantities.
 
 `KnmParams` is a plain read-only value class rather than a dataclass:
 `dataclasses` pulls `inspect` and `ast` into every CLI start-up.
@@ -177,12 +178,21 @@ def sort_orbit_key(x: Sequence[int]) -> tuple[int, ...]:
 
 def is_break_mn(p: KnmParams, d: Sequence[int]) -> bool:
     """Sorted-dominance test: d is a break divisor on K_n^m iff it is
-    effective of degree g and its decreasing sort is dominated by delta."""
+    effective of degree g and its decreasing sort is dominated by delta.
+    An entry that is not an integer raises PreconditionError."""
     d = tuple(d)
     if len(d) != p.n:
         raise PreconditionError(f"expected length {p.n}, got {len(d)}")
+    # a sum of ints is exactly an int, so the entries go through `as_ints`
+    # only when it is not, or when it fails (a str entry): a float,
+    # Fraction, Decimal or str entry is refused, an int-like converted
+    try:
+        if (total := sum(d)).__class__ is not int:
+            raise TypeError
+    except TypeError:
+        total = sum(d := as_ints(d, "divisor entries"))
     # the two O(n) rejections come before the sort
-    if sum(d) != p.genus or min(d) < 0:
+    if total != p.genus or min(d) < 0:
         return False
     prefix = 0
     for dv, bound in zip(sorted(d, reverse=True), p.delta_prefix):
@@ -193,10 +203,16 @@ def is_break_mn(p: KnmParams, d: Sequence[int]) -> bool:
 
 
 def is_parking_mn(p: KnmParams, a: Sequence[int]) -> bool:
-    """Vector-parking test: increasing sort a~ satisfies a~_i <= m*i - 1."""
+    """Vector-parking test: increasing sort a~ satisfies a~_i <= m*i - 1.
+    An entry that is not an integer raises PreconditionError."""
     a = tuple(a)
     if len(a) != p.n - 1:
         raise PreconditionError(f"expected length {p.n - 1}, got {len(a)}")
+    try:  # entries checked as in `is_break_mn`
+        if sum(a).__class__ is not int:
+            raise TypeError
+    except TypeError:
+        a = as_ints(a, "parking entries")
     if a and min(a) < 0:
         return False
     for i, v in enumerate(sorted(a), start=1):

@@ -13,8 +13,10 @@ vectors have each multiplicity partition mu (`h_module`;
 restriction verdict.  It takes the h-expansions from the Break DP
 `knm.count_break_types` and the closed Park count
 `knm.parking_orbit_types`.  The per-tuple fixed-point scans
-(`character_*_bruteforce`) read the candidate-scan oracles of `knm`, so
-they stay independent of the closed formulas and of the Break DP.
+(`character_break_bruteforce`, `character_parking`,
+`character_shift_classes_bruteforce`) count on the candidate-scan
+oracles of `knm`, each scan read once per call, so they stay
+independent of the closed formulas and of the Break DP.
 """
 
 from __future__ import annotations
@@ -152,20 +154,13 @@ def character_break(
     }
 
 
-def character_parking_bruteforce(m: int, n: int, mu: Partition) -> int:
-    """Count parking functions of K_n^m fixed by a type-mu permutation
-    of S_{n-1} (acting on the n-1 coordinates)."""
-    if sum(mu) != n - 1:
-        raise PreconditionError("mu must be a partition of n-1")
-    perm = permutation_of_type(mu)
-    return _fixed_count(knm.enumerate_parking_bruteforce(knm.KnmParams(m, n)), perm)
-
-
 def character_parking(m: int, n: int) -> ClassFunction:
-    return {
-        mu: character_parking_bruteforce(m, n, mu)
-        for mu in partitions_of(n - 1)
-    }
+    """The character of S_{n-1} permuting the n-1 coordinates of the
+    parking functions of K_n^m: on each cycle type mu, the parking
+    functions that one permutation of type mu fixes, counted on the
+    candidate scan `knm.enumerate_parking_bruteforce`."""
+    parks = knm.enumerate_parking_bruteforce(knm.KnmParams(m, n))
+    return {mu: _fixed_count(parks, permutation_of_type(mu)) for mu in partitions_of(n - 1)}
 
 
 def character_shift_classes_bruteforce(m: int, n: int) -> ClassFunction:
@@ -200,18 +195,14 @@ def restrict_character(chi: ClassFunction) -> ClassFunction:
     return {mu: chi[mu + (1,)] for mu in partitions_of(n - 1)}
 
 
-def orbit_multiplicity_partition(rep: Sequence[int]) -> Partition:
-    """The h-index of an orbit: partition of multiplicities of the
-    repeated values in a representative."""
-    return tuple(sorted(Counter(rep).values(), reverse=True))
-
-
 def perm_module_h_expansion(
     orbit_reps: Iterable[Sequence[int]],
 ) -> Dict[Partition, int]:
     """Frobenius characteristic of a permutation module as a sum of
-    complete homogeneous symmetric functions, one h per orbit."""
-    return dict(sorted(Counter(map(orbit_multiplicity_partition, orbit_reps)).items()))
+    complete homogeneous symmetric functions, one h per orbit, indexed
+    by the partition of value multiplicities of its representative."""
+    mults = (tuple(sorted(Counter(rep).values(), reverse=True)) for rep in orbit_reps)
+    return dict(sorted(Counter(mults).items()))
 
 
 def _distributions(cycles: Partition, blocks: Partition) -> int:

@@ -469,13 +469,14 @@ def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
 def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
     """Break module == shift-class module; restriction == parking module,
     scanned and by its orbits; trivial multiplicity == DT invariant ==
-    orbits of the scanned break divisors == dominated-partition count.
-    The closed character, the restriction verdict and the parking orbit
-    character are those of `reptheory.knm_modules`."""
+    orbits of the scanned break divisors == orbits counted by
+    multiplicity partition.  The closed character, the restriction
+    verdict, the parking orbit character and the Break orbit types are
+    those of `reptheory.knm_modules`, so the Break DP runs once a case,
+    within the |Break| check of `knm_modules`."""
     scope, ok = _scope(m_max, n_max, 2)
     _check_budgets_first(m_max, n_max, 2, knm.check_d_budget,
-                         knm.check_break_budget, _partitions_budget,
-                         knm._check_break_states)
+                         knm.check_break_budget, _partitions_budget)
     iso_cx = res_cx = triv_cx = None
     for m, n, p, case in _cases(m_max, n_max, 2):
         # the |D| scan first, so an over-budget run names |D|
@@ -496,7 +497,7 @@ def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
             ("trivial_multiplicity", reptheory.trivial_multiplicity(chi)),
             ("dt_invariant", counting.dt_invariant(m, n)),
             ("scanned break orbits", len({knm.sort_orbit_key(b) for b in breaks})),
-            ("dominated_partition_count", reptheory.dominated_partition_count(m, n)),
+            ("count_break_types", sum(modules.breaks.h.values())),
         ])
     return [
         _check("break-module-vs-shift-class-module", scope, iso_cx, ok),

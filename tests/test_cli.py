@@ -348,7 +348,7 @@ def test_enumerate_graph_rows_equal_the_dict_records(tmp_path, text):
 
 
 # sha256 of `enumerate --set S --m M --n N --format F` stdout, recorded
-# before the per-record kernels (`_fmt_tuple`, the knm predicates and
+# before the per-record kernels (the tuple formatting, the knm predicates and
 # class helpers) were rewritten for speed; they must keep every byte.
 ENUMERATE_DIGESTS = [
     ("break", 3, 4, "json", "e31853ce573d1b282a1ebf904c4ed70da3942553c370a0ae73117a1646b6625c"),
@@ -1082,8 +1082,25 @@ class TestVerify:
         assert triv == (
             "trivial-multiplicity-equals-dt", False,
             "m <= 2, n <= 4; first counterexample: m 2, n 3: trivial_multiplicity 3, "
-            "dt_invariant 4, scanned break orbits 3, dominated_partition_count 3",
+            "dt_invariant 4, scanned break orbits 3, count_break_types 3",
         )
+
+    def test_module_isomorphisms_runs_the_break_dp_once_a_case(self, monkeypatch):
+        """The orbit count of the trivial-multiplicity row is read from the
+        Break orbit types that `knm_modules` counted, not counted again."""
+        real, calls = knm.count_break_types, []
+
+        def count_break_types(p):
+            calls.append((p.m, p.n))
+            return real(p)
+
+        def break_orbit_types(*args):
+            raise AssertionError("break_orbit_types called")
+
+        monkeypatch.setattr(knm, "count_break_types", count_break_types)
+        monkeypatch.setattr(knm, "break_orbit_types", break_orbit_types)
+        assert all(ok for _, ok, _ in verify.suite_module_isomorphisms())
+        assert calls == [(m, n) for m in (1, 2) for n in (2, 3, 4)]
 
     def test_shift_class_fail_names_the_class_and_both_members(self, monkeypatch):
         real = knm.break_representative
@@ -1459,7 +1476,7 @@ class TestEmit:
 
 
 def reference_fmt_tuple(t):
-    """The tuple formatting `_fmt_tuple` had before its cached `%` template."""
+    """The tuple formatting of the CLI before its cached `%` templates."""
     return "(" + ",".join(map(str, t)) + ")"
 
 
@@ -1468,8 +1485,7 @@ def reference_fmt_tuple(t):
                           st.integers(min_value=-(10**300), max_value=10**300)),
                 max_size=8).map(tuple))
 def test_fmt_tuple_equals_its_reference(t):
-    assert cli._fmt_tuple(t) == reference_fmt_tuple(t)
-    assert cli._fmt_tuple(list(t)) == reference_fmt_tuple(t)
+    assert knm.tuple_template(len(t)) % tuple(t) == reference_fmt_tuple(t)
 
 
 class TestFlatMemory:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -150,6 +151,45 @@ class TestParkingMembership:
         bound = m * (n - 1)
         for a in itertools.product(range(bound + 1), repeat=n - 1):
             assert knm.is_parking_mn(p, a) == mg.is_g_parking(g, n - 1, a)
+
+
+class TestPredicateEntries:
+    """`is_break_mn` and `is_parking_mn` refuse what `errors.as_ints`
+    refuses, whatever the entries sum to, and give int-likes the verdict
+    of the equal ints."""
+
+    @pytest.mark.parametrize("pred,x", [
+        ("is_break_mn", (2.5, 1.5, 0)),
+        ("is_break_mn", (Fraction(5, 2), Fraction(3, 2), 0)),
+        ("is_parking_mn", (0.5, 1.5)),
+        ("is_parking_mn", (Fraction(1, 2), Fraction(3, 2))),
+    ], ids=str)
+    def test_halves_summing_to_an_int_are_refused(self, pred, x):
+        with pytest.raises(PreconditionError, match="must be integers"):
+            getattr(knm, pred)(params(2, 3), x)
+
+    @pytest.mark.parametrize("kind", [float, Fraction, Decimal, str],
+                             ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("pred,x", [
+        ("is_break_mn", (3, 1, 0)), ("is_break_mn", (4, 0, 0)),
+        ("is_parking_mn", (0, 3)), ("is_parking_mn", (2, 2)),
+    ], ids=str)
+    def test_integral_values_of_other_types_are_refused(self, pred, x, kind):
+        with pytest.raises(PreconditionError, match="must be integers"):
+            getattr(knm, pred)(params(2, 3), (kind(x[0]),) + x[1:])
+
+    @pytest.mark.parametrize("kind", ["bool", "numpy.int64"])
+    def test_int_likes_get_the_verdict_of_the_equal_ints(self, kind):
+        if kind == "bool":
+            def like(v):
+                return bool(v) if v < 2 else v
+        else:
+            like = pytest.importorskip("numpy").int64
+        p = params(2, 3)
+        for d in itertools.product(range(5), repeat=3):
+            assert knm.is_break_mn(p, tuple(map(like, d))) == knm.is_break_mn(p, d)
+            a = d[:2]
+            assert knm.is_parking_mn(p, tuple(map(like, a))) == knm.is_parking_mn(p, a)
 
 
 class TestEnumerations:

@@ -219,6 +219,18 @@ class TestPermutationModule:
         parks = listed_module(knm.parking_orbit_reps(p), n - 1).character
         assert parks == rt.character_parking(m, n)
 
+    def test_character_parking_reads_the_scan_once(self, monkeypatch):
+        real, calls = knm.enumerate_parking_bruteforce, []
+
+        def enumerate_parking_bruteforce(p, *args):
+            calls.append(p)
+            return real(p, *args)
+
+        monkeypatch.setattr(knm, "enumerate_parking_bruteforce",
+                            enumerate_parking_bruteforce)
+        assert list(rt.character_parking(2, 5)) == rt.partitions_of(4)
+        assert calls == [knm.KnmParams(2, 5)]
+
     def test_wrong_length_rejected(self):
         with pytest.raises(PreconditionError):
             listed_module([(1, 0)], 3)
