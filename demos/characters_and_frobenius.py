@@ -34,9 +34,9 @@ p = KnmParams(m, n)
 # character and the restriction verdict; no full set is enumerated.
 modules = knm_modules(p)
 print("character of the break module (closed vs brute force):")
+brute = character_break_bruteforce(m, n)
 for lam, value in modules.closed.items():
-    brute = character_break_bruteforce(m, n, lam)
-    print(f"  cycle type {lam}: {value} / {brute}")
+    print(f"  cycle type {lam}: {value} / {brute[lam]}")
 
 # The orbit representatives are the weakly decreasing vectors dominated
 # by delta: the orbit keys of the full set.

@@ -381,26 +381,29 @@ def break_orbit_reps(
 
     _check_orbit_floor(p, budget, "Break orbits")
     check_budget(dt_invariant(p.m, p.n), budget, "Break orbits")
-    return _list_break_orbits(p)
-
-
-def _list_break_orbits(p: KnmParams) -> list[tuple[int, ...]]:
     n, g, bounds = p.n, p.genus, p.delta_prefix
-    out = []
+    # the entries left are at most v each, so entry i >= ceil(rest / left)
+    return _lex_walk(n, g, lambda i, t, v: range(-(-(g - t) // (n - i)),
+                                                 min(v, bounds[i] - t) + 1))
 
-    def rec(prefix, total, largest):
+
+def _lex_walk(length: int, first: int, entries) -> list[tuple[int, ...]]:
+    """The tuples of `length` ints in lexicographic order whose entry i
+    runs over entries(i, t, v), where t is the sum of the entries before
+    it and v the entry before it; `first` stands in for v at entry 0."""
+    out, prefix = [], []
+
+    def rec(total, last):
         i = len(prefix)
-        if i == n:
+        if i == length:
             out.append(tuple(prefix))
             return
-        # the entries left are at most v each, so v >= ceil(rest / left)
-        lo = -(-(g - total) // (n - i))
-        for v in range(lo, min(largest, bounds[i] - total) + 1):
+        for v in entries(i, total, last):
             prefix.append(v)
-            rec(prefix, total + v, v)
+            rec(total + v, v)
             prefix.pop()
 
-    rec([], 0, g)
+    rec(0, first)
     return out
 
 
@@ -414,26 +417,10 @@ def parking_orbit_reps(
     before the first is listed."""
     _check_orbit_floor(p, budget, "Park orbits")
     check_budget(parking_orbit_count(p), budget, "Park orbits")
-    return _list_parking_orbits(p)
-
-
-def _list_parking_orbits(p: KnmParams) -> list[tuple[int, ...]]:
     n, m = p.n, p.m
-    out = []
-
-    def rec(prefix, largest):
-        j = len(prefix)
-        if j == n - 1:
-            out.append(tuple(prefix))
-            return
-        # prefix[j] is a~_{n-1-j} of the increasing sort
-        for v in range(min(largest, m * (n - 1 - j) - 1) + 1):
-            prefix.append(v)
-            rec(prefix, v)
-            prefix.pop()
-
-    rec([], m * (n - 1))
-    return out
+    # entry j is a~_{n-1-j} of the increasing sort
+    return _lex_walk(n - 1, m * (n - 1),
+                     lambda j, t, v: range(min(v, m * (n - 1 - j) - 1) + 1))
 
 
 def _break_nodes(prefix: tuple[int, ...], rooms: list[int], r: int) -> Iterator:
@@ -631,23 +618,21 @@ def compositions(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]
     return rec(total, parts)
 
 
-@lru_cache(maxsize=1)
 def enumerate_break_bruteforce(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> tuple[tuple[int, ...], ...]:
     """Break_{m,n} by testing every composition of g into n parts of at
-    most m(n-1)-1 with is_break_mn; sorted.  The last call is cached."""
+    most m(n-1)-1 with is_break_mn; sorted."""
     check_break_budget(p, budget)
     bound = p.delta[0] if p.n > 1 else 0
     return tuple(d for d in compositions(p.genus, p.n, bound) if is_break_mn(p, d))
 
 
-@lru_cache(maxsize=1)
 def enumerate_parking_bruteforce(
     p: KnmParams, budget: int = DEFAULT_SET_BUDGET
 ) -> tuple[tuple[int, ...], ...]:
     """Park_{m,n} by testing every tuple in [0, m(n-1)-1]^(n-1) with
-    is_parking_mn; sorted.  The last call is cached."""
+    is_parking_mn; sorted."""
     check_break_budget(p, budget, "Park")
     candidates = itertools.product(range(p.m * (p.n - 1)), repeat=p.n - 1)
     return tuple(a for a in candidates if is_parking_mn(p, a))

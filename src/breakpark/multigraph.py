@@ -19,12 +19,11 @@ G-parking subset oracle cap the vertex count at 24 and raise
 BudgetExceededError above it.  On K_n (Python 3.11, a 2-core VM, a
 fresh process per run, three runs) the first break test, which builds
 the table, takes 0.03 s and a second one 0.013 s at n = 20, with 31 MB
-peak RSS; at n = 22 they take 0.13-0.16 s and 0.05 s, with 82 MB.  The
-list version took 0.17 s, 0.09 s and 45 MB at n = 20, and 0.55-0.76 s,
-0.32-0.40 s and 141 MB at n = 22.  Genus and the spanning-tree count
-need no subset work and have no cap; G-parking uses Dhar's burning
-algorithm, in O(n^2), with no subset scan and no cap.  The break
-enumeration checks its candidates with `errors.check_budget`.
+peak RSS; at n = 22 they take 0.13-0.16 s and 0.05 s, with 82 MB.
+Genus and the spanning-tree count need no subset work and have no cap;
+G-parking uses Dhar's burning algorithm, in O(n^2), with no subset scan
+and no cap.  The break enumeration checks its candidates with
+`errors.check_budget`.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ restriction verdict.  It takes the h-expansions from the Break DP
 `knm.parking_orbit_types`.  The per-tuple fixed-point scans
 (`character_break_bruteforce`, `character_parking`,
 `character_shift_classes_bruteforce`) count on the candidate-scan
-oracles of `knm`, each scan read once per call, so they stay
+oracles of `knm`, each scan read once per case, so they stay
 independent of the closed formulas and of the Break DP.
 """
 
@@ -135,10 +135,13 @@ def _fixed_count(tuples: Iterable[tuple[int, ...]], perm: Sequence[int]) -> int:
     return sum(1 for t in tuples if image(t) == t)
 
 
-def character_break_bruteforce(m: int, n: int, lam: Partition) -> int:
-    """Count break divisors fixed by one permutation of type lam."""
-    perm = permutation_of_type(lam)
-    return _fixed_count(knm.enumerate_break_bruteforce(knm.KnmParams(m, n)), perm)
+def character_break_bruteforce(m: int, n: int) -> ClassFunction:
+    """The character of S_n permuting the n coordinates of the break
+    divisors of K_n^m: on each cycle type lam, the break divisors that
+    one permutation of type lam fixes, counted on the candidate scan
+    `knm.enumerate_break_bruteforce`."""
+    breaks = knm.enumerate_break_bruteforce(knm.KnmParams(m, n))
+    return {lam: _fixed_count(breaks, permutation_of_type(lam)) for lam in partitions_of(n)}
 
 
 def character_break(

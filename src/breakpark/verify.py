@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import counting, knm, multigraph, reptheory
 from .errors import (
@@ -40,23 +40,19 @@ def _scope(m_max: int, n_max: int, n_min: int = 1) -> tuple[str, bool]:
     )
 
 
-def _cases(m_max: int, n_max: int, n_min: int = 1):
+def _cases(m_max: int, n_max: int, n_min: int = 1, *checks) -> list:
     """(m, n, KnmParams(m, n), "m M, n N") for 1 <= m <= m_max and
-    n_min <= n <= n_max."""
-    for m in range(1, m_max + 1):
-        for n in range(n_min, n_max + 1):
-            yield m, n, knm.KnmParams(m, n), f"m {m}, n {n}"
-
-
-def _check_budgets_first(m_max: int, n_max: int, n_min: int, *checks) -> None:
-    """Walk a suite's cases once, before its first case, and make on each
-    the budget checks `check(p, budget)` that the suite's calls make on
-    it, in the same order.  A suite over budget then fails at once, with
-    the error its first case over budget raises, and not after the work
-    of every case before that one."""
-    for _, _, p, _ in _cases(m_max, n_max, n_min):
+    n_min <= n <= n_max, listed after making on each case the budget
+    checks `check(p, budget)` that the suite's calls make on it, in the
+    same order.  A suite over budget then fails at once, with the error
+    its first case over budget raises, and not after the work of every
+    case before that one."""
+    cases = [(m, n, knm.KnmParams(m, n), f"m {m}, n {n}")
+             for m in range(1, m_max + 1) for n in range(n_min, n_max + 1)]
+    for _, _, p, _ in cases:
         for check in checks:
             check(p, DEFAULT_SET_BUDGET)
+    return cases
 
 
 def _partitions_budget(p: knm.KnmParams, budget: int):
@@ -325,9 +321,8 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
     all of D.  The `enumerate --set residue` record of each residue tuple
     prints `class_key`'s key and the tuple (`_residue_record_counterexample`)."""
     scope, ok = _scope(m_max, n_max)
-    _check_budgets_first(m_max, n_max, 1, knm.check_d_budget)
     cx = None
-    for _, _, p, case in _cases(m_max, n_max):
+    for _, _, p, case in _cases(m_max, n_max, 1, knm.check_d_budget):
         classes = list(knm.shift_classes(p))
         keys = [cls[0] for cls in classes]
         members = [a for cls in classes for a in cls]
@@ -349,9 +344,9 @@ def suite_cardinalities(m_max: int = 3, n_max: int = 5) -> list[Check]:
     """The closed counts, and the orbit-generated enumerations against
     the candidate scans, list for list.  |D| is counted off the stream."""
     scope, ok = _scope(m_max, n_max)
-    _check_budgets_first(m_max, n_max, 1, knm.check_break_budget, knm.check_d_budget)
     count_cx = scan_cx = None
-    for _, _, p, case in _cases(m_max, n_max):
+    for _, _, p, case in _cases(m_max, n_max, 1, knm.check_break_budget,
+                                knm.check_d_budget):
         breaks = list(knm.enumerate_break(p))
         parks = list(knm.enumerate_parking(p))
         count_cx = count_cx or _disagreement(case, [
@@ -378,9 +373,8 @@ def suite_knm_vs_multigraph(m_max: int = 2, n_max: int = 4) -> list[Check]:
     """The sorted-dominance and subset-quantified break tests agree on
     K_n^m, and likewise for the two parking predicates."""
     scope, ok = _scope(m_max, n_max, 2)
-    _check_budgets_first(m_max, n_max, 2, _scan_budget)
     break_cx = park_cx = None
-    for m, n, p, _ in _cases(m_max, n_max, 2):
+    for m, n, p, _ in _cases(m_max, n_max, 2, _scan_budget):
         g = multigraph.complete_multigraph(m, n)
         for d in knm.compositions(p.genus, n, p.genus):
             a, b = knm.is_break_mn(p, d), multigraph.is_break_divisor(g, d)
@@ -444,14 +438,11 @@ def suite_characters(m_max: int = 3, n_max: int = 6) -> list[Check]:
     character against the scanned one, and for n >= 2 the Park module's
     against its restriction to S_(n-1)."""
     scope, ok = _scope(m_max, n_max)
-    _check_budgets_first(m_max, n_max, 1, knm.check_break_budget,
-                         _partitions_budget)
     closed_cx = orbit_cx = None
-    for m, n, p, case in _cases(m_max, n_max):
+    for m, n, p, case in _cases(m_max, n_max, 1, knm.check_break_budget,
+                                _partitions_budget):
         modules = reptheory.knm_modules(p)
-        scanned = ("character_break_bruteforce", {
-            lam: reptheory.character_break_bruteforce(m, n, lam) for lam in modules.closed
-        })
+        scanned = ("character_break_bruteforce", reptheory.character_break_bruteforce(m, n))
         closed_cx = closed_cx or _first_class_disagreement(
             case, [("character_break_closed", modules.closed), scanned])
         orbit_cx = orbit_cx or _first_class_disagreement(
@@ -475,10 +466,9 @@ def suite_module_isomorphisms(m_max: int = 2, n_max: int = 4) -> list[Check]:
     those of `reptheory.knm_modules`, so the Break DP runs once a case,
     within the |Break| check of `knm_modules`."""
     scope, ok = _scope(m_max, n_max, 2)
-    _check_budgets_first(m_max, n_max, 2, knm.check_d_budget,
-                         knm.check_break_budget, _partitions_budget)
     iso_cx = res_cx = triv_cx = None
-    for m, n, p, case in _cases(m_max, n_max, 2):
+    for m, n, p, case in _cases(m_max, n_max, 2, knm.check_d_budget,
+                                knm.check_break_budget, _partitions_budget):
         # the |D| scan first, so an over-budget run names |D|
         shift_chi = reptheory.character_shift_classes_bruteforce(m, n)
         modules = reptheory.knm_modules(p)

@@ -103,10 +103,9 @@ def test_06_closed_character_formula():
     ok = True
     for m in range(1, 4):
         for n in range(1, 7):
+            scanned = rt.character_break_bruteforce(m, n)
             for lam in rt.partitions_of(n):
-                if rt.character_break_closed(
-                    m, n, lam
-                ) != rt.character_break_bruteforce(m, n, lam):
+                if rt.character_break_closed(m, n, lam) != scanned[lam]:
                     ok = False
     # the doubled branch d=2, m odd, n=2 mod 4 must actually fire
     ok &= rt.character_break_closed(1, 6, (2, 2, 2)) == 12

@@ -1102,6 +1102,19 @@ class TestVerify:
         assert all(ok for _, ok, _ in verify.suite_module_isomorphisms())
         assert calls == [(m, n) for m in (1, 2) for n in (2, 3, 4)]
 
+    def test_characters_read_the_break_scan_once_a_case(self, monkeypatch):
+        """The scanned Break character of a case comes from one read of the
+        candidate scan, not one per cycle type."""
+        real, calls = knm.enumerate_break_bruteforce, []
+
+        def enumerate_break_bruteforce(p, *args):
+            calls.append((p.m, p.n))
+            return real(p, *args)
+
+        monkeypatch.setattr(knm, "enumerate_break_bruteforce", enumerate_break_bruteforce)
+        assert all(ok for _, ok, _ in verify.suite_characters())
+        assert calls == [(m, n) for m in (1, 2, 3) for n in range(1, 7)]
+
     def test_shift_class_fail_names_the_class_and_both_members(self, monkeypatch):
         real = knm.break_representative
 

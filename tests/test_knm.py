@@ -305,15 +305,6 @@ class TestOrbitGeneration:
             (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1),
         ]
 
-    def test_scans_keep_one_case_without_copying(self):
-        p = params(2, 4)
-        first = knm.enumerate_break_bruteforce(p)
-        assert knm.enumerate_break_bruteforce(p) is first
-        assert knm.enumerate_parking_bruteforce(p) is knm.enumerate_parking_bruteforce(p)
-        knm.enumerate_break_bruteforce(params(2, 3))
-        assert knm.enumerate_break_bruteforce.cache_info().currsize == 1
-        assert knm.enumerate_parking_bruteforce.cache_info().maxsize == 1
-
     def test_budget_checked_before_work(self):
         p = params(3, 6)
         for enumerate_set in (
@@ -450,20 +441,20 @@ class TestOrbitTypes:
             knm.break_orbit_types(p, budget=170 * 508 - 1)
 
     @pytest.mark.parametrize(
-        "orbit_reps, lister, m, n, message",
-        [(knm.break_orbit_reps, "_list_break_orbits", 2, 14,
+        "orbit_reps, m, n, message",
+        [(knm.break_orbit_reps, 2, 14,
           "|Break orbits| = 89898151 exceeds budget 2000000"),
-         (knm.parking_orbit_reps, "_list_parking_orbits", 2, 12,
+         (knm.parking_orbit_reps, 2, 12,
           "|Park orbits| = 23841480 exceeds budget 2000000")],
         ids=["break", "park"],
     )
     def test_orbit_reps_check_the_orbit_count_before_listing(
-        self, monkeypatch, orbit_reps, lister, m, n, message
+        self, monkeypatch, orbit_reps, m, n, message
     ):
-        def refuse(p):
+        def refuse(*args):
             raise AssertionError("listed the orbits")
 
-        monkeypatch.setattr(knm, lister, refuse)
+        monkeypatch.setattr(knm, "_lex_walk", refuse)
         with pytest.raises(BudgetExceededError) as exc:
             orbit_reps(params(m, n))
         assert str(exc.value) == message

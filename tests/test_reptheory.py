@@ -149,20 +149,19 @@ class TestCharacterBreak:
         assert rt.character_break_closed(1, 6, (2, 2, 2)) == 2 * 1 * 6
         assert rt.character_break_closed(
             1, 6, (2, 2, 2)
-        ) == rt.character_break_bruteforce(1, 6, (2, 2, 2))
+        ) == rt.character_break_bruteforce(1, 6)[(2, 2, 2)]
 
     def test_bruteforce_23(self):
-        assert rt.character_break_bruteforce(2, 3, (1, 1, 1)) == 12
-        assert rt.character_break_bruteforce(2, 3, (2, 1)) == 2
-        assert rt.character_break_bruteforce(2, 3, (3,)) == 0
+        chi = rt.character_break_bruteforce(2, 3)
+        assert chi == {(3,): 0, (2, 1): 2, (1, 1, 1): 12}
+        assert list(chi) == rt.partitions_of(3)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_closed_equals_bruteforce(self, m, n):
+        scanned = rt.character_break_bruteforce(m, n)
         for lam in rt.partitions_of(n):
-            assert rt.character_break_closed(
-                m, n, lam
-            ) == rt.character_break_bruteforce(m, n, lam)
+            assert rt.character_break_closed(m, n, lam) == scanned[lam]
 
 
 class TestHExpansion:
@@ -187,8 +186,7 @@ class TestHExpansion:
         reps = sorted({knm.sort_orbit_key(b) for b in breaks})
         h = rt.perm_module_h_expansion(reps)
         chi = rt.h_module_character(h, n)
-        for lam in rt.partitions_of(n):
-            assert chi[lam] == rt.character_break_bruteforce(m, n, lam)
+        assert chi == rt.character_break_bruteforce(m, n)
 
 
 def listed_module(reps, n):
@@ -214,8 +212,7 @@ class TestPermutationModule:
     def test_orbit_route_equals_per_tuple_scans(self, m, n):
         p = knm.KnmParams(m, n)
         breaks = listed_module(knm.break_orbit_reps(p), n).character
-        for lam in rt.partitions_of(n):
-            assert breaks[lam] == rt.character_break_bruteforce(m, n, lam)
+        assert breaks == rt.character_break_bruteforce(m, n)
         parks = listed_module(knm.parking_orbit_reps(p), n - 1).character
         assert parks == rt.character_parking(m, n)
 
@@ -262,7 +259,7 @@ class TestKnmModules:
 
     def test_list_no_orbit(self, monkeypatch):
         for name in ("break_orbit_reps", "parking_orbit_reps",
-                     "_list_break_orbits", "_list_parking_orbits"):
+                     "_lex_walk"):
             monkeypatch.setattr(knm, name, refuse)
         monkeypatch.setattr(rt, "perm_module_h_expansion", refuse)
         modules = rt.knm_modules(knm.KnmParams(2, 7))
@@ -461,7 +458,7 @@ class TestDominatedCount:
 
     def test_past_enumeration_lists_no_orbit(self, monkeypatch):
         monkeypatch.setattr(knm, "break_orbit_reps", refuse)
-        monkeypatch.setattr(knm, "_list_break_orbits", refuse)
+        monkeypatch.setattr(knm, "_lex_walk", refuse)
         assert rt.dominated_partition_count(2, 14) == 89898151
         assert counting.dt_invariant(2, 14) == 89898151
 
