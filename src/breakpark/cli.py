@@ -22,15 +22,12 @@ record layout is a `Rows`: its fields, each a name and a `%` template,
 and a row is the arguments of the templates in JSON key order.  json
 formats each row by one `%` with the layout's row template, the
 fields' templates joined; csv and pretty print the dict records filled
-from the same rows.  The `break`, `park` and `residue` rows come whole
-from their `knm` enumerators, called with `records=True`, and their
-templates from the declarations next to those walkers
-(`knm.break_fields`, `parking_fields`, `residue_fields`): a row holds
-its head's text, built once per head or run, its orbit-key text, built
-once for each pair of items that share it, and its leaf ints.  A
-`classes` row is built from `knm.represented_classes`, which finds each
-class's representatives from per-run tables, as ints in the
-"(%d,...,%d)" templates of `knm.tuple_template`, cached per length.
+from the same rows.  Every K_n^m row comes whole from its `knm` walker,
+called with `records=True`, and its templates from the declaration next
+to that walker (`knm.break_fields`, `parking_fields`, `residue_fields`,
+`class_fields`): a row holds its head texts, built once per head or
+run, its orbit-key text, built once for each pair of items that share
+it, and its leaf ints.
 
 `character` lists no orbit: `reptheory.knm_modules` counts the orbits
 of Break and Park by multiplicity partition (`knm.count_break_types`,
@@ -70,7 +67,6 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain
 from types import SimpleNamespace
 
 from . import counting, knm, multigraph, reptheory, verify
@@ -251,25 +247,19 @@ def cmd_enumerate(args) -> tuple[Rows, bool]:
     if g is not None:
         divisors = multigraph.enumerate_break_divisors(g, budget=args.budget)
         return Rows([("divisor", knm.tuple_template(g.n))], ["divisor"], divisors), True
-    if args.set == "classes":  # a class lists its key first
-        classes, n = knm.represented_classes(p, budget=args.budget), p.n
-        x = knm.tuple_template(n)
-        return Rows(
-            [("break_rep", x), ("class_key", x), ("members", ";".join([x] * n)),
-             ("parking_rep", knm.tuple_template(n - 1))],
-            ["class_key", "members", "break_rep", "parking_rep"],
-            ((*brk, *cls[0], *chain.from_iterable(cls), *park)
-             for cls, brk, park in classes),
-        ), True
-    # each enumerator checks the budget before its set's templates are built
-    if args.set == "break":
-        records = knm.enumerate_break(p, budget=args.budget, records=True)
-        return Rows(knm.break_fields(p), ("divisor", "orbit_key"), records), True
-    if args.set == "park":
-        records = knm.enumerate_parking(p, budget=args.budget, records=True)
-        return Rows(knm.parking_fields(p), ("parking", "orbit_key"), records), True
-    records = knm.enumerate_residue_tuples(p, budget=args.budget, records=True)
-    return Rows(knm.residue_fields(p), ("tuple", "class_key", "orbit_key"), records), True
+    # (walker, fields, the columns csv and pretty print); a class lists its
+    # key first
+    walk, fields, columns = {
+        "break": (knm.enumerate_break, knm.break_fields, ("divisor", "orbit_key")),
+        "park": (knm.enumerate_parking, knm.parking_fields, ("parking", "orbit_key")),
+        "residue": (knm.enumerate_residue_tuples, knm.residue_fields,
+                    ("tuple", "class_key", "orbit_key")),
+        "classes": (knm.shift_classes, knm.class_fields,
+                    ("class_key", "members", "break_rep", "parking_rep")),
+    }[args.set]
+    # the walker checks the budget before its set's templates are built
+    records = walk(p, budget=args.budget, records=True)
+    return Rows(fields(p), columns, records), True
 
 
 def cmd_count(args) -> tuple[list[dict], bool]:

@@ -31,33 +31,30 @@ checks its budget on call, before the first item, by
 it is read, so it never holds the whole set; call `list(...)` on it for
 a list.
 
-`enumerate` builds its break, park and residue records inside these
-walks, with the keyword `records` of `enumerate_break`,
-`enumerate_parking` and `enumerate_residue_tuples`: an item is then the
-arguments of one `%` with its set's templates, declared next to the
-walker (`break_fields`, `parking_fields`, `residue_fields`, in JSON key
-order).  A head's text, such as "(3,1,", is formatted once per head, or
-per run for residue and its class-key head, so a row formats only its
-leaf ints and texts.  Two leaves that share an orbit key share one sort
-and one key text: x and s - x of one Break head, and (v, w) and (w, v)
-of one residue run at n >= 3.  A Park leaf's key is w inserted into the
-sort of its head, whose texts before and after w are formatted once per
-run of w between two entries.  A Break or Park record at n <= 2, and a
-residue record at n = 1, is ints.  D and its classes come from one
-generator of runs (`_runs`), a fixed head with the free coordinate from
-a range, which only `enumerate_residue_tuples` and `shift_classes` walk;
-a residue record's class key, its run's head shifted back once per run,
-costs two `%`.  `represented_classes` adds each class's break member and
-parking projection from tables built from the first class of each run
-of `shift_classes`: for each member, the sum its last two entries need
-for g and the rooms of `_pair_rooms` its head leaves them, and the
-parking member for each block of the free coordinate.  A record picks
-the one member within the rooms and confirms it with one `is_break_mn`,
-and tests its projection with `is_parking_mn`.  These predicates stay
-cheap per call: they reject a wrong sum or a negative entry in O(n)
-before they sort, they check the entries' types only when the sum is
-not an int, the range checks use min/max, and `KnmParams` caches its
-derived quantities.
+`enumerate` builds its break, park, residue and classes records inside
+these walks, with the keyword `records` of `enumerate_break`,
+`enumerate_parking`, `enumerate_residue_tuples` and `shift_classes`: an
+item is then the arguments of one `%` with its set's templates, declared
+next to the walker (`break_fields`, `parking_fields`, `residue_fields`,
+`class_fields`, in JSON key order).  A head's text, such as "(3,1,", is
+formatted once per head, or per run for residue and classes and their
+class-key head, so a row formats only its leaf ints and texts.  Two
+leaves that share an orbit key share one sort and one key text: x and
+s - x of one Break head, and (v, w) and (w, v) of one residue run at
+n >= 3.  A Park leaf's key is w inserted into the sort of its head,
+whose texts before and after w are formatted once per run of w between
+two entries.  A Break or Park record at n <= 2, and a residue record at
+n = 1, is ints.  D and its classes come from one generator of runs
+(`_runs`), a fixed head with the free coordinate from a range, which
+only `enumerate_residue_tuples` and `shift_classes` walk; a residue
+record's class key, its run's head shifted back once per run, costs two
+`%`.  A classes record builds no member tuple: its run tables give each
+member's head text and the classes whose break member it is, and it
+confirms that member with one `is_break_mn` and its projection with
+one `is_parking_mn`.  These predicates stay cheap per call: they reject
+a wrong sum or a negative entry in O(n) before they sort, they check the
+entries' types only when the sum is not an int, the range checks use
+min/max, and `KnmParams` caches its derived quantities.
 
 `KnmParams` is a plain read-only value class rather than a dataclass:
 `dataclasses` pulls `inspect` and `ast` into every CLI start-up.
@@ -68,6 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -827,106 +825,107 @@ def parking_representative(p: KnmParams, x: Sequence[int]) -> tuple[int, ...]:
     return result
 
 
-def shift_classes(
-    p: KnmParams, budget: int = DEFAULT_SET_BUDGET
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """An iterator over all shift classes of D_{m,n} in shift_class form,
-    in key order; the budget, on |D|, is checked on call.
+def class_fields(p: KnmParams) -> tuple:
+    """The fields of a `shift_classes` record in JSON key order; the
+    record is their 3n + 7 arguments: (head text, y, z) of the break
+    member, of the key and of each member, then the parking projection's
+    text; or (0, 0, 0) at n = 1."""
+    x = "%s%d,%d)" if p.n > 1 else "(%d)"
+    return (("break_rep", x), ("class_key", x), ("members", ";".join([x] * p.n)),
+            ("parking_rep", "%s" if p.n > 1 else "()"))
 
-    A class key is the one member with x_0 < m, so the keys are the
-    tuples of D with x_0 < m: m*N^(n-2) = |Break| of them.  The n shifts
-    of a run's head are built once per run.  For n = 1 the only class is
-    ((0,),)."""
+
+def shift_classes(
+    p: KnmParams, budget: int = DEFAULT_SET_BUDGET, *, records: bool = False
+) -> Iterator[tuple]:
+    """An iterator over all shift classes of D_{m,n} in shift_class form,
+    in key order; the budget, on |D|, is checked on call.  A class key is
+    the one member with x_0 < m, so there are m*N^(n-2) = |Break| keys.
+    For n = 1 the only class is ((0,),).
+
+    With `records`, an item is the `enumerate --set classes` record
+    (`class_fields`), from tables built once per run of key head h, v =
+    key[-2]: member j is h shifted by j*m plus (y, z) = (row(v)[j],
+    row(w)[j]), and is the break member iff y is in `_pair_rooms` of its
+    head, an interval of v per member; these must cover the run once.
+    Each record is confirmed by `is_break_mn` and `is_parking_mn`, and
+    the first of each run by `break_representative` and
+    `parking_representative`; a failure raises InternalInvariantError."""
     check_d_budget(p, budget)
     if p.n == 1:
-        return iter([((0,),)])
-    m, N = p.m, p.N
-    return (
-        tuple([h + ((v + t) % N, (ct - v) % N) for h, t, ct in shifted])
-        for head, c, _, vs in _runs(p, True)
-        for shifted in [[(tuple([(u + t) % N for u in head]), t, c + t)
-                         for t in range(0, N, m)]]
-        for v in vs
-    )
+        return iter([(0, 0, 0) if records else ((0,),)])
+    m, n, N = p.m, p.n, p.N
+    # row(u)[j] = (u + j*m) % N: a table of N rows at n >= 3; ranges at
+    # n = 2, where N = |D| and the v, w < m of a key wrap in no shift
+    row = ([tuple([(u + t) % N for t in range(0, N, m)]) for u in range(N)].__getitem__
+           if n > 2 else lambda u: range(u, N, m))
+    if not records:
+        return (tuple([*map(tuple.__add__, heads, zip(row(v), row((c - v) % N)))])
+                for head, c, _, vs in _runs(p, True)
+                for heads in [list(zip(*[row(u) for u in head])) or [()] * n] for v in vs)
+    head_format, park_format = "(" + "%d," * (n - 2), tuple_template(n - 1)
+
+    def walk():
+        for head, c, _, vs in _runs(p, True):
+            heads = list(zip(*[row(u) for u in head])) or [()] * n  # head_j = head + j*m
+            texts = list(map(head_format.__mod__, heads))
+            spans = []  # (a, end, j): the v in [a, end) have break member j
+            for j, h in enumerate(heads):
+                if room := _pair_rooms(p, h):  # y = (v + j*m) % N is room[0] at v = a
+                    a, end = (room[0] - j * m) % N, (room[0] - j * m) % N + len(room)
+                    spans += [(a, min(end, N), j)] + [(0, end - N, j)] * (end > N)
+            spans.sort()
+            # Every v in [0, N) has one break member iff each span starts
+            # where the one before ends.  At n = 2, v >= m is no key but
+            # its count is that of v - m.
+            if [*map(itemgetter(0), spans), N] != [0, *map(itemgetter(1), spans)]:
+                v = next(v for v in range(N)
+                         if (hits := sum(a <= v < e for a, e, _ in spans)) != 1)
+                raise InternalInvariantError(f"shift class of {head + (v, (c - v) % N)} "
+                                             f"has {hits} members within the break rooms")
+            counts = list(map([u // m for u in head].count, range(n)))
+            # the parking member of each block of v, from the counts of head + (v,)
+            park_at = [-_parking_start([*counts[:b], counts[b] + 1, *counts[b + 1:]]) % n
+                       for b in range(n)]
+            # each member's head text, y and z; the ints are set per class
+            parts = list(itertools.chain.from_iterable(zip(texts, texts, texts)))
+            for a, end, j in spans:
+                for v in range(a, min(end, vs.stop)):
+                    ys, zs = row(v), row(w := (c - v) % N)
+                    parts[1::3], parts[2::3] = ys, zs
+                    brk = heads[j] + (ys[j], zs[j])
+                    if not is_break_mn(p, brk):
+                        raise InternalInvariantError(
+                            f"class of {head + (v, w)}: {brk} is within the break rooms "
+                            "but not a break divisor")
+                    park = heads[k := park_at[v // m]] + (ys[k],)
+                    if not is_parking_mn(p, park):
+                        raise InternalInvariantError(f"class of {head + (v, w)} projected "
+                                                     f"to non-parking tuple {park}")
+                    if v == 0 and (reps := (break_representative(p, key := head + (v, w)),
+                                            parking_representative(p, key))) != (brk, park):
+                        raise InternalInvariantError(
+                            f"class of {key}: run tables give {brk}, {park}; "
+                            f"the representatives give {reps[0]}, {reps[1]}")
+                    yield texts[j], ys[j], zs[j], texts[0], v, w, *parts, park_format % park
+
+    return walk()
 
 
-def represented_classes(p: KnmParams, budget: int = DEFAULT_SET_BUDGET) -> Iterator:
-    """(cls, break member, parking projection) for every class of
-    `shift_classes`, in its order; the budget is checked on call.
-
-    The classes come in runs of a fixed key head, v = key[-2] from 0 up,
-    so a run starts at a key with v = 0, and member j's head cls[j][:-2]
-    is the key's head shifted by j*m.  From that first class, per run,
-    for each member j: want_j, the sum its last two coordinates need for
-    the member to sum to g, and the rooms (A_j, B_j) of its head
-    (`_pair_rooms`); and for each block of v the member that parks, from
-    the block counts of the head plus v.  Member j is the break member
-    iff its head keeps delta's prefix sums, want_j <= B_j, its last two
-    sum to want_j and neither exceeds A_j.  A record takes the one member
-    that passes, confirms it with `is_break_mn`, tests its projection
-    with `is_parking_mn`, and the first class of each run is checked
-    against `break_representative` and `parking_representative`.  A
-    failed check raises InternalInvariantError.  For n = 1 the one record
-    is (((0,),), (0,), ())."""
-    classes = shift_classes(p, budget)
-    if p.n == 1:
-        return iter([(((0,),), (0,), ())])
-    return _represent(p, classes)
-
-
-def _pair_rooms(p: KnmParams, head: Sequence[int]) -> tuple[int, int] | None:
-    """The rooms (A, B) of `_break_nodes` for a head of n - 2 entries, or
-    None when the head alone exceeds a prefix sum of delta.  With S_j the
-    sum of the j largest entries of the head, A = min_j(delta_prefix[j] -
-    S_j) and B = min_j(delta_prefix[j+1] - S_j): head + (y, z), with
-    y, z >= 0 and y + z = g - sum(head), is a break divisor iff
-    max(y, z) <= A and y + z <= B."""
-    bounds = p.delta_prefix
+def _pair_rooms(p: KnmParams, head: Sequence[int]) -> range:
+    """The y for which head + (y, (want - y) % N), want = g - sum(head),
+    is a break divisor.  With rooms A, B of `_break_nodes` for the head
+    (S_j the sum of its j largest entries, A = min_j(delta_prefix[j] -
+    S_j), B = min_j(delta_prefix[j+1] - S_j)), it is iff the head keeps
+    delta's prefix sums, want <= B and y, want - y lie in [0, min(A,
+    N - 1)]: y in [want - A', A'], A' = min(A, want, N - 1)."""
+    bounds, want, N = p.delta_prefix, p.genus - sum(head), p.N
     A, B, total = bounds[0], bounds[1], 0
     for j, u in enumerate(sorted(head, reverse=True), 1):
         total += u
         if total > bounds[j - 1]:
-            return None
+            return range(0)
         a, b = bounds[j] - total, bounds[j + 1] - total
         A, B = (a if a < A else A), (b if b < B else B)
-    return A, B
-
-
-def _represent(p: KnmParams, classes: Iterator) -> Iterator:
-    m, n, g = p.m, p.n, p.genus
-    for cls in classes:
-        key, v = cls[0], cls[0][-2]
-        if v == 0:  # the first class of a run: build the run's tables
-            # (j, want, A) for each member j whose head has the rooms of a
-            # break divisor with the last two entries summing to want
-            members = [(j, want, rooms[0]) for j, y in enumerate(cls)
-                       if (rooms := _pair_rooms(p, y[:-2])) is not None
-                       and (want := g - sum(y[:-2])) <= rooms[1]]
-            counts = [0] * n
-            for u in key[:-2]:
-                counts[u // m] += 1
-            park_at = []
-            for b in range(n):
-                counts[b] += 1
-                park_at.append((n - _parking_start(counts)) % n)
-                counts[b] -= 1
-        hits = [y for j, want, A in members
-                if (y := cls[j])[-2] + y[-1] == want and y[-2] <= A and y[-1] <= A]
-        if len(hits) != 1:
-            raise InternalInvariantError(
-                f"shift class of {key} has {len(hits)} members within the break rooms")
-        if not is_break_mn(p, hits[0]):
-            raise InternalInvariantError(
-                f"class of {key}: {hits[0]} is within the break rooms "
-                "but not a break divisor")
-        park = cls[park_at[v // m]][: n - 1]
-        if not is_parking_mn(p, park):
-            raise InternalInvariantError(
-                f"class of {key} projected to non-parking tuple {park}")
-        if v == 0:
-            reps = break_representative(p, key), parking_representative(p, key)
-            if reps != (hits[0], park):
-                raise InternalInvariantError(
-                    f"class of {key}: run tables give {hits[0]}, {park}; "
-                    f"the representatives give {reps[0]}, {reps[1]}")
-        yield cls, hits[0], park
+    A = min(A, want, N - 1) if want <= B else -1
+    return range(want - A, A + 1)

@@ -267,14 +267,14 @@ def _first_entry_disagreement(case: str, named) -> str | None:
                   for i, (x, y) in enumerate(itertools.zip_longest(a, b)))
 
 
-def _class_counterexample(p: knm.KnmParams, case: str, cls, represented) -> str | None:
+def _class_counterexample(p: knm.KnmParams, case: str, cls, records) -> str | None:
     """How one shift class fails to be n sorted members closed under the
     shift, with one break member and one parking projection that the
-    direct representatives and the next item of `represented`, from
-    `knm.represented_classes`, find, or None.  `represented` is advanced
+    direct representatives and the next item of `records` (the texts of
+    a `records=True` class record) find, or None.  `records` is advanced
     only once the direct representatives agree, so a fault in them is
-    named before the generator's own cross-check with them raises."""
-    n, key, case = p.n, cls[0], f"{case}, class {cls[0]}"
+    named before the walk's own cross-check with them raises."""
+    n, key, case, text = p.n, cls[0], f"{case}, class {cls[0]}", knm.tuple_template(p.n)
     breaks = [a for a in cls if knm.is_break_mn(p, a)]
     parks = [a[: n - 1] for a in cls if knm.is_parking_mn(p, a[: n - 1])]
     return (
@@ -288,8 +288,12 @@ def _class_counterexample(p: knm.KnmParams, case: str, cls, represented) -> str 
         or _disagreement(case, [
             ("parking_representative", knm.parking_representative(p, key)),
             ("parking projection", parks[0])])
-        or _disagreement(case, [("represented_classes", next(represented, None)),
-                                ("scanned members", (tuple(cls), breaks[0], parks[0]))])
+        or _disagreement(case, [  # the record filled by one `%` over its templates
+            ("record", None if (record := next(records, None)) is None
+             else " ".join(dict(knm.class_fields(p)).values()) % record),
+            ("scanned", " ".join([text % breaks[0], text % key,
+                                  ";".join(map(text.__mod__, cls)),
+                                  knm.tuple_template(n - 1) % parks[0]]))])
     )
 
 
@@ -315,8 +319,8 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
     """The shift classes partition D into |Break| = N^(n-1)/n classes,
     each of size n, closed under the shift, listed in key order, with one
     break member and one parking projection, which the direct
-    representatives and `represented_classes` both find.  No check reads
-    the key rule that `shift_classes` generates the classes by.
+    representatives and the `enumerate --set classes` records find.  No
+    check reads the key rule that `shift_classes` generates the classes by.
     `knm.shift` validates every member, so N^(n-1) distinct members are
     all of D.  The `enumerate --set residue` record of each residue tuple
     prints `class_key`'s key and the tuple (`_residue_record_counterexample`)."""
@@ -326,12 +330,12 @@ def suite_shift_classes(m_max: int = 3, n_max: int = 5) -> list[Check]:
         classes = list(knm.shift_classes(p))
         keys = [cls[0] for cls in classes]
         members = [a for cls in classes for a in cls]
-        represented = knm.represented_classes(p)
+        records = knm.shift_classes(p, records=True)
         cx = cx or (
             _disagreement(case, [
                 ("shift_classes", len(classes)), ("break_count", knm.break_count(p))])
             or _first_entry_disagreement(case, [("keys", keys), ("sorted", sorted(keys))])
-            or _first(_class_counterexample(p, case, cls, represented) for cls in classes)
+            or _first(_class_counterexample(p, case, cls, records) for cls in classes)
             or _disagreement(case, [
                 ("members", len(members)), ("distinct members", len(set(members))),
                 ("residue_count", knm.residue_count(p))])

@@ -92,11 +92,12 @@ def test_orbit_listers_name_no_orbit_type_dp():
     assert named == set()
 
 
-SET_FIELDS = (knm.break_fields, knm.parking_fields, knm.residue_fields)
+SET_FIELDS = (knm.break_fields, knm.parking_fields, knm.residue_fields,
+              knm.class_fields)
 
 
 def test_set_templates_have_one_copy_in_knm():
-    """The `%` templates of the break, park and residue records are
+    """The `%` templates of the break, park, residue and classes records are
     declared once, next to their walkers in `knm`: none is a string
     literal of `cli`."""
     templates = {template for fields in SET_FIELDS for n in range(1, 9)

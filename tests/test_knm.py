@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -563,7 +564,6 @@ SET_ENUMERATORS = (
     knm.enumerate_break,
     knm.enumerate_parking,
     knm.enumerate_residue_tuples,
-    knm.represented_classes,
     knm.shift_classes,
 )
 
@@ -911,45 +911,74 @@ class TestKeyedResidueTuples:
         assert calls == [{}, {"records": True}]
 
 
-def per_key_triples(p, classes):
-    """(shift_class, break_representative, parking_representative) of the
-    key of each class."""
-    return [(knm.shift_class(p, cls[0]), knm.break_representative(p, cls[0]),
-             knm.parking_representative(p, cls[0])) for cls in classes]
+def per_key_texts(p, keys):
+    """The `enumerate --set classes` record of each class key from
+    `shift_class`, `break_representative` and `parking_representative`,
+    as a dict of texts in JSON key order."""
+    return [{"break_rep": tuple_text(knm.break_representative(p, key)),
+             "class_key": tuple_text(key),
+             "members": ";".join(map(tuple_text, knm.shift_class(p, key))),
+             "parking_rep": tuple_text(knm.parking_representative(p, key))}
+            for key in keys]
+
+
+def class_records(p, budget=knm.DEFAULT_SET_BUDGET):
+    """The `records=True` items of `shift_classes` filled into the
+    templates of `knm.class_fields`."""
+    return list(filled_records(knm.class_fields(p),
+                               knm.shift_classes(p, budget, records=True)))
 
 
 class TestRepresentedClasses:
+    """The `enumerate --set classes` records, built by `shift_classes`
+    from per-run tables, against the per-key functions, and the checks
+    the walk makes on every record."""
+
     @pytest.mark.parametrize("m,n", SHIFT_RANGE + RUN_EDGES + [(2, 6)])
     def test_triples_equal_the_per_key_functions(self, m, n):
         p = params(m, n)
-        triples = list(knm.represented_classes(p))
-        assert [cls for cls, _, _ in triples] == list(knm.shift_classes(p))
-        assert triples == per_key_triples(p, knm.shift_classes(p))
+        keys = [cls[0] for cls in knm.shift_classes(p)]
+        assert class_records(p) == per_key_texts(p, keys)
 
     def test_classes_come_from_the_module_enumerator(self, monkeypatch):
+        # the records walk the class-key runs once, and check |D| on call
         calls = []
-        real = knm.shift_classes
+        real = knm._runs
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(p, keys):
+            calls.append(keys)
+            return real(p, keys)
 
-        monkeypatch.setattr(knm, "shift_classes", counted)
-        triples = knm.represented_classes(params(2, 3))
-        assert len(calls) == 1  # on call, before the first item
-        assert next(triples) == (((0, 0, 4), (2, 2, 0), (4, 4, 2)), (2, 2, 0), (0, 0))
+        monkeypatch.setattr(knm, "_runs", counted)
+        records = knm.shift_classes(params(2, 3), records=True)
+        assert next(records) == ("(2,", 2, 0, "(0,", 0, 4, "(0,", 0, 4, "(2,", 2, 0,
+                                 "(4,", 4, 2, "(0,0)")
+        assert calls == [True]
         with pytest.raises(BudgetExceededError, match=r"\|D\| = 50625"):
-            knm.represented_classes(params(3, 5), budget=20_000)
+            knm.shift_classes(params(3, 5), budget=20_000, records=True)
 
-    @pytest.mark.parametrize("rooms, hits", [(None, 0), ((10, 10), 2)],
+    @pytest.mark.parametrize("rooms, hits", [(range(0), 0), (range(3), 2)],
                              ids=["no-hit", "two-hits"])
     def test_room_hit_count_not_one_is_internal_error(self, monkeypatch, rooms, hits):
-        # (0, 0, 4) and (2, 2, 0) end in pairs of the sum their heads want,
-        # 4 and 2; (4, 4, 2) does not
+        # the members of (0, 0, 4) end in y = 0, 2 and 4
         monkeypatch.setattr(knm, "_pair_rooms", lambda p, head: rooms)
         with pytest.raises(InternalInvariantError, match=rf"shift class of \(0, 0, 4\) "
                            rf"has {hits} members within the break rooms"):
-            next(knm.represented_classes(params(2, 3)))
+            next(knm.shift_classes(params(2, 3), records=True))
+
+    @pytest.mark.parametrize("head, rooms, key, hits", [
+        ((0,), range(0), "(0, 1, 3)", 0), ((4,), range(1), "(0, 2, 2)", 2)])
+    def test_room_fault_names_the_first_class_not_covered_once(
+            self, monkeypatch, head, rooms, key, hits):
+        # in the run of x_0 = 0 at (2, 3), members with heads (0,) and
+        # (2,) are the break members, of v = 1, 2, 3 and of v = 0, 4, 5;
+        # y = 0 puts (4, 0, 0), of v = 2, within the rooms
+        real = knm._pair_rooms
+        monkeypatch.setattr(knm, "_pair_rooms",
+                            lambda p, h: rooms if h == head else real(p, h))
+        with pytest.raises(InternalInvariantError, match=rf"shift class of {re.escape(key)} "
+                           rf"has {hits} members within the break rooms"):
+            next(knm.shift_classes(params(2, 3), records=True))
 
     def test_member_within_the_rooms_is_confirmed_by_is_break_mn(self, monkeypatch):
         checked = []
@@ -961,14 +990,14 @@ class TestRepresentedClasses:
         monkeypatch.setattr(knm, "is_break_mn", rejects)
         with pytest.raises(InternalInvariantError, match=r"class of \(0, 0, 4\): "
                            r"\(2, 2, 0\) is within the break rooms but not a break divisor"):
-            next(knm.represented_classes(params(2, 3)))
+            next(knm.shift_classes(params(2, 3), records=True))
         assert checked == [(2, 2, 0)]
 
     def test_non_parking_projection_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(knm, "is_parking_mn", lambda p, a: False)
         with pytest.raises(InternalInvariantError, match=r"class of \(0, 0, 4\) "
                            r"projected to non-parking tuple \(0, 0\)"):
-            next(knm.represented_classes(params(2, 3)))
+            next(knm.shift_classes(params(2, 3), records=True))
 
     @pytest.mark.parametrize("name", ["break_representative", "parking_representative"])
     def test_first_class_of_each_run_is_cross_checked(self, monkeypatch, name):
@@ -981,11 +1010,11 @@ class TestRepresentedClasses:
             return rep[::-1] if x[0] == 1 else rep
 
         monkeypatch.setattr(knm, name, wrong_on_the_second_run)
-        triples = knm.represented_classes(params(2, 3))
-        assert len(list(itertools.islice(triples, 6))) == 6
+        records = knm.shift_classes(params(2, 3), records=True)
+        assert len(list(itertools.islice(records, 6))) == 6
         with pytest.raises(InternalInvariantError, match=r"class of \(1, 0, 3\): run "
                            r"tables give \(1, 0, 3\), \(1, 0\); the representatives give"):
-            next(triples)
+            next(records)
         assert keys == [(0, 0, 4), (1, 0, 3)]
 
 
@@ -1005,23 +1034,42 @@ def sampled_key_runs(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(sampled_key_runs())
 def test_represented_classes_of_sampled_runs_equal_the_per_key_functions(case):
-    """Past the exhaustive range: `_runs` yields only the sampled runs, to
-    `shift_classes` and to the per-run tables alike."""
+    """Past the exhaustive range: `_runs` yields only the sampled runs to
+    the `records=True` walk of `shift_classes`."""
     p, runs = case
     with mock.patch.object(knm, "_runs", lambda p, keys: iter(runs)):
-        triples = list(knm.represented_classes(p, budget=knm.residue_count(p)))
-    classes = [cls for cls, _, _ in triples]
-    assert [cls[0] for cls in classes] == [
-        h + (v, (c - v) % p.N) for h, c, _, vs in runs for v in vs]
-    assert triples == per_key_triples(p, classes)
+        records = class_records(p, budget=knm.residue_count(p))
+    keys = [h + (v, (c - v) % p.N) for h, c, _, vs in runs for v in vs]
+    assert records == per_key_texts(p, keys)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(1, 10**6))
+def test_class_records_at_n_2_hold_nothing_of_the_run(m):
+    """At n = 2 the one class-key run holds all m classes and N = |D|, so
+    the walk keeps no table of the run: its first 50 records equal the
+    per-key functions, and reading them traces under 1 MB."""
+    p = params(m, 2)
+    tracemalloc.start()
+    try:
+        records = knm.shift_classes(p, records=True)
+        head = list(itertools.islice(records, 50))
+        del records
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    keys = [(v, (p.genus - v) % p.N) for v in range(min(m, 50))]
+    assert list(filled_records(knm.class_fields(p), head)) == per_key_texts(p, keys)
+    assert peak < 2**20
 
 
 @st.composite
 def shifted_heads(draw):
     """K_n^m with m <= 50, 2 <= n <= 9, and a head of n - 2 entries
-    shifted by j*m: the heads `represented_classes` takes rooms of.  The
-    entries come from [0, N-1] or from delta's range [0, m(n-1)-1], where
-    more heads keep delta's prefix sums."""
+    shifted by j*m: the heads whose rooms the `records=True` walk of
+    `shift_classes` takes.  The entries come from [0, N-1] or from
+    delta's range [0, m(n-1)-1], where more heads keep delta's prefix
+    sums."""
     p = params(draw(st.integers(1, 50)), draw(st.integers(2, 9)))
     top = draw(st.sampled_from([p.N, p.m * (p.n - 1)]))
     head = draw(st.lists(st.integers(0, top - 1), min_size=p.n - 2, max_size=p.n - 2))
@@ -1033,15 +1081,14 @@ def shifted_heads(draw):
 @given(shifted_heads())
 def test_pair_rooms_accept_exactly_the_break_members(case):
     """Over every member head + (y, (want - y) % N) of D with this head,
-    want = g - sum(head): the room test of `represented_classes` accepts
-    exactly the members `is_break_mn` accepts."""
+    want = g - sum(head): the range of `_pair_rooms`, which the
+    `records=True` walk of `shift_classes` turns into runs of classes,
+    holds exactly the y that `is_break_mn` accepts."""
     p, head = case
     rooms, want = knm._pair_rooms(p, head), p.genus - sum(head)
+    assert rooms.step == 1 and set(rooms) <= set(range(p.N))
     for y in range(p.N):
-        z = (want - y) % p.N
-        within = (rooms is not None and want <= rooms[1] and y + z == want
-                  and max(y, z) <= rooms[0])
-        assert within == knm.is_break_mn(p, head + (y, z)), (head, y, z)
+        assert (y in rooms) == knm.is_break_mn(p, head + (y, (want - y) % p.N)), (head, y)
 
 
 def first_difference(got, expected):
@@ -1111,7 +1158,7 @@ class TestRecords:
               "orbit_key": tuple_text(knm.sort_orbit_key(x)), "tuple": tuple_text(x)}
              for x in knm.enumerate_residue_tuples(p))) is None
 
-    @pytest.mark.parametrize("enumerate_set", SET_ENUMERATORS[:3])
+    @pytest.mark.parametrize("enumerate_set", SET_ENUMERATORS)
     def test_records_check_the_budget_on_call(self, enumerate_set):
         with pytest.raises(BudgetExceededError):
             enumerate_set(params(3, 6), budget=100, records=True)
