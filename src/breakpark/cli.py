@@ -127,8 +127,6 @@ class Rows:
 
 
 def _fmt_expansion(coeffs, basis: str) -> str:
-    if not coeffs:
-        return "0"
     terms = []
     for lam, c in sorted(coeffs.items(), reverse=True):
         index = "".join(str(x) for x in lam) if all(x < 10 for x in lam) else ",".join(str(x) for x in lam)

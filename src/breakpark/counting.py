@@ -19,6 +19,7 @@ from .errors import (
     BudgetExceededError,
     InternalInvariantError,
     PreconditionError,
+    as_ints,
     check_budget,
 )
 from .knm import KnmParams
@@ -41,6 +42,7 @@ def _factorize(k: int) -> dict[int, int]:
 
 
 def moebius(k: int) -> int:
+    (k,) = as_ints((k,), "moebius arguments")
     if k < 1:
         raise PreconditionError("moebius requires k >= 1")
     factors = _factorize(k)
@@ -50,6 +52,7 @@ def moebius(k: int) -> int:
 
 
 def euler_phi(k: int) -> int:
+    (k,) = as_ints((k,), "euler_phi arguments")
     if k < 1:
         raise PreconditionError("euler_phi requires k >= 1")
     result = k
@@ -59,6 +62,9 @@ def euler_phi(k: int) -> int:
 
 
 def divisors(k: int) -> list[int]:
+    (k,) = as_ints((k,), "divisors arguments")
+    if k < 1:
+        raise PreconditionError("divisors requires k >= 1")
     small, large = [], []
     d = 1
     while d * d <= k:
@@ -90,7 +96,7 @@ def von_sterneck(a: int, k: int, b: int) -> int:
     if a < 1 or k < 0:
         raise PreconditionError("von_sterneck requires a >= 1, k >= 0")
     total = 0
-    for d in divisors(math.gcd(a, k) if k else a):
+    for d in divisors(math.gcd(a, k)):
         total += math.comb((a + k) // d - 1, k // d) * ramanujan_sum(d, b)
     q, r = divmod(total, a)
     if r != 0:
@@ -204,9 +210,6 @@ def dt_via_euler_product(m: int, n_max: int) -> dict[int, int]:
     table: dict[int, int] = {}
     for k in range(1, n_max + 1):
         f_k = remaining[k]
-        if f_k.denominator != 1:
-            raise InternalInvariantError(f"non-integral exponent at n={k}")
-        f_k = f_k.numerator
         sign_k = -1 if (m * k) % 2 else 1
         q, r = divmod(sign_k * f_k, k)
         if r != 0:

@@ -86,6 +86,7 @@ class KnmParams:
     """
 
     def __init__(self, m: int, n: int):
+        m, n = as_ints((m, n), "KnmParams m and n")
         if m < 1 or n < 1:
             raise PreconditionError("KnmParams requires m >= 1 and n >= 1")
         # __setattr__ refuses every write; like cached_property, set the
@@ -330,9 +331,8 @@ def count_break_types(p: KnmParams) -> dict[tuple[int, ...], int]:
             while i + k <= n and t + k * v <= bounds[i + k - 1]:
                 j, s = i + k, t + k * v
                 nu = tuple(sorted(mu + (k,), reverse=True))
-                if j == n:
-                    if s == g:
-                        types[nu] = types.get(nu, 0) + c
+                if j == n:  # then s = g: s <= bounds[n - 1] = g, and s >= g
+                    types[nu] = types.get(nu, 0) + c
                 else:
                     top = min(v - 1, bounds[j] - s)
                     if top >= 0 and s + (n - j) * top >= g:
@@ -622,8 +622,7 @@ def enumerate_break_bruteforce(
     """Break_{m,n} by testing every composition of g into n parts of at
     most m(n-1)-1 with is_break_mn; sorted."""
     check_break_budget(p, budget)
-    bound = p.delta[0] if p.n > 1 else 0
-    return tuple(d for d in compositions(p.genus, p.n, bound) if is_break_mn(p, d))
+    return tuple(d for d in compositions(p.genus, p.n, p.delta[0]) if is_break_mn(p, d))
 
 
 def enumerate_parking_bruteforce(

@@ -32,7 +32,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -97,15 +96,7 @@ class Multigraph:
 
     @functools.cached_property
     def _connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in range(self.n):
-                if self.mult[v][w] > 0 and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return len(_bfs_tree(self)) == self.n - 1
 
     @functools.cached_property
     def subset_edges(self) -> list[int]:
@@ -181,6 +172,19 @@ class Multigraph:
 
     def is_connected(self) -> bool:
         return self._connected
+
+
+def _bfs_tree(graph: Multigraph) -> set[tuple[int, int]]:
+    """The vertex pairs (i, j), i < j, of a breadth-first spanning tree
+    of the component of vertex 0."""
+    order, seen, tree = [0], {0}, set()
+    for v in order:
+        for w in range(graph.n):
+            if graph.mult[v][w] and w not in seen:
+                seen.add(w)
+                order.append(w)
+                tree.add((min(v, w), max(v, w)))
+    return tree
 
 
 def complete_multigraph(m: int, n: int) -> Multigraph:
@@ -575,8 +579,9 @@ def _as_divisor(graph: Multigraph, divisor: Sequence[int]) -> tuple[int, ...]:
 
 
 def spanning_tree_count(graph: Multigraph) -> int:
-    """Matrix-Tree count via fraction-free (Bareiss) elimination on the
-    reduced Laplacian.  Exact integers throughout."""
+    """Matrix-Tree count by fraction-free (Bareiss) elimination on the
+    reduced Laplacian, positive definite on a connected graph, so each
+    pivot (a leading principal minor) is positive: no row swaps."""
     _require_connected(graph)
     n = graph.n
     if n == 1:
@@ -590,20 +595,10 @@ def spanning_tree_count(graph: Multigraph) -> int:
         for i in range(n - 1)
     ]
     size = n - 1
-    sign = 1
     prev = 1
     for k in range(size - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, size):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         for i in range(k + 1, size):
             for j in range(k + 1, size):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
-    return sign * a[size - 1][size - 1]
+    return a[size - 1][size - 1]

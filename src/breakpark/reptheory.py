@@ -48,6 +48,8 @@ def _z(lam: Partition) -> int:
 
 def class_size(lam: Partition) -> int:
     """Size of the conjugacy class of cycle type lam in S_|lam|."""
+    if min(lam, default=1) < 1 or list(lam) != sorted(lam, reverse=True):
+        raise PreconditionError(f"{lam} is not a partition")
     n = sum(lam)
     return math.factorial(n) // _z(lam)
 
@@ -181,18 +183,23 @@ def character_shift_classes_bruteforce(m: int, n: int) -> ClassFunction:
     return values
 
 
-def _degree(chi: ClassFunction) -> int:
-    """The n of a class function of S_n."""
+def _degree(chi: ClassFunction) -> tuple[int, list[Partition]]:
+    """The n of a class function of S_n and its keys, which must be the
+    partitions of n."""
     if not chi:
         raise PreconditionError("empty class function")
-    return sum(next(iter(chi)))
+    n = sum(next(iter(chi)))
+    parts = partitions_of(n)
+    if chi.keys() != set(parts):
+        raise PreconditionError(f"keys are not the partitions of {n}")
+    return n, parts
 
 
 def restrict_character(chi: ClassFunction) -> ClassFunction:
     """Restriction from S_n to S_{n-1}: append a fixed point to each
     cycle type of S_{n-1} (a part 1 goes last in a decreasing partition)
     and read off the S_n value."""
-    n = _degree(chi)
+    n, _ = _degree(chi)
     if n < 2:
         raise PreconditionError("restriction needs n >= 2")
     return {mu: chi[mu + (1,)] for mu in partitions_of(n - 1)}
@@ -240,18 +247,21 @@ def h_module_character(coeffs: Dict[Partition, int], n: int) -> ClassFunction:
     fixed by sigma exactly when each row is a union of cycles, so the
     value on class nu counts distributions of the cycles of nu among
     blocks of sizes mu."""
+    parts = partitions_of(n)
+    if not set(coeffs) <= set(parts):
+        raise PreconditionError(f"keys must be partitions of {n}")
     return {
         nu: sum(c * _distributions(nu, mu) for mu, c in coeffs.items())
-        for nu in partitions_of(n)
+        for nu in parts
     }
 
 
 def schur_expansion(chi: ClassFunction) -> Dict[Partition, int]:
     """Expand a class function in irreducible characters: coefficient of
     s_lam is the inner product (1/n!) sum class_size * chi * chi^lam."""
-    n = _degree(chi)
+    n, parts = _degree(chi)
     nfact = math.factorial(n)
-    weights = [(mu, class_size(mu) * chi[mu]) for mu in partitions_of(n)]
+    weights = [(mu, class_size(mu) * chi[mu]) for mu in parts]
     out: Dict[Partition, int] = {}
     for lam, _ in weights:
         acc = sum(w * murnaghan_nakayama(lam, mu) for mu, w in weights)
@@ -280,8 +290,6 @@ class PermutationModule(NamedTuple):
 def h_module(h: Dict[Partition, int], n: int) -> PermutationModule:
     """Frobenius data of the S_n-permutation module with h-expansion h:
     h[mu] orbits, each that of a vector with value multiplicities mu."""
-    if any(sum(mu) != n for mu in h):
-        raise PreconditionError(f"orbit representatives must have length {n}")
     chi = h_module_character(h, n)
     return PermutationModule(h, chi, schur_expansion(chi))
 
@@ -311,8 +319,8 @@ def knm_modules(p: knm.KnmParams, budget: int = DEFAULT_SET_BUDGET) -> KnmModule
 
 def trivial_multiplicity(chi: ClassFunction) -> int:
     """Multiplicity of the trivial character: (1/n!) sum class_size * chi."""
-    n = _degree(chi)
-    acc = sum(class_size(mu) * chi[mu] for mu in partitions_of(n))
+    n, parts = _degree(chi)
+    acc = sum(class_size(mu) * chi[mu] for mu in parts)
     coeff, r = divmod(acc, math.factorial(n))
     if r != 0:
         raise InternalInvariantError("trivial multiplicity not integral")

@@ -73,11 +73,10 @@ def _first(counterexamples: Iterable[str | None]) -> str | None:
 
 
 def random_connected_multigraph(
-    rng: random.Random, max_vertices: int = 6, max_mult: int = 3,
-    max_extra_edges: int = 5,
+    rng: random.Random, max_vertices: int = 6, max_extra_edges: int = 5
 ) -> multigraph.Multigraph:
     """A random connected multigraph: random spanning tree plus a few
-    extra edges, multiplicities bumped up to at most max_mult.
+    extra edges, multiplicities bumped up to at most 3.
 
     The extra-edge cap keeps the genus small enough for exhaustive
     divisor scans.
@@ -89,7 +88,7 @@ def random_connected_multigraph(
         mult[v][w] = mult[w][v] = 1
     for _ in range(rng.randint(0, max_extra_edges)):
         i, j = rng.sample(range(n), 2)
-        if mult[i][j] < max_mult:
+        if mult[i][j] < 3:
             mult[i][j] += 1
             mult[j][i] = mult[i][j]
     return multigraph.Multigraph(mult)
@@ -165,17 +164,6 @@ def suite_random_graphs(seed: int = 0) -> list[Check]:
     ]
 
 
-def _bfs_tree(g: multigraph.Multigraph) -> set[tuple[int, int]]:
-    """The vertex pairs (i, j), i < j, of a breadth-first spanning tree."""
-    seen, tree = [0], set()
-    for v in seen:
-        for w in range(g.n):
-            if g.mult[v][w] and w not in seen:
-                seen.append(w)
-                tree.add((min(v, w), max(v, w)))
-    return tree
-
-
 def _chips_on_endpoints(
     rng: random.Random, g: multigraph.Multigraph, start: int, tree=frozenset()
 ) -> list[int]:
@@ -194,15 +182,14 @@ def _chips_on_endpoints(
     return d
 
 
-def _heavy_multigraph(
-    rng: random.Random, max_vertices: int, max_mult: int
-) -> multigraph.Multigraph:
-    """A random connected multigraph whose multiplicities reach max_mult."""
-    g = random_connected_multigraph(rng, max_vertices, max_extra_edges=2 * max_vertices)
+def _heavy_multigraph(rng: random.Random) -> multigraph.Multigraph:
+    """A random connected multigraph on at most 9 vertices whose
+    multiplicities reach 300."""
+    g = random_connected_multigraph(rng, 9, max_extra_edges=18)
     mult = [[0] * g.n for _ in range(g.n)]
     for i, j in itertools.combinations(range(g.n), 2):
         if g.mult[i][j]:
-            mult[i][j] = mult[j][i] = rng.randint(1, max_mult)
+            mult[i][j] = mult[j][i] = rng.randint(1, 300)
     return multigraph.Multigraph(mult)
 
 
@@ -243,8 +230,8 @@ def suite_subset_kernel(seed: int = 0) -> list[Check]:
         orient_cx = orient_cx or _first_disagreement(
             g, divisors, multigraph.is_orientable, multigraph.orientable_bruteforce
         )
-        g = _heavy_multigraph(rng, max_vertices=9, max_mult=300)
-        d = _chips_on_endpoints(rng, g, 0, _bfs_tree(g))
+        g = _heavy_multigraph(rng)
+        d = _chips_on_endpoints(rng, g, 0, multigraph._bfs_tree(g))
         divisors = [d, _move_chip(rng, d), _move_chip(rng, d),
                     _random_divisor(rng, g.n, multigraph.genus(g))]
         break_cx = break_cx or _first_disagreement(

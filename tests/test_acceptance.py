@@ -127,7 +127,7 @@ def test_08_random_graph_suite():
     rng = random.Random(2024)
     ok = True
     for _ in range(100):
-        g = random_connected_multigraph(rng, max_vertices=6, max_mult=3)
+        g = random_connected_multigraph(rng, max_vertices=6)
         ok &= break_oracle_counterexample(g) is None
         ok &= break_count_counterexample(g) is None
     report(8, "100 random multigraphs: oracles and tree counts", ok)

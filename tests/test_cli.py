@@ -135,6 +135,33 @@ class TestEnumerate:
             f"error: {path}: not UTF-8 text (invalid start byte)\n"
         )
 
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    @pytest.mark.parametrize("text, message", [
+        ("0\n", "vertex count must be positive"),
+        ("2\n1 2 x\n", "non-integer edge entry in '1 2 x'"),
+        ("2\n1 2 -1\n", "negative multiplicity in '1 2 -1'"),
+    ], ids=["no-vertices", "non-integer-multiplicity", "negative-multiplicity"])
+    def test_bad_graph_file_exits_2_with_one_error_line(
+        self, tmp_path, capsys, command, text, message
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out = run_cli([command, "--graph", str(path)])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("command, records", [
+        ("count", [{"vertices": 1, "edges": 0, "genus": 0, "spanning_trees": 1,
+                    "break_divisors": 1}]),
+        ("enumerate", [{"divisor": "(0)"}]),
+    ])
+    def test_one_vertex_graph_file(self, tmp_path, command, records):
+        path = tmp_path / "one.txt"
+        path.write_text("1\n")
+        code, out = run_cli([command, "--graph", str(path), "--format", "json"])
+        assert code == cli.EXIT_OK
+        assert json.loads(out) == records
+
     def test_graph_over_budget_names_the_compositions(self, tmp_path, capsys):
         # K_3^2 has genus 4 and C(4 + 2, 2) = 15 candidate compositions
         path = tmp_path / "k32.txt"

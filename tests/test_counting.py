@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from breakpark import counting, reptheory
+from breakpark import counting, knm, reptheory
 from breakpark.errors import (
     BudgetExceededError,
     InternalInvariantError,
@@ -246,12 +246,50 @@ class TestEulerProduct:
      (reptheory.character_break, (0, 3)),
      (reptheory.character_break_closed, (0, 3, (3,))),
      (one_minus_power, (1, -1)),
-     (counting.von_sterneck_bruteforce, (0, 2, 1))],
+     (counting.von_sterneck_bruteforce, (0, 2, 1)),
+     (counting.ramanujan_sum, (0, 1)),
+     (counting.von_sterneck, (0, 2, 1)),
+     (counting.orbit_count_D, (0, 3)),
+     (counting.fuss_catalan, (0, 3)),
+     (reptheory.character_break_closed, (2, 3, (2,))),
+     (reptheory.murnaghan_nakayama, ((2,), (1,))),
+     (reptheory.restrict_character, ({(1,): 1},)),
+     (reptheory.partitions_of, (-1,))],
     ids=["split-m0", "split-n0", "split-m-1", "character-m0", "closed-m0",
-         "one-minus-power-order-1", "von-sterneck-bruteforce-a0"],
+         "one-minus-power-order-1", "von-sterneck-bruteforce-a0",
+         "ramanujan-b0", "von-sterneck-a0", "orbit-count-m0", "fuss-catalan-m0",
+         "closed-lam-of-another-n", "mn-sizes-differ", "restrict-n1", "partitions-n-1"],
 )
 def test_outside_the_domain_raises_precondition_error(fn, args):
     # as their siblings orbit_count_D, character_break_bruteforce and
     # von_sterneck do, not a ZeroDivisionError, IndexError or quiet 0
     with pytest.raises(PreconditionError):
         fn(*args)
+
+
+# Scalar arguments go through `operator.index`: once KnmParams(1.5, 2).genus
+# read 0.0, moebius(2.5) read -1, euler_phi(6.0) read 2.0 and divisors(0)
+# and divisors(-4) read [].
+SCALAR_CALLS = {
+    "KnmParams-m": lambda x: knm.KnmParams(x, 2).genus,
+    "KnmParams-n": lambda x: knm.KnmParams(2, x).delta,
+    "moebius": counting.moebius,
+    "euler_phi": counting.euler_phi,
+    "divisors": counting.divisors,
+}
+REFUSED = [2.5, 6.0, Fraction(6), "6", 0, -4]
+REFUSED_IDS = ["float", "integral-float", "fraction", "str", "zero", "negative"]
+
+
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+@pytest.mark.parametrize("value", REFUSED, ids=REFUSED_IDS)
+def test_scalar_argument_refused(name, value):
+    with pytest.raises(PreconditionError):
+        SCALAR_CALLS[name](value)
+
+
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+def test_scalar_argument_numpy_int64_accepted(name):
+    numpy = pytest.importorskip("numpy")
+    # the same value, built from Python ints: repr shows a numpy scalar
+    assert repr(SCALAR_CALLS[name](numpy.int64(6))) == repr(SCALAR_CALLS[name](6))

@@ -36,6 +36,10 @@ def path_graph(n):
 
 
 class TestConstruction:
+    def test_rejects_no_vertices(self):
+        with pytest.raises(GraphFormatError, match="at least one vertex"):
+            mg.Multigraph([])
+
     def test_rejects_asymmetric(self):
         with pytest.raises(GraphFormatError):
             mg.Multigraph([[0, 1], [2, 0]])
@@ -165,6 +169,11 @@ class TestEulerCharSubset:
         with pytest.raises(PreconditionError):
             mg.euler_char_subset(triangle(), [])
 
+    @pytest.mark.parametrize("v", [3, -1])
+    def test_out_of_range_vertex_rejected(self, v):
+        with pytest.raises(PreconditionError, match=f"vertex {v} out of range"):
+            mg.euler_char_subset(triangle(), [0, v])
+
 
 class TestOrientable:
     def test_cyclic_orientation(self):
@@ -176,6 +185,11 @@ class TestOrientable:
     def test_degree_mismatch(self):
         single = mg.Multigraph([[0, 1], [1, 0]])
         assert not mg.is_orientable(single, (0, 0))
+
+    def test_orientation_oracle_refuses_more_than_20_edges(self):
+        g = mg.Multigraph([[0, 21], [21, 0]])
+        with pytest.raises(BudgetExceededError, match="limited to 20 edges"):
+            mg.orientable_bruteforce(g, (10, 9))
 
     def test_agrees_with_orientation_oracle(self):
         rng = random.Random(7)
@@ -411,6 +425,55 @@ class TestSpanningTrees:
         for _ in range(15):
             g = random_connected_multigraph(rng, max_extra_edges=3)
             assert len(list(mg.enumerate_break_divisors(g))) == mg.spanning_tree_count(g)
+
+
+def fraction_determinant(rows) -> Fraction:
+    """Gaussian elimination over Fraction, with row swaps."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, len(a)):
+            factor = a[r][k] / a[k][k]
+            for c in range(k, len(a)):
+                a[r][c] -= factor * a[k][c]
+    return det
+
+
+@st.composite
+def multigraphs_up_to_9_vertices(draw):
+    """Graphs on 1 to 9 vertices, connected or not; each pair is absent,
+    of small multiplicity or of multiplicity up to 10^12."""
+    n = draw(st.integers(1, 9))
+    mult = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        mult[i][j] = mult[j][i] = draw(
+            st.one_of(st.just(0), st.integers(1, 3), st.integers(1, 10**12))
+        )
+    return mg.Multigraph(mult)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(multigraphs_up_to_9_vertices())
+def test_spanning_tree_count_is_the_reduced_laplacian_determinant(g):
+    """The Matrix-Tree theorem against an independent determinant: the
+    elimination without pivoting gives the determinant on every
+    connected graph, and a zero determinant means a disconnected graph,
+    which is refused."""
+    laplacian = [[sum(g.mult[i]) if i == j else -g.mult[i][j] for j in range(g.n - 1)]
+                 for i in range(g.n - 1)]
+    det = fraction_determinant(laplacian)
+    if det == 0:
+        with pytest.raises(PreconditionError, match="graph must be connected"):
+            mg.spanning_tree_count(g)
+    else:
+        assert mg.spanning_tree_count(g) == det
 
 
 class TestGraphFile:

@@ -94,6 +94,12 @@ class TestClassSize:
                 rt.class_size(mu) for mu in rt.partitions_of(n)
             ) == math.factorial(n)
 
+    @pytest.mark.parametrize("lam", [(2, -1, 1), (1, 2), (2, 0)])
+    def test_non_partition_rejected(self, lam):
+        # (2, -1, 1) once had class size -1
+        with pytest.raises(PreconditionError, match="is not a partition"):
+            rt.class_size(lam)
+
 
 class TestMurnaghanNakayama:
     def test_trivial_rep(self):
@@ -234,6 +240,13 @@ class TestPermutationModule:
         with pytest.raises(PreconditionError):
             rt.h_module({(2,): 1}, 3)
 
+    @pytest.mark.parametrize("fn", [rt.h_module, rt.h_module_character, rt.h_to_s])
+    @pytest.mark.parametrize("mu", [(3, -1), (1, 1, 0), (1, 2)])
+    def test_non_partition_rejected(self, fn, mu):
+        # h_module({(3, -1): 1}, 2) once returned a module
+        with pytest.raises(PreconditionError, match="must be partitions of"):
+            fn({mu: 1}, 2 if sum(mu) == 2 else 3)
+
     def test_h_module_is_the_module_of_the_listed_reps(self):
         # the orbit representatives against the orbits of the whole set
         p = knm.KnmParams(3, 4)
@@ -319,6 +332,23 @@ class TestEmptyClassFunction:
     def test_precondition_error(self, fn):
         with pytest.raises(PreconditionError):
             fn({})
+
+
+class TestPartialClassFunction:
+    """A class function of S_n must have a value on exactly the
+    partitions of n: schur_expansion({(2,): 1}) once raised KeyError."""
+
+    @pytest.mark.parametrize(
+        "fn", [rt.restrict_character, rt.schur_expansion, rt.trivial_multiplicity]
+    )
+    @pytest.mark.parametrize("chi", [
+        {(2,): 1},
+        {(2,): 1, (1, 1): 1, (3,): 1},
+        {(2,): 1, (2, -1, 1): 1},
+    ], ids=["missing-key", "key-of-another-n", "non-partition-key"])
+    def test_precondition_error(self, fn, chi):
+        with pytest.raises(PreconditionError, match="not the partitions of 2"):
+            fn(chi)
 
 
 class TestSchurExpansion:
