@@ -35,10 +35,13 @@ of Break and Park by multiplicity partition (`knm.count_break_types`,
 points counted from the Break types, still independent of the closed
 formula.
 
-Every command pays for the imports at start-up, so the modules it loads
-keep `argparse`, `dataclasses`, `inspect`, `fractions`, `csv` and `json`
-off that path: each is imported only by the code that uses it.  Each
-command's flags are declared once, in `COMMANDS`.  `main` reads an argv
+Every command pays for the imports at start-up, so it loads only the
+library layers it runs (each layer loads on first use; see the package
+docstring), and `COMMANDS` reads no layer: `--only` takes its choices
+from `VERIFY_SUITES`.  The modules a command loads keep `argparse`,
+`dataclasses`, `inspect`, `fractions`, `csv` and `json` off that path
+too: each is imported only by the code that uses it.  Each command's
+flags are declared once, in `COMMANDS`.  `main` reads an argv
 of the form `COMMAND (--flag VALUE)*` from that table itself: exact flag
 names, values that do not start with "-", each converting and in its
 choices as argparse would have it, and every required flag given.  Any
@@ -56,11 +59,12 @@ the run is a usage error.
 Exit codes: 0 success, 2 usage/parse error, 3 budget exceeded (a
 `verify` suite over budget is a FAIL row instead), 4 a failed verdict
 (any FAIL or DISAGREE row, or a brute-force count off its closed form;
-the records still print), 5 internal invariant violated (a bug; one
-`error:` line on stderr, no traceback; it may follow part of the
-records on stdout).  When the reader closes stdout early, as
-`breakpark enumerate ... | head` does, the command stops writing, prints
-nothing on stderr and exits with its verdict code, 0 or 4.
+the records still print), 5 internal invariant violated or any other
+exception (a bug; one `error:` line on stderr, no traceback; it may
+follow part of the records on stdout).  When the reader closes stdout
+early, as `breakpark enumerate ... | head` does, the command stops
+writing, prints nothing on stderr and exits with its verdict code, 0
+or 4.
 """
 from __future__ import annotations
 
@@ -400,6 +404,13 @@ _BUDGET = ("--budget", {"type": _nonnegative_int, "default": DEFAULT_SET_BUDGET}
 _M = ("--m", {"type": _positive_int, "help": "edge multiplicity"})
 _N = ("--n", {"type": _positive_int, "help": "vertex count"})
 _SOURCE = (("--graph", {"help": "graph file instead of --m/--n"}), _M, _N)
+# sorted(verify.SUITES), written out so that reading the table loads no
+# `verify`; a test checks that the two agree.
+VERIFY_SUITES = (
+    "cardinalities", "characters", "dt-two-routes", "knm-vs-multigraph",
+    "module-isomorphisms", "orbit-counts", "random-graphs", "shift-classes",
+    "subset-kernel", "theorems-by-orbit-types",
+)
 COMMANDS = {
     "enumerate": ("list break/park/residue/class sets", (
         *_SOURCE, _BUDGET, _FORMAT,
@@ -421,7 +432,7 @@ COMMANDS = {
     )),
     "verify": ("run the invariant suites", (
         _FORMAT,
-        ("--only", {"action": "append", "choices": sorted(verify.SUITES),
+        ("--only", {"action": "append", "choices": VERIFY_SUITES,
                     "help": "restrict to named suites (repeatable)"}),
         ("--m", {"type": _positive_int,
                  "help": "largest m of the suites that take one"}),
@@ -508,6 +519,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except InternalInvariantError as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug: one line, no traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK if ok else EXIT_VERIFY
 

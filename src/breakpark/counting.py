@@ -22,7 +22,7 @@ from .errors import (
     as_ints,
     check_budget,
 )
-from .knm import KnmParams
+from . import knm
 from .series import ExactSeries, one_minus_power
 
 MAX_SERIES_ORDER = 24
@@ -82,6 +82,7 @@ def ramanujan_sum(b: int, a: int) -> int:
 
     gcd(0, b) = b, so C_b(0) = phi(b).
     """
+    b, a = as_ints((b, a), "ramanujan_sum arguments")
     if b < 1:
         raise PreconditionError("ramanujan_sum requires b >= 1")
     g = math.gcd(a, b)
@@ -93,6 +94,7 @@ def ramanujan_sum(b: int, a: int) -> int:
 
 def von_sterneck(a: int, k: int, b: int) -> int:
     """Number of size-k multisets from {0, ..., a-1} with sum = b mod a."""
+    a, k, b = as_ints((a, k, b), "von_sterneck arguments")
     if a < 1 or k < 0:
         raise PreconditionError("von_sterneck requires a >= 1, k >= 0")
     total = 0
@@ -124,6 +126,7 @@ def von_sterneck_bruteforce(a: int, k: int, b: int) -> int:
 def orbit_count_D(m: int, n: int) -> int:
     """Orbits of the permutation action on residue tuples:
     (1/n) sum over d | n of (-1)^(m(n+d)) mu(n/d) C((m+1)d-1, md)."""
+    m, n = as_ints((m, n), "orbit_count_D arguments")
     if m < 1 or n < 1:
         raise PreconditionError("orbit_count_D requires m, n >= 1")
     total = 0
@@ -138,7 +141,7 @@ def orbit_count_D(m: int, n: int) -> int:
 
 def orbit_count_D_von_sterneck(m: int, n: int) -> int:
     """Same count via the multiset formula at (a, k, b) = (mn, n, g)."""
-    return von_sterneck(m * n, n, KnmParams(m, n).genus)
+    return von_sterneck(m * n, n, knm.KnmParams(m, n).genus)
 
 
 def orbit_count_D_split(m: int, n: int) -> int:
@@ -165,6 +168,7 @@ def orbit_count_D_split(m: int, n: int) -> int:
 def dt_invariant(m: int, n: int) -> int:
     """Numerical DT invariant of the (m+1)-loop quiver: the orbit count
     divided by n (each shift class has size n)."""
+    m, n = as_ints((m, n), "dt_invariant arguments")
     q, r = divmod(orbit_count_D(m, n), n)
     if r != 0:
         raise InternalInvariantError(f"DT({m},{n}) not integral")
@@ -173,6 +177,7 @@ def dt_invariant(m: int, n: int) -> int:
 
 def fuss_catalan(m: int, n: int) -> int:
     """Number of (m+1)-ary trees with n nodes: C((m+1)n, n) / (mn+1)."""
+    m, n = as_ints((m, n), "fuss_catalan arguments")
     if m < 1 or n < 0:
         raise PreconditionError("fuss_catalan requires m >= 1, n >= 0")
     q, r = divmod(math.comb((m + 1) * n, n), m * n + 1)
@@ -183,7 +188,8 @@ def fuss_catalan(m: int, n: int) -> int:
 
 def _substituted_tree_series(m: int, n_max: int) -> ExactSeries:
     """The tree series with u = (-1)^m t substituted, truncated at n_max:
-    the start of both DT routes, which check their order here."""
+    the start of both DT routes, which check their arguments here."""
+    m, n_max = as_ints((m, n_max), "DT route arguments")
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     if n_max > MAX_SERIES_ORDER:

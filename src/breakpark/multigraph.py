@@ -189,6 +189,7 @@ def _bfs_tree(graph: Multigraph) -> set[tuple[int, int]]:
 
 def complete_multigraph(m: int, n: int) -> Multigraph:
     """K_n^m: m parallel edges between every pair of distinct vertices."""
+    m, n = as_ints((m, n), "complete_multigraph arguments")
     if m < 1 or n < 1:
         raise PreconditionError("complete_multigraph requires m >= 1, n >= 1")
     return Multigraph(

@@ -32,6 +32,7 @@ from .errors import (
     DEFAULT_SET_BUDGET,
     InternalInvariantError,
     PreconditionError,
+    as_ints,
 )
 from .knm import _check_partitions, partitions_of
 
@@ -92,6 +93,7 @@ def character_break_closed(m: int, n: int, lam: Partition) -> int:
     """Fixed-point count of a type-lam permutation on the break divisors
     of K_n^m, by closed formula in ell = number of parts and
     d = gcd of the parts."""
+    m, n = as_ints((m, n), "character_break_closed arguments")
     if m < 1 or n < 1:
         raise PreconditionError("character_break_closed requires m, n >= 1")
     if sum(lam) != n:

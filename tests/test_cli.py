@@ -1442,6 +1442,30 @@ class TestInternalError:
         assert err.startswith("error: ")
         assert "shift class has 2 break members" in err
 
+    # A suite with a bug raises what no `run_suites` handler expects; once
+    # that left `main` with exit 1 and a traceback.
+    BUGGY_SUITE = """
+import sys
+from breakpark import cli, verify
+def buggy():
+    return 1 // 0
+verify.SUITES["dt-two-routes"] = buggy
+sys.exit(cli.main(["verify", "--only", "dt-two-routes"]))
+"""
+    BUG_LINE = "error: internal error: ZeroDivisionError: integer division or modulo by zero\n"
+
+    def test_bug_in_a_suite_exits_5_one_line(self, monkeypatch, capsys):
+        monkeypatch.setitem(verify.SUITES, "dt-two-routes", lambda: 1 // 0)
+        code, out = run_cli(["verify", "--only", "dt-two-routes"])
+        assert (code, out, capsys.readouterr().err) == (cli.EXIT_INTERNAL, "", self.BUG_LINE)
+
+    def test_bug_in_a_suite_prints_no_traceback(self):
+        proc = subprocess.run([sys.executable, "-c", self.BUGGY_SUITE],
+                              capture_output=True, text=True, env=cli_env())
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            cli.EXIT_INTERNAL, "", self.BUG_LINE)
+
 
 def json_reference(records):
     return json.dumps(records, sort_keys=True) + "\n"

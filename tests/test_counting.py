@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from breakpark import counting, knm, reptheory
+from breakpark import counting, knm, multigraph, reptheory
 from breakpark.errors import (
     BudgetExceededError,
     InternalInvariantError,
@@ -293,3 +293,41 @@ def test_scalar_argument_numpy_int64_accepted(name):
     numpy = pytest.importorskip("numpy")
     # the same value, built from Python ints: repr shows a numpy scalar
     assert repr(SCALAR_CALLS[name](numpy.int64(6))) == repr(SCALAR_CALLS[name](6))
+
+
+# The same rule for the scalars of the closed counts, each taken in one
+# place.  Once character_break_closed(2.0, 3, (1, 1, 1)) read 12.0 and the
+# others raised a bare TypeError.
+SCALAR_PLACES = {
+    "character_break_closed-m": lambda x: reptheory.character_break_closed(x, 3, (1, 1, 1)),
+    "character_break_closed-n": lambda x: reptheory.character_break_closed(2, x, (1, 1)),
+    "complete_multigraph-m": lambda x: multigraph.complete_multigraph(x, 3).mult,
+    "complete_multigraph-n": lambda x: multigraph.complete_multigraph(2, x).mult,
+    "ramanujan_sum-b": lambda x: counting.ramanujan_sum(x, 1),
+    "ramanujan_sum-a": lambda x: counting.ramanujan_sum(6, x),
+    "von_sterneck-a": lambda x: counting.von_sterneck(x, 2, 1),
+    "von_sterneck-k": lambda x: counting.von_sterneck(6, x, 1),
+    "von_sterneck-b": lambda x: counting.von_sterneck(6, 2, x),
+    "orbit_count_D-m": lambda x: counting.orbit_count_D(x, 3),
+    "orbit_count_D-n": lambda x: counting.orbit_count_D(2, x),
+    "fuss_catalan-m": lambda x: counting.fuss_catalan(x, 3),
+    "fuss_catalan-n": lambda x: counting.fuss_catalan(2, x),
+    "dt_invariant-m": lambda x: counting.dt_invariant(x, 3),
+    "dt_invariant-n": lambda x: counting.dt_invariant(2, x),
+    "dt_via_euler_product-m": lambda x: counting.dt_via_euler_product(x, 5),
+    "dt_via_euler_product-n_max": lambda x: counting.dt_via_euler_product(2, x),
+}
+NON_INTEGERS = [2.5, 2.0, Fraction(2), "2"]
+
+
+@pytest.mark.parametrize("place", SCALAR_PLACES)
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=REFUSED_IDS[:4])
+def test_closed_count_scalar_refused(place, value):
+    with pytest.raises(PreconditionError, match="must be integers"):
+        SCALAR_PLACES[place](value)
+
+
+@pytest.mark.parametrize("place", SCALAR_PLACES)
+def test_closed_count_scalar_numpy_int64_accepted(place):
+    numpy = pytest.importorskip("numpy")
+    assert repr(SCALAR_PLACES[place](numpy.int64(2))) == repr(SCALAR_PLACES[place](2))

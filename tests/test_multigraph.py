@@ -138,6 +138,14 @@ def test_subset_work_over_the_cap_is_a_budget_error():
     assert "subset_edges" not in vars(path)
 
 
+def test_subset_cap_is_inclusive(monkeypatch):
+    # a small cap, so the boundary is tested without a 2^24 table
+    monkeypatch.setattr(mg, "SUBSET_VERTEX_CAP", 4)
+    assert mg.is_break_divisor(path_graph(4), (0,) * 4)
+    with pytest.raises(BudgetExceededError, match="at most 4 vertices"):
+        mg.is_break_divisor(path_graph(5), (0,) * 5)
+
+
 SUBSET_PREDICATES = (mg.is_orientable, mg.orientable_subset_bruteforce,
                      mg.is_break_divisor, mg.break_subset_bruteforce)
 
