@@ -38,23 +38,30 @@ item is then the arguments of one `%` with its set's templates, declared
 next to the walker (`break_fields`, `parking_fields`, `residue_fields`,
 `class_fields`, in JSON key order).  A head's text, such as "(3,1,", is
 formatted once per head, or per run for residue and classes and their
-class-key head, so a row formats only its leaf ints and texts.  Two
-leaves that share an orbit key share one sort and one key text: x and
-s - x of one Break head, and (v, w) and (w, v) of one residue run at
-n >= 3.  A Park leaf's key is w inserted into the sort of its head,
-whose texts before and after w are formatted once per run of w between
-two entries.  A Break or Park record at n <= 2, and a residue record at
-n = 1, is ints.  D and its classes come from one generator of runs
-(`_runs`), a fixed head with the free coordinate from a range, which
-only `enumerate_residue_tuples` and `shift_classes` walk; a residue
-record's class key, its run's head shifted back once per run, costs two
-`%`.  A classes record builds no member tuple: its run tables give each
-member's head text and the classes whose break member it is, and it
-confirms that member with one `is_break_mn` and its projection with
-one `is_parking_mn`.  These predicates stay cheap per call: they reject
-a wrong sum or a negative entry in O(n) before they sort, they check the
-entries' types only when the sum is not an int, the range checks use
-min/max, and `KnmParams` caches its derived quantities.
+class-key head, so a row formats only its leaf ints and texts.  The
+leaves of one prefix block whose last three coordinates are the same
+multiset share one sort and one key text.  At n >= 4 a block (a Break
+prefix of `_break_nodes`, or a residue run head less its last entry)
+holds a list table of its key texts indexed by two of those three
+values, (A+1)^2 texts for Break, A the block's first room, which bounds
+every free coordinate, and N^2 for D; it is dropped at the next block.
+At n = 3 the one block is the whole set, so its table would be as large
+as the set: there x and s - x of one Break head, and (v, w) and (w, v)
+of one residue run, share one key text.  A Park leaf's key is w inserted
+into the sort of its head, whose texts before and after w are formatted
+once per run of w between two entries.  A Break or Park record at
+n <= 2, and a residue record at n = 1, is ints.  D and its classes come
+from one generator of runs (`_runs`), a fixed head with the free
+coordinate from a range, which only `enumerate_residue_tuples` and
+`shift_classes` walk; a residue record's class key, its run's head
+shifted back once per run, costs two `%`.  A classes record builds no
+member tuple: its run tables give each member's head text and the
+classes whose break member it is, and it confirms that member with one
+`is_break_mn` and its projection with one `is_parking_mn`.  These
+predicates stay cheap per call: they reject a wrong sum or a negative
+entry in O(n) before they sort, they check the entries' types only when
+the sum is not an int, the range checks use min/max, and `KnmParams`
+caches its derived quantities.
 
 `KnmParams` is a plain read-only value class rather than a dataclass:
 `dataclasses` pulls `inspect` and `ast` into every CLI start-up.
@@ -500,17 +507,27 @@ def enumerate_break(
 
     With `records`, an item is the record of `enumerate --set break`
     (`break_fields`).  Its head text, such as "(3,1,", is formatted once
-    per head.  x and s - x share an orbit key, so a head sorts and formats
-    the key text once per pair and keeps at most X/2 + 1 texts."""
+    per head.  At n >= 4 the key text is sorted and formatted once per
+    multiset {v, x, s - x} of a `_break_nodes` prefix: a table of the
+    prefix, table[a][b] the key of the last three (a, b, r - a - b), holds
+    it under all six orders.  Each of the three is at most A, the prefix's
+    first room, so the table has (A+1)^2 slots; it is dropped at the next
+    prefix.  At n = 3 there is one prefix, (), and such a table would be
+    as large as Break, so only x and s - x share a key: a head sorts and
+    formats the key text once per pair and keeps at most X/2 + 1 texts."""
     check_break_budget(p, budget)
     g = p.genus
     if p.n < 3:  # at n = 2, delta = (g, 0) keeps every split of g
         plain = zip(range(g + 1), range(g, -1, -1)) if p.n == 2 else iter([(0,)])
         return (d + tuple(sorted(d, reverse=True)) for d in plain) if records else plain
     head_format, key_format = "(" + "%d," * (p.n - 2), tuple_template(p.n)
+    blocks = records and p.n > 3  # at n = 3 the one block is all of Break
 
     def walk():
         for prefix, (A, B, _), r in _break_nodes((), list(p.delta_prefix), g):
+            if blocks:  # table[a][b]: the key of the last three (a, b, r - a - b)
+                table = None  # drop the last block's table before the next
+                table = [[None] * (A + 1) for _ in range(A + 1)]
             for v in range(max(0, r - B, r - 2 * A), min(r, A, 2 * B - r) + 1):
                 head, s = prefix + (v,), r - v
                 X = A if A < B - v else B - v
@@ -520,6 +537,16 @@ def enumerate_break(
                         yield head + (x, s - x)
                     continue
                 text = head_format % head
+                if blocks:
+                    row = table[v]
+                    for x in range(lo, s - lo + 1):
+                        if (key := row[x]) is None:  # one build per multiset {v, x, y}
+                            y = s - x
+                            key = key_format % tuple(sorted(head + (x, y), reverse=True))
+                            row[x] = row[y] = table[x][v] = table[x][y] = table[y][v] = \
+                                table[y][x] = key
+                        yield text, x, s - x, key
+                    continue
                 keys = []  # of x <= s/2, for their mirrors s - x
                 for x in range(lo, s // 2 + 1):
                     keys.append(key := key_format % tuple(
@@ -670,9 +697,13 @@ def enumerate_residue_tuples(
 
     With `records`, an item is the record of `enumerate --set residue`
     (`residue_fields`).  A run formats the texts of its head and of its
-    class-key head, the head shifted back by s, once.  (v, w) with
-    w = (c - v) % N shares its orbit key with (w, v), so the key text is
-    formatted once per pair of a run at n >= 3, in a table of
+    class-key head, the head shifted back by s, once.  At n >= 4 the runs
+    whose heads share all but their last entry u form a block, and the
+    key text is sorted and formatted once per multiset {u, v, w} of a
+    block: a table of N^2 slots, indexed by two of the three values, holds
+    it under all six orders and is dropped at the next block.  At n = 3
+    the one block is all of D, so (v, w) with w = (c - v) % N shares its
+    key text with (w, v) of the same run only, in a table of
     N <= sqrt(|D|) texts.  At n = 2 each record sorts: there N = |D|, so
     a key table would hold a text for every tuple of D."""
     check_d_budget(p, budget)
@@ -682,20 +713,36 @@ def enumerate_residue_tuples(
     if not records:
         return (head + (v, (c - v) % N) for head, c, _, vs in _runs(p, False) for v in vs)
     head_format, key_format = "(" + "%d," * (p.n - 2), tuple_template(p.n)
+    blocks = p.n > 3  # at n = 3 the one block is all of D
 
     def walk():
-        table = p.n > 2  # at n = 2 the table would hold all of D
-        keys = [""] * N if table else None
+        mirrors = p.n == 3  # at n = 2 the table would hold all of D
+        keys = [""] * N if mirrors else None
         for head, c, s, vs in _runs(p, False):
             text = head_format % head
             key_head = head_format % tuple([(u - s) % N for u in head])
+            if blocks:
+                # a block, head[:-1], starts at u = 0; table[a][b] is the key of
+                # the last three (a, b, (c + u - a - b) % N)
+                if (u := head[-1]) == 0:
+                    table = None  # drop the last block's table before the next
+                    table = [[None] * N for _ in range(N)]
+                row = table[u]
+                for v in vs:
+                    w = (c - v) % N
+                    if (key := row[v]) is None:  # one build per multiset {u, v, w}
+                        key = key_format % tuple(sorted(head + (v, w), reverse=True))
+                        row[v] = row[w] = table[v][u] = table[v][w] = table[w][u] = \
+                            table[w][v] = key
+                    yield key_head, (v - s) % N, (w - s) % N, key, text, v, w
+                continue
             for v in vs:
                 w = (c - v) % N
-                if w < v and table:
+                if w < v and mirrors:
                     key = keys[w]
                 else:
                     key = key_format % tuple(sorted(head + (v, w), reverse=True))
-                    if table:
+                    if mirrors:
                         keys[v] = key
                 yield key_head, (v - s) % N, (w - s) % N, key, text, v, w
 

@@ -47,10 +47,14 @@ def _z(lam: Partition) -> int:
     return z
 
 
-def class_size(lam: Partition) -> int:
-    """Size of the conjugacy class of cycle type lam in S_|lam|."""
+def _require_partition(lam: Partition):
     if min(lam, default=1) < 1 or list(lam) != sorted(lam, reverse=True):
         raise PreconditionError(f"{lam} is not a partition")
+
+
+def class_size(lam: Partition) -> int:
+    """Size of the conjugacy class of cycle type lam in S_|lam|."""
+    _require_partition(lam)
     n = sum(lam)
     return math.factorial(n) // _z(lam)
 
@@ -96,6 +100,7 @@ def character_break_closed(m: int, n: int, lam: Partition) -> int:
     m, n = as_ints((m, n), "character_break_closed arguments")
     if m < 1 or n < 1:
         raise PreconditionError("character_break_closed requires m, n >= 1")
+    _require_partition(lam := as_ints(lam, "character_break_closed cycle type"))
     if sum(lam) != n:
         raise PreconditionError("lam must be a partition of n")
     ell = len(lam)

@@ -1012,6 +1012,18 @@ class TestVerify:
             f"enumerate_break_divisors {trees}, spanning_tree_count {trees + 1}",
         )
 
+    def test_random_graphs_hold_one_graph_at_a_time(self):
+        # measured 64 KB (Python 3.11); a list of all the suite's graphs,
+        # each with its subset tables, peaked at 116 KB
+        verify.suite_random_graphs()  # fills the caches outside the trace
+        tracemalloc.start()
+        try:
+            verify.suite_random_graphs()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 88 * 2**10
+
     def test_knm_vs_multigraph_fail_names_the_first_counterexample(self, monkeypatch):
         real = multigraph.is_g_parking
 
@@ -1613,6 +1625,29 @@ class TestFlatMemory:
             tracemalloc.stop()
         assert peak < 0.1 * 2**20
 
+    @pytest.mark.parametrize("set_name, m, n, limit_kb", [
+        # at n >= 4 one block's key table at a time: measured 59, 8.1, 32 and
+        # 6.6 KB (Python 3.11); keeping the last table while the next is
+        # built reached 91 and 45 KB at n = 4
+        ("break", 20, 4, 72), ("break", 4, 5, 12),
+        ("residue", 10, 4, 40), ("residue", 3, 5, 10),
+        # at n = 3 the one block is the whole set, so the walks keep their
+        # mirror keys: measured 8.7 and 11 KB, where a block table reached
+        # 621 and 262 KB
+        ("break", 100, 3, 16), ("residue", 40, 3, 16),
+    ])
+    def test_record_walks_hold_one_block_table(self, set_name, m, n, limit_kb):
+        p = knm.KnmParams(m, n)
+        walk = {"break": knm.enumerate_break, "residue": knm.enumerate_residue_tuples}
+        tracemalloc.start()
+        try:
+            for _ in walk[set_name](p, records=True):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_kb * 2**10
+
     def test_residue_generators_copy_nothing_of_size_n(self):
         # |D| = 2*10^6 is within the default budget; three items each
         p = knm.KnmParams(10**6, 2)
@@ -1630,6 +1665,18 @@ class TestFlatMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def test_park_records_walk_ends():
+    # A Park records walk whose loop over w does not end fails here on the
+    # child's timeout, not on the per-test hang guard of the whole run.
+    proc = subprocess.run(
+        [sys.executable, "-m", "breakpark.cli", "enumerate", "--set", "park",
+         "--m", "2", "--n", "4", "--format", "json"],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert len(json.loads(proc.stdout)) == knm.break_count(knm.KnmParams(2, 4))
 
 
 class TestDeterminism:

@@ -74,6 +74,13 @@ def test_character_runs_neither_multigraph_nor_verify():
     assert ran & {"multigraph", "verify"} == set()
 
 
+def test_graph_workload_verify_runs_knm_multigraph_and_verify_only():
+    # the `dt-two-routes` default reads `counting` on call, not on import
+    ran = layer_report(["verify", "--only", "random-graphs", "--only",
+                        "knm-vs-multigraph", "--format", "json"])
+    assert ran == {"knm", "multigraph", "verify"}
+
+
 def test_verify_only_choices_are_the_suites():
     assert list(cli.VERIFY_SUITES) == sorted(verify.SUITES)
 

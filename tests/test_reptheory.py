@@ -147,6 +147,15 @@ class TestCharacterBreak:
     def test_identity_class_is_cardinality(self):
         assert rt.character_break_closed(2, 3, (1, 1, 1)) == 12
 
+    @pytest.mark.parametrize("lam, message", [
+        ((2, -1, 2), "is not a partition"),  # sums to n = 3; returned 12
+        ((1, 2), "is not a partition"),
+        ((1.0, 1, 1), "must be integers"),  # raised a bare TypeError
+    ])
+    def test_closed_refuses_a_cycle_type_that_is_no_partition(self, lam, message):
+        with pytest.raises(PreconditionError, match=message):
+            rt.character_break_closed(2, 3, lam)
+
     def test_full_cycle_vanishes(self):
         assert rt.character_break_closed(2, 3, (3,)) == 0
 
