@@ -110,6 +110,7 @@ def von_sterneck(a: int, k: int, b: int) -> int:
 
 def von_sterneck_bruteforce(a: int, k: int, b: int) -> int:
     """Oracle: enumerate all multisets directly."""
+    a, k, b = as_ints((a, k, b), "von_sterneck_bruteforce arguments")
     if a < 1 or k < 0:
         raise PreconditionError("von_sterneck_bruteforce requires a >= 1, k >= 0")
     import itertools
@@ -149,6 +150,7 @@ def orbit_count_D_split(m: int, n: int) -> int:
     the even-divisor terms enter with a minus sign; otherwise a plain
     Moebius-weighted divisor sum.  Divisor variable runs over d | n with
     binomial C((m+1)n/d - 1, n/d)."""
+    m, n = as_ints((m, n), "orbit_count_D_split arguments")
     if m < 1 or n < 1:
         raise PreconditionError("orbit_count_D_split requires m, n >= 1")
     total = 0

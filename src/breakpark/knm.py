@@ -244,6 +244,7 @@ def partition_counts(n: int) -> Iterator[int]:
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:
     """All partitions of n in reverse-lexicographic order."""
+    (n,) = as_ints((n,), "partitions_of arguments")
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     out: list[tuple[int, ...]] = []
@@ -819,7 +820,7 @@ def circular_park(prefs: Sequence[int], spots: int) -> set[int]:
     Car i takes prefs[i] if free, else the next free spot clockwise.
     Requires fewer cars than spots, so parking always succeeds.
     """
-    prefs = list(prefs)
+    *prefs, spots = as_ints((*prefs, spots), "circular_park arguments")
     if len(prefs) >= spots:
         raise PreconditionError("need fewer cars than spots")
     if prefs and (min(prefs) < 0 or max(prefs) >= spots):

@@ -314,7 +314,7 @@ def _internal_edges(graph: Multigraph, mask: int) -> int:
 def euler_char_subset(graph: Multigraph, subset: Iterable[int]) -> int:
     """|S| - |E(G[S])| for a nonempty set S of 0-based vertices."""
     mask = 0
-    for v in subset:
+    for v in as_ints(subset, "subset vertices"):
         if not 0 <= v < graph.n:
             raise PreconditionError(f"vertex {v} out of range")
         mask |= 1 << v

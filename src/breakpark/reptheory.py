@@ -3,7 +3,8 @@
 Characters are stored as class functions: dicts from cycle types
 (partitions of n) to integers.  The single irreducible-character engine
 is the Murnaghan-Nakayama border-strip recursion; h-to-s conversion
-goes through character inner products against it.
+goes through character inner products against it.  The closed Break
+character counts the shift classes a permutation fixes.
 
 An S_n-invariant set of vectors is a permutation module, and all of its
 Frobenius data comes from its h-expansion, the number of orbits whose
@@ -47,28 +48,28 @@ def _z(lam: Partition) -> int:
     return z
 
 
-def _require_partition(lam: Partition):
+def _require_partition(lam: Partition) -> Partition:
+    lam = as_ints(lam, "partition entries")
     if min(lam, default=1) < 1 or list(lam) != sorted(lam, reverse=True):
         raise PreconditionError(f"{lam} is not a partition")
+    return lam
 
 
 def class_size(lam: Partition) -> int:
     """Size of the conjugacy class of cycle type lam in S_|lam|."""
-    _require_partition(lam)
-    n = sum(lam)
-    return math.factorial(n) // _z(lam)
+    lam = _require_partition(lam)
+    return math.factorial(sum(lam)) // _z(lam)
 
 
+# The memo of `murnaghan_nakayama`, on checked partitions of one size.
+# The check comes first: (2, 1.0) equals and hashes as (2, 1), so a memo
+# lookup would answer it.
 @lru_cache(maxsize=None)
-def murnaghan_nakayama(lam: Partition, mu: Partition) -> int:
-    """Irreducible character chi^lam evaluated on cycle type mu.
-
-    Border strips of length r removable from lam correspond to beta
+def _border_strips(lam: Partition, mu: Partition) -> int:
+    """Border strips of length r removable from lam correspond to beta
     numbers b with b - r >= 0 and b - r not a beta number; the strip
     height is the number of beta numbers strictly between b - r and b.
     """
-    if sum(lam) != sum(mu):
-        raise PreconditionError("partitions must have equal size")
     if not mu:
         return 1
     r = mu[0]
@@ -89,44 +90,48 @@ def murnaghan_nakayama(lam: Partition, mu: Partition) -> int:
             if (x := v - (length - 1 - i)) > 0
         )
         sign = -1 if height % 2 else 1
-        total += sign * murnaghan_nakayama(new_lam, rest)
+        total += sign * _border_strips(new_lam, rest)
     return total
+
+
+def murnaghan_nakayama(lam: Partition, mu: Partition) -> int:
+    """Irreducible character chi^lam evaluated on cycle type mu."""
+    lam, mu = _require_partition(lam), _require_partition(mu)
+    if sum(lam) != sum(mu):
+        raise PreconditionError("partitions must have equal size")
+    return _border_strips(lam, mu)
+
+
+# the memo's counters, read by perfbench's tracer
+murnaghan_nakayama.cache_info = _border_strips.cache_info
 
 
 def character_break_closed(m: int, n: int, lam: Partition) -> int:
     """Fixed-point count of a type-lam permutation on the break divisors
-    of K_n^m, by closed formula in ell = number of parts and
-    d = gcd of the parts."""
+    of K_n^m: N^(ell-1) * d / n when d divides the genus g, else 0, with
+    ell the number of parts of lam, d their gcd and N = mn."""
     m, n = as_ints((m, n), "character_break_closed arguments")
     if m < 1 or n < 1:
         raise PreconditionError("character_break_closed requires m, n >= 1")
-    _require_partition(lam := as_ints(lam, "character_break_closed cycle type"))
+    lam = _require_partition(lam)
     if sum(lam) != n:
         raise PreconditionError("lam must be a partition of n")
-    ell = len(lam)
-    d = 0
-    for part in lam:
-        d = math.gcd(d, part)
-    if d == 1:
-        factor = 1
-    elif d == 2 and m % 2 == 1 and n % 4 == 2:
-        factor = 2
-    else:
-        return 0
-    # factor * m^(ell-1) * n^(ell-2); at ell = 1 the n is a divisor
-    value, r = divmod(
-        factor * m ** (ell - 1) * n ** max(ell - 2, 0), n ** max(2 - ell, 0)
-    )
-    if r != 0:
-        raise InternalInvariantError(
-            f"closed character formula non-integral at m={m}, n={n}, lam={lam}"
-        )
-    return value
+    # Each shift class of the residue tuples D holds one break divisor,
+    # and a permutation sigma of type lam commutes with the shift, so
+    # sigma fixes a class iff it fixes its break member, and then all n
+    # members: the value is |Fix_D(sigma)| / n.  The fixed tuples are the
+    # y in Z_N^ell with sum lam_i y_i = g (mod N); as d | n | N there are
+    # N^(ell-1) * d of them when d | g, and none otherwise.  The division
+    # is exact: n | N^(ell-1) for ell >= 2, and d = n at ell = 1.  The
+    # paper's doubled case is d = 2 | g: m odd and n = 2 (mod 4).
+    d, ell, big_n = math.gcd(*lam), len(lam), m * n
+    g = big_n * (n - 1) // 2 - n + 1
+    return big_n ** (ell - 1) * d // n if g % d == 0 else 0
 
 
 def permutation_of_type(lam: Partition) -> tuple[int, ...]:
     """One permutation of cycle type lam, as a 0-based image tuple."""
-    n = sum(lam)
+    n = sum(lam := _require_partition(lam))
     perm = list(range(n))
     pos = 0
     for part in lam:
@@ -195,6 +200,7 @@ def _degree(chi: ClassFunction) -> tuple[int, list[Partition]]:
     partitions of n."""
     if not chi:
         raise PreconditionError("empty class function")
+    as_ints(chi.values(), "class function values")
     n = sum(next(iter(chi)))
     parts = partitions_of(n)
     if chi.keys() != set(parts):
@@ -257,6 +263,7 @@ def h_module_character(coeffs: Dict[Partition, int], n: int) -> ClassFunction:
     parts = partitions_of(n)
     if not set(coeffs) <= set(parts):
         raise PreconditionError(f"keys must be partitions of {n}")
+    as_ints(coeffs.values(), "h-expansion coefficients")
     return {
         nu: sum(c * _distributions(nu, mu) for mu, c in coeffs.items())
         for nu in parts
@@ -271,7 +278,7 @@ def schur_expansion(chi: ClassFunction) -> Dict[Partition, int]:
     weights = [(mu, class_size(mu) * chi[mu]) for mu in parts]
     out: Dict[Partition, int] = {}
     for lam, _ in weights:
-        acc = sum(w * murnaghan_nakayama(lam, mu) for mu, w in weights)
+        acc = sum(w * _border_strips(lam, mu) for mu, w in weights)
         coeff, r = divmod(acc, nfact)
         if r != 0:
             raise InternalInvariantError(
@@ -333,10 +340,3 @@ def trivial_multiplicity(chi: ClassFunction) -> int:
         raise InternalInvariantError("trivial multiplicity not integral")
     return coeff
 
-
-def dominated_partition_count(m: int, n: int) -> int:
-    """Partitions of the genus with at most n parts dominated by
-    (m(n-1)-1, ..., m-1, 0); these index the orbits of break divisors,
-    so this is the sum of `knm.break_orbit_types`, whose state space is
-    checked against the default budget."""
-    return sum(knm.break_orbit_types(knm.KnmParams(m, n)).values())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence, Union
 
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InternalInvariantError, PreconditionError, as_ints
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -38,6 +38,7 @@ class ExactSeries:
     """
 
     def __init__(self, coeffs: Sequence, order: int):
+        (order,) = as_ints((order,), "series order")
         if order < 0:
             raise PreconditionError("order must be nonnegative")
         c = [_exact(x) for x in coeffs[: order + 1]]
@@ -125,6 +126,7 @@ def one_minus_power(k: int, order: int, e: int = 1) -> ExactSeries:
     is exact for every integer e (also negative), so the series has
     `int` coefficients and costs one pass over the multiples of k.
     """
+    k, order, e = as_ints((k, order, e), "one_minus_power arguments")
     if k < 1 or order < 0:
         raise PreconditionError("one_minus_power requires k >= 1, order >= 0")
     coeffs = [0] * (order + 1)

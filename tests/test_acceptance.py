@@ -82,7 +82,7 @@ def test_04_example_2_4():
     orbit_keys = {knm.sort_orbit_key(b) for b in breaks}
     ok = (
         counting.dt_invariant(2, 4)
-        == rt.dominated_partition_count(2, 4)
+        == sum(knm.break_orbit_types(knm.KnmParams(2, 4)).values())
         == rt.trivial_multiplicity(rt.character_break(2, 4))
         == len(orbit_keys)
         == 10

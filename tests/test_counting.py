@@ -295,9 +295,11 @@ def test_scalar_argument_numpy_int64_accepted(name):
     assert repr(SCALAR_CALLS[name](numpy.int64(6))) == repr(SCALAR_CALLS[name](6))
 
 
-# The same rule for the scalars of the closed counts, each taken in one
-# place.  Once character_break_closed(2.0, 3, (1, 1, 1)) read 12.0 and the
-# others raised a bare TypeError.
+# The same rule for the scalars of the closed counts, the series and the
+# small helpers, each taken in one place.  Once
+# character_break_closed(2.0, 3, (1, 1, 1)) read 12.0,
+# circular_park([0.5], 3) read {0.5} and the others raised a bare
+# TypeError.
 SCALAR_PLACES = {
     "character_break_closed-m": lambda x: reptheory.character_break_closed(x, 3, (1, 1, 1)),
     "character_break_closed-n": lambda x: reptheory.character_break_closed(2, x, (1, 1)),
@@ -316,6 +318,20 @@ SCALAR_PLACES = {
     "dt_invariant-n": lambda x: counting.dt_invariant(2, x),
     "dt_via_euler_product-m": lambda x: counting.dt_via_euler_product(x, 5),
     "dt_via_euler_product-n_max": lambda x: counting.dt_via_euler_product(2, x),
+    "orbit_count_D_split-m": lambda x: counting.orbit_count_D_split(x, 3),
+    "orbit_count_D_split-n": lambda x: counting.orbit_count_D_split(2, x),
+    "von_sterneck_bruteforce-a": lambda x: counting.von_sterneck_bruteforce(x, 2, 1),
+    "von_sterneck_bruteforce-k": lambda x: counting.von_sterneck_bruteforce(3, x, 1),
+    "von_sterneck_bruteforce-b": lambda x: counting.von_sterneck_bruteforce(3, 2, x),
+    "one_minus_power-k": lambda x: one_minus_power(x, 3),
+    "one_minus_power-order": lambda x: one_minus_power(1, x),
+    "one_minus_power-e": lambda x: one_minus_power(1, 3, x),
+    "ExactSeries-order": lambda x: ExactSeries([1, 2], x),
+    "partitions_of": knm.partitions_of,
+    "euler_char_subset": lambda x: multigraph.euler_char_subset(
+        multigraph.complete_multigraph(2, 3), [x]),
+    "circular_park-prefs": lambda x: knm.circular_park([x], 3),
+    "circular_park-spots": lambda x: knm.circular_park([0], x),
 }
 NON_INTEGERS = [2.5, 2.0, Fraction(2), "2"]
 

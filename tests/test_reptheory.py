@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from breakpark import counting, knm, reptheory as rt
 from breakpark.errors import BudgetExceededError, InternalInvariantError, PreconditionError
@@ -267,6 +268,11 @@ def refuse(*args, **kwargs):
     raise AssertionError("listed the orbits")
 
 
+def orbit_count(m, n):
+    """The number of Break orbits, from the orbit-type counts."""
+    return sum(knm.break_orbit_types(knm.KnmParams(m, n)).values())
+
+
 class TestKnmModules:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -320,6 +326,15 @@ class TestCharacterBreakClosedInIntegers:
                     m, n, lam
                 ) == reference_character_break_closed(m, n, lam), (m, n, lam)
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(m=st.integers(1, 10**6), n=st.integers(1, 20), data=st.data())
+    def test_equals_case_split_at_large_m(self, m, n, data):
+        parts = rt.partitions_of(n)
+        lam = parts[data.draw(st.integers(0, len(parts) - 1), label="index")]
+        assert rt.character_break_closed(
+            m, n, lam
+        ) == reference_character_break_closed(m, n, lam)
+
 
 class TestNonIntegralClassFunction:
     # (1/2!) (1 * 1 + 1 * 0): no integral multiplicity of s_2 or s_11
@@ -332,6 +347,31 @@ class TestNonIntegralClassFunction:
     def test_trivial_multiplicity_raises(self):
         with pytest.raises(InternalInvariantError, match="not integral"):
             rt.trivial_multiplicity(self.HALF)
+
+
+# Cycle types that are no partitions, and values that are not integers.
+# Once each of these answered or raised another type: the first three
+# read 0, -1 and 1, class_size raised a bare TypeError,
+# permutation_of_type an IndexError, the next two built float values and
+# trivial_multiplicity raised InternalInvariantError, a library fault.
+NOT_PARTITIONS_OR_INTEGERS = {
+    "mn-increasing": lambda: rt.murnaghan_nakayama((1, 2), (3,)),
+    "mn-negative": lambda: rt.murnaghan_nakayama((2, -1, 2), (3,)),
+    # (2, 1.0) equals and hashes as (2, 1): refused after (2, 1) is memoized
+    "mn-float-after-int": lambda: (rt.murnaghan_nakayama((3,), (2, 1)),
+                                   rt.murnaghan_nakayama((3,), (2, 1.0))),
+    "class-size-float": lambda: rt.class_size((2.0, 1)),
+    "permutation-negative": lambda: rt.permutation_of_type((2, -1)),
+    "schur-float-value": lambda: rt.schur_expansion({(1,): 2.0}),
+    "h-module-float-value": lambda: rt.h_module({(2, 1): 2.0}, 3),
+    "trivial-float-value": lambda: rt.trivial_multiplicity({(1,): 1.5}),
+}
+
+
+@pytest.mark.parametrize("case", NOT_PARTITIONS_OR_INTEGERS)
+def test_not_a_partition_or_integer_refused(case):
+    with pytest.raises(PreconditionError):
+        NOT_PARTITIONS_OR_INTEGERS[case]()
 
 
 class TestEmptyClassFunction:
@@ -377,8 +417,8 @@ class TestSchurExpansion:
         assert rt.schur_expansion(chi) == {lam: 1}
 
     def test_weights_once_and_the_same_mn_calls(self, monkeypatch):
-        # one partition list per call, and chi^lam(mu) asked for every
-        # (lam, mu) in the order of the nested inner products
+        # one partition list per call, and chi^lam(mu) asked of the memo
+        # for every (lam, mu) in the order of the nested inner products
         n = 6
         chi = rt.character_break(1, n)
         parts = rt.partitions_of(n)
@@ -388,18 +428,18 @@ class TestSchurExpansion:
                       for mu in parts)
             if acc:
                 expected[lam] = acc // math.factorial(n)
-        listed, asked, mn = [], [], rt.murnaghan_nakayama
+        listed, asked, mn = [], [], rt._border_strips
 
         def partitions_of(k):
             listed.append(k)
             return parts
 
-        def murnaghan_nakayama(lam, mu):
+        def border_strips(lam, mu):
             asked.append((lam, mu))
             return mn(lam, mu)
 
         monkeypatch.setattr(rt, "partitions_of", partitions_of)
-        monkeypatch.setattr(rt, "murnaghan_nakayama", murnaghan_nakayama)
+        monkeypatch.setattr(rt, "_border_strips", border_strips)
         out = rt.schur_expansion(chi)
         assert list(out.items()) == list(expected.items())
         assert listed == [n]
@@ -487,23 +527,24 @@ class TestTrivialMultiplicity:
             rt.trivial_multiplicity(chi)
             == counting.dt_invariant(m, n)
             == len(keys)
-            == rt.dominated_partition_count(m, n)
+            == orbit_count(m, n)
         )
 
 
 class TestDominatedCount:
+    # the Break orbits are the partitions of the genus dominated by delta
     def test_24_paper_value(self):
-        assert rt.dominated_partition_count(2, 4) == 10
+        assert orbit_count(2, 4) == 10
 
     def test_past_enumeration_lists_no_orbit(self, monkeypatch):
         monkeypatch.setattr(knm, "break_orbit_reps", refuse)
         monkeypatch.setattr(knm, "_lex_walk", refuse)
-        assert rt.dominated_partition_count(2, 14) == 89898151
+        assert orbit_count(2, 14) == 89898151
         assert counting.dt_invariant(2, 14) == 89898151
 
     def test_budget_is_on_the_state_space(self):
         with pytest.raises(BudgetExceededError, match="Break orbit-type state space"):
-            rt.dominated_partition_count(1, 40)
+            orbit_count(1, 40)
 
     @pytest.mark.parametrize("m,n", [(1, 5), (2, 5), (3, 4), (2, 6)])
     def test_matches_partition_scan(self, m, n):
@@ -520,4 +561,4 @@ class TestDominatedCount:
                 sum(padded[: i + 1]) <= sum(delta[: i + 1]) for i in range(n)
             ):
                 count += 1
-        assert rt.dominated_partition_count(m, n) == count
+        assert orbit_count(m, n) == count
